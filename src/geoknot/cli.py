@@ -52,18 +52,6 @@ EXPERIMENTS = (
 )
 
 
-def resolve_threads(value: int | None) -> int:
-    """--threads flag, GEOKNOT_THREADS env, then 1; 0 means auto."""
-    if value is None:
-        env = os.environ.get("GEOKNOT_THREADS", "").strip()
-        value = int(env) if env else 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    if value < 0:
-        raise ValueError("threads must be >= 0")
-    return value
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -76,7 +64,6 @@ class ExperimentConfig:
     pairs: int = 50
     seed: int = 0
     mode: str = "grid"
-    threads: int | None = None
     perturb_weights: float = 0.0
     c_emp: float = 8.0
     curve: str = "circle"
@@ -110,7 +97,6 @@ def load_config(path: str | None, args) -> ExperimentConfig:
         "pairs": args.pairs,
         "seed": args.seed,
         "mode": args.mode,
-        "threads": args.threads,
         "perturb_weights": args.perturb_weights,
         "c_emp": args.c_emp,
         "curve": args.curve,
@@ -159,11 +145,9 @@ def _check_writable(path: str | None):
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    threads = resolve_threads(cfg.threads)
     common = dict(
         seed=cfg.seed,
         mode=cfg.mode,
-        threads=threads,
         perturb_weights=cfg.perturb_weights,
     )
     name = cfg.experiment
@@ -224,13 +208,7 @@ def cmd_sample(args) -> int:
 
 def cmd_graph(args) -> int:
     pts = read_points_csv(args.points)
-    g = build_graph(
-        pts,
-        kind=args.kind,
-        r=args.r,
-        alpha=args.alpha,
-        threads=resolve_threads(args.threads),
-    )
+    g = build_graph(pts, kind=args.kind, r=args.r, alpha=args.alpha)
     write_graph_csv(args.out, g)
     stats = graph_stats(g)
     print(
@@ -315,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="ball", choices=("ball", "annulus"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_graph)
 
@@ -344,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", default=None, choices=("grid", "uniform-random"))
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--perturb-weights", type=float, default=None,
                    help="self-test fault injection: divide weights by (1+p)")
     p.add_argument("--c-emp", type=float, default=None)

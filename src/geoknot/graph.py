@@ -6,18 +6,18 @@ alpha*r.  Both use non-strict inequalities, so distances landing exactly
 on a boundary are kept.  Edge weights are the Euclidean distances,
 stored as computed in double precision.
 
-Construction goes through a uniform spatial hash with cell size r; a
-brute-force all-pairs builder is retained for small inputs as the
-testing oracle.
+Candidate pairs come from a KD-tree radius query; each candidate is then
+re-measured and filtered exactly, so the tree's own rounding never
+decides an edge.  A brute-force all-pairs builder is retained for small
+inputs as the testing oracle.
 """
 
 import math
-from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csgraph, csr_matrix
+from scipy.spatial import cKDTree
 
 from .surfaces import SampleSet
 
@@ -60,15 +60,6 @@ class NeighborhoodGraph:
         )
 
 
-@dataclass
-class SpatialIndex:
-    """Uniform hash grid: integer cell -> indices of the points inside."""
-
-    cell: float
-    cells: dict
-    points: np.ndarray
-
-
 def _points_of(sample) -> np.ndarray:
     if isinstance(sample, SampleSet):
         return sample.points
@@ -76,62 +67,6 @@ def _points_of(sample) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("points must be an (n, D) array")
     return pts
-
-
-def build_index(sample, cell: float) -> SpatialIndex:
-    """Assign each point to cell floor(coords / cell), componentwise."""
-    if not (cell > 0.0 and math.isfinite(cell)):
-        raise ValueError("cell size must be positive and finite")
-    pts = _points_of(sample)
-    keys = np.floor(pts / cell).astype(np.int64)
-    buckets = defaultdict(list)
-    for i, key in enumerate(map(tuple, keys.tolist())):
-        buckets[key].append(i)
-    cells = {k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()}
-    return SpatialIndex(cell=cell, cells=cells, points=pts)
-
-
-def radius_query(index: SpatialIndex, center, r: float) -> np.ndarray:
-    """All point indices within distance r of center (inclusive), sorted.
-
-    Scans the cells overlapping the query ball, then filters exactly.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    lo = np.floor((center - r) / index.cell).astype(np.int64)
-    hi = np.floor((center + r) / index.cell).astype(np.int64)
-    found = []
-    for key in _cell_range(lo, hi):
-        bucket = index.cells.get(key)
-        if bucket is not None:
-            found.append(bucket)
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    cand = np.concatenate(found)
-    diff = index.points[cand] - center
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.sort(cand[dist <= r])
-
-
-def _cell_range(lo, hi):
-    if len(lo) == 2:
-        for a in range(lo[0], hi[0] + 1):
-            for b in range(lo[1], hi[1] + 1):
-                yield (a, b)
-        return
-    if len(lo) == 3:
-        for a in range(lo[0], hi[0] + 1):
-            for b in range(lo[1], hi[1] + 1):
-                for c in range(lo[2], hi[2] + 1):
-                    yield (a, b, c)
-        return
-    # Generic fallback for other dimensions.
-    def rec(prefix, d):
-        if d == len(lo):
-            yield tuple(prefix)
-            return
-        for v in range(lo[d], hi[d] + 1):
-            yield from rec(prefix + [v], d + 1)
-    yield from rec([], 0)
 
 
 def _pair_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,73 +81,26 @@ def _edge_mask(d: np.ndarray, r: float, alpha: float | None) -> np.ndarray:
     return mask
 
 
-def _cell_batch_edges(pts, cells, keys, r, alpha, offsets):
-    """Edges whose lower-indexed cell is in ``keys``; returns (i, j, w)."""
-    out_i, out_j, out_w = [], [], []
-    for key in keys:
-        a_idx = cells[key]
-        a_pts = pts[a_idx]
-        d = _pair_distance_matrix(a_pts, a_pts)
-        mask = np.triu(_edge_mask(d, r, alpha), k=1)
-        ii, jj = np.nonzero(mask)
-        if len(ii):
-            out_i.append(a_idx[ii])
-            out_j.append(a_idx[jj])
-            out_w.append(d[ii, jj])
-        for off in offsets:
-            nkey = tuple(k + o for k, o in zip(key, off))
-            b_idx = cells.get(nkey)
-            if b_idx is None:
-                continue
-            d = _pair_distance_matrix(a_pts, pts[b_idx])
-            mask = _edge_mask(d, r, alpha)
-            ii, jj = np.nonzero(mask)
-            if len(ii):
-                gi = a_idx[ii]
-                gj = b_idx[jj]
-                out_i.append(np.minimum(gi, gj))
-                out_j.append(np.maximum(gi, gj))
-                out_w.append(d[ii, jj])
-    return out_i, out_j, out_w
+def _kdtree_edges(pts, r, alpha):
+    # The tree's own distance test is padded so that it never drops a
+    # pair the exact mask below would keep.
+    pairs = cKDTree(pts).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
+    ii, jj = pairs.astype(np.int64, copy=False).T
+    diff = pts[ii] - pts[jj]
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    keep = _edge_mask(d, r, alpha)
+    return ii[keep], jj[keep], d[keep]
 
 
-def _half_offsets(dim: int):
-    """Half of the 3^D - 1 neighbor offsets, so each cell pair is seen once."""
-    offsets = []
-    def rec(prefix):
-        if len(prefix) == dim:
-            full = tuple(prefix)
-            if full > (0,) * dim:  # lexicographically positive half
-                offsets.append(full)
-            return
-        for v in (-1, 0, 1):
-            rec(prefix + [v])
-    rec([])
-    return offsets
-
-
-def _index_edges(pts, r, alpha, threads):
-    index = build_index(pts, r)
-    keys = sorted(index.cells.keys())
-    offsets = _half_offsets(pts.shape[1])
-    if threads <= 1 or len(keys) < 4:
-        parts = [_cell_batch_edges(pts, index.cells, keys, r, alpha, offsets)]
-    else:
-        chunks = [keys[k::threads] for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ks: _cell_batch_edges(pts, index.cells, ks, r, alpha, offsets),
-                    chunks,
-                )
-            )
-    ii = [a for p in parts for a in p[0]]
-    jj = [a for p in parts for a in p[1]]
-    ww = [a for p in parts for a in p[2]]
-    if not ii:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
+def _csr_from_edges(ii, jj, ww, n):
+    """Symmetric CSR arrays (indptr, indices, weights) from the edges
+    i < j, each row's neighbors in increasing order."""
+    mat = coo_matrix(
+        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+        shape=(n, n),
+    ).tocsr()
+    mat.sort_indices()
+    return mat.indptr.astype(np.int64), mat.indices.astype(np.int64), mat.data
 
 
 def _brute_edges(pts, r, alpha):
@@ -228,15 +116,14 @@ def build_graph(
     r: float = 1.0,
     alpha: float | None = None,
     method: str = "index",
-    threads: int = 1,
 ) -> NeighborhoodGraph:
     """Build the r-ball or (r, alpha)-annulus graph over a sample.
 
+    ``method="index"`` enumerates candidate pairs with a KD-tree;
     ``method="brute"`` compares every pair directly and is limited to
     small inputs; it exists as the oracle the index is tested against.
-    The output is deterministic and independent of the thread count:
-    edge batches are merged and sorted globally before the adjacency is
-    laid out.
+    Both lay out the same sorted adjacency, so the output does not
+    depend on the order in which pairs are found.
     """
     pts = _points_of(sample)
     n = len(pts)
@@ -258,25 +145,19 @@ def build_graph(
             raise ValueError(f"brute-force construction is limited to n <= {BRUTE_FORCE_LIMIT}")
         ii, jj, ww = _brute_edges(pts, r, alpha)
     elif method == "index":
-        ii, jj, ww = _index_edges(pts, r, alpha, max(1, threads))
+        ii, jj, ww = _kdtree_edges(pts, r, alpha)
     else:
         raise ValueError(f"unknown construction method {method!r}")
 
-    src = np.concatenate([ii, jj])
-    dst = np.concatenate([jj, ii])
-    wgt = np.concatenate([ww, ww])
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
     return NeighborhoodGraph(
         n=n,
         kind=kind,
         r=float(r),
         alpha=None if alpha is None else float(alpha),
         indptr=indptr,
-        indices=dst,
-        weights=wgt,
+        indices=indices,
+        weights=weights,
         points=pts,
     )
 
@@ -292,22 +173,10 @@ class GraphStats:
 
 
 def connected_components(g: NeighborhoodGraph) -> np.ndarray:
-    """Component label per node, assigned by BFS in index order."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    current = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
-                if labels[v] < 0:
-                    labels[v] = current
-                    queue.append(int(v))
-        current += 1
-    return labels
+    """Component label per node; components are numbered in the order of
+    their smallest node index."""
+    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
+    return labels.astype(np.int64)
 
 
 def graph_stats(g: NeighborhoodGraph) -> GraphStats:
@@ -345,13 +214,18 @@ def write_graph_csv(path: str, g: NeighborhoodGraph):
 
 def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = None) -> NeighborhoodGraph:
     """Read an edge list back; node count comes from ``points``, ``n``,
-    or the largest index seen, in that order of preference."""
+    or the largest index seen, in that order of preference.
+
+    Every row must be ``i,j,weight`` with 0 <= i < j < n, a finite
+    positive weight, and an edge not listed before; a violation raises
+    ValueError naming the file and line.
+    """
     kind = None
     r = None
     alpha = None
-    ii, jj, ww = [], [], []
+    ii, jj, ww, lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -365,10 +239,14 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
                 if "alpha" in fields:
                     alpha = float(fields["alpha"])
                 continue
-            a, b, w = line.split(",")
-            ii.append(int(a))
-            jj.append(int(b))
-            ww.append(float(w))
+            try:
+                a, b, w = line.split(",")
+                ii.append(int(a))
+                jj.append(int(b))
+                ww.append(float(w))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected i,j,weight, got {line!r}") from None
+            lines.append(lineno)
     if kind is None or r is None:
         raise ValueError(f"{path} is missing the kind/r header comment")
     if kind == "annulus" and alpha is None:
@@ -382,14 +260,31 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     ww = np.asarray(ww, dtype=np.float64)
-    src = np.concatenate([ii, jj])
-    dst = np.concatenate([jj, ii])
-    wgt = np.concatenate([ww, ww])
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    _check_edges(path, lines, ii, jj, ww, n)
+    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
     return NeighborhoodGraph(
         n=int(n), kind=kind, r=r, alpha=alpha,
-        indptr=indptr, indices=dst, weights=wgt, points=points,
+        indptr=indptr, indices=indices, weights=weights, points=points,
     )
+
+
+def _check_edges(path, lines, ii, jj, ww, n):
+    """Reject the first row of a bad edge list, by file line."""
+    for bad, what in (
+        ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
+        (ii >= jj, "edge must have i < j"),
+        (~(np.isfinite(ww) & (ww > 0.0)), "weight must be finite and positive"),
+    ):
+        if bad.any():
+            raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
+    keys = ii * n + jj
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        first = {}
+        for k, key in enumerate(keys.tolist()):
+            if key in first:
+                raise ValueError(
+                    f"{path}:{lines[k]}: duplicate edge {ii[k]},{jj[k]}"
+                    f" (first on line {lines[first[key]]})"
+                )
+            first[key] = k

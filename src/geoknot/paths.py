@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geometry import discrete_curvature, polyline_length
+from .geometry import discrete_curvature
 from .graph import NeighborhoodGraph
 
 BRUTE_FORCE_MAX_NODES = 12
@@ -278,11 +278,16 @@ def _nearest_indices(pts: np.ndarray, x) -> list:
 def shortest_distances(
     g: NeighborhoodGraph, sources, return_predecessors: bool = False
 ):
-    """Unconstrained distances from many sources at once."""
+    """Unconstrained distances from many sources at once.
+
+    The adjacency already holds both directions of every edge, so the
+    search runs on it as a directed graph and skips scipy's
+    symmetrisation.
+    """
     mat = g.to_csr()
     return _csgraph_dijkstra(
         mat,
-        directed=False,
+        directed=True,
         indices=list(sources),
         return_predecessors=return_predecessors,
     )
@@ -320,12 +325,18 @@ class EdgeStateEngine:
         # States with head v, grouped: in_order[v_start[v]:v_start[v+1]].
         in_order = np.argsort(heads, kind="stable")
         v_start = np.searchsorted(heads[in_order], np.arange(n + 1))
-        from_s, to_s, curv = [], [], []
+        # Node v owns the (in, out) pairs in slice bounds[v]:bounds[v+1].
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.diff(v_start) * np.diff(g.indptr), out=bounds[1:])
+        self._from = np.empty(bounds[-1], dtype=np.int64)
+        self._to = np.empty(bounds[-1], dtype=np.int64)
+        self._curv = np.empty(bounds[-1], dtype=np.float64)
         for v in range(n):
+            lo, hi = bounds[v], bounds[v + 1]
+            if hi == lo:
+                continue
             ins = in_order[v_start[v]:v_start[v + 1]]
             outs = np.arange(g.indptr[v], g.indptr[v + 1], dtype=np.int64)
-            if len(ins) == 0 or len(outs) == 0:
-                continue
             u = rows[ins]
             w = heads[outs]
             a = pts[u] - pts[v]
@@ -340,17 +351,9 @@ class EdgeStateEngine:
                 c = 2.0 * wedge / (nb[None, :] * chord)
             c = np.where(dots > 0.0, np.inf, c)
             c = np.where(u[:, None] == w[None, :], np.inf, c)  # backtracks
-            from_s.append(np.repeat(ins, len(outs)))
-            to_s.append(np.tile(outs, len(ins)))
-            curv.append(c.ravel())
-        if from_s:
-            self._from = np.concatenate(from_s)
-            self._to = np.concatenate(to_s)
-            self._curv = np.concatenate(curv)
-        else:
-            self._from = np.empty(0, dtype=np.int64)
-            self._to = np.empty(0, dtype=np.int64)
-            self._curv = np.empty(0, dtype=np.float64)
+            self._from[lo:hi] = np.repeat(ins, len(outs))
+            self._to[lo:hi] = np.tile(outs, len(ins))
+            self._curv[lo:hi] = c.ravel()
         self._m = m
         self._rows = rows
         self._in_order = in_order

@@ -207,7 +207,6 @@ def verify_unconstrained_upper(
     pairs: int = 200,
     seed: int = 0,
     mode: str = "grid",
-    threads: int = 1,
     perturb_weights: float = 0.0,
 ) -> BoundReport:
     """Check graph distance <= (1 + 4 eps/r) * intrinsic distance.
@@ -228,7 +227,7 @@ def verify_unconstrained_upper(
             f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}"
         )
     g = perturb_graph_weights(
-        build_graph(sample, kind="ball", r=r, threads=threads), perturb_weights
+        build_graph(sample, kind="ball", r=r), perturb_weights
     )
     rng = np.random.default_rng(seed)
     pair_list = select_pairs(surface, sample, r, pairs, rng)
@@ -268,7 +267,6 @@ def verify_unconstrained_lower(
     pairs: int = 200,
     seed: int = 0,
     mode: str = "grid",
-    threads: int = 1,
     perturb_weights: float = 0.0,
 ) -> BoundReport:
     """Check intrinsic distance <= (1 + C*(kappa_S*r)^2) * graph distance.
@@ -288,7 +286,7 @@ def verify_unconstrained_lower(
     sample = sample_surface(surface, mode, n, seed)
     cov = covering_radius(sample, 10 * sample.n)
     g = perturb_graph_weights(
-        build_graph(sample, kind="ball", r=r, threads=threads), perturb_weights
+        build_graph(sample, kind="ball", r=r), perturb_weights
     )
     rng = np.random.default_rng(seed)
     pair_list = select_pairs(surface, sample, r, pairs, rng)
@@ -334,7 +332,6 @@ def verify_constrained_upper(
     pairs: int = 40,
     seed: int = 0,
     mode: str = "grid",
-    threads: int = 1,
     c_emp: float = 8.0,
     bisect_tol: float = 0.005,
     perturb_weights: float = 0.0,
@@ -360,7 +357,7 @@ def verify_constrained_upper(
     cov = covering_radius(sample, 10 * sample.n)
     eps = cov.padded
     g = perturb_graph_weights(
-        build_graph(sample, kind="annulus", r=r, alpha=alpha, threads=threads),
+        build_graph(sample, kind="annulus", r=r, alpha=alpha),
         perturb_weights,
     )
     rng = np.random.default_rng(seed)
@@ -452,7 +449,6 @@ def verify_constrained_lower(
     pairs: int = 50,
     seed: int = 0,
     mode: str = "grid",
-    threads: int = 1,
     c_gate: float = 20.0,
     perturb_weights: float = 0.0,
 ) -> list:
@@ -481,8 +477,7 @@ def verify_constrained_lower(
         cov = covering_radius(sample, 10 * sample.n)
         eps = cov.radius
         g = perturb_graph_weights(
-            build_graph(sample, kind="annulus", r=r, alpha=alpha,
-                        threads=threads),
+            build_graph(sample, kind="annulus", r=r, alpha=alpha),
             perturb_weights,
         )
         rng = np.random.default_rng(seed)

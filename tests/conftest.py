@@ -1,15 +1,20 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately use different algorithms than the library
-(Heron's formula for circumradius, Bellman-Ford for shortest paths)
-so agreement is evidence, not tautology.
+(Heron's formula for circumradius, Bellman-Ford for shortest paths,
+breadth-first search for components) so agreement is evidence, not
+tautology.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+
+from geoknot import NeighborhoodGraph
+from geoknot.graph import _csr_from_edges
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
 settings.load_profile("geoknot")
@@ -44,6 +49,52 @@ def bellman_ford(n, edges, source):
         if not changed:
             break
     return dist
+
+
+def bfs_components(g):
+    """Component label per node, assigned by BFS in index order."""
+    labels = np.full(g.n, -1, dtype=np.int64)
+    current = 0
+    for start in range(g.n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = current
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
+                if labels[v] < 0:
+                    labels[v] = current
+                    queue.append(int(v))
+        current += 1
+    return labels
+
+
+@st.composite
+def split_graphs(draw, max_n=30):
+    """Random weighted graph with at least two components: the last node
+    is isolated and the others fall into blocks that share no edge."""
+    n = draw(st.integers(3, max_n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=4)))
+    edges = {}
+    for lo, hi in zip([0] + cuts, cuts + [n - 1]):
+        if hi - lo < 2:
+            continue
+        node = st.integers(lo, hi - 1)
+        pairs = draw(st.sets(
+            st.tuples(node, node).filter(lambda p: p[0] < p[1]),
+            max_size=3 * (hi - lo),
+        ))
+        for p in sorted(pairs):
+            edges[p] = draw(st.floats(0.01, 10.0))
+    ii = np.array([i for i, _ in edges], dtype=np.int64)
+    jj = np.array([j for _, j in edges], dtype=np.int64)
+    ww = np.array(list(edges.values()), dtype=np.float64)
+    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
+    return NeighborhoodGraph(
+        n=n, kind="ball", r=10.0, alpha=None,
+        indptr=indptr, indices=indices, weights=weights,
+    )
 
 
 def graph_edge_set(g):

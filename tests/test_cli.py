@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geoknot import read_points_csv
-from geoknot.cli import main, resolve_threads
+from geoknot.cli import main
 from geoknot.validation import REPORT_HEADER
 
 
@@ -223,17 +223,38 @@ class TestVerify:
         assert rc == 0
 
 
-class TestThreads:
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("GEOKNOT_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-        assert resolve_threads(3) == 3
-        monkeypatch.setenv("GEOKNOT_THREADS", "5")
-        assert resolve_threads(None) == 5
-        assert resolve_threads(2) == 2
-        assert resolve_threads(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_threads(-1)
+class TestBadGraphFile:
+    @pytest.mark.parametrize("row, message", [
+        ("1,3,0.5", "node index outside [0, 3)"),
+        ("1,1,0.5", "edge must have i < j"),
+        ("1,2,0", "weight must be finite and positive"),
+        ("0,1,0.5", "duplicate edge 0,1 (first on line 2)"),
+    ])
+    def test_dist_rejects_with_file_and_line(self, tmp_path, capsys, row, message):
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        g = tmp_path / "g.csv"
+        g.write_text(f"# kind=ball r=1\n0,1,1\n{row}\n")
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 2])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {g}:3: {message}"]
+
+
+class TestNoThreadsOption:
+    def test_flag_rejected(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        assert run(["graph", "--points", pts, "--r", 1.0, "--threads", 2,
+                    "--out", tmp_path / "g.csv"]) == 2
+        assert run(["verify", "--experiment", "chord-bound",
+                    "--threads", 2]) == 2
+
+    def test_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "chord-bound", "threads": 2}))
+        assert run(["verify", "--config", cfg]) == 2
+        assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,21 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from geoknot import (
     build_graph,
-    build_index,
     connected_components,
     graph_stats,
-    radius_query,
     read_graph_csv,
     sample_surface,
     sphere,
     write_graph_csv,
 )
 from geoknot.graph import BRUTE_FORCE_LIMIT
-from conftest import graph_edge_set
+from conftest import bfs_components, graph_edge_set, split_graphs
 
 
 def random_config(rng, max_n=60):
@@ -26,28 +26,6 @@ def random_config(rng, max_n=60):
     if rng.random() < 0.5:
         return pts, dict(kind="ball", r=r)
     return pts, dict(kind="annulus", r=r, alpha=float(rng.uniform(0.0, 0.9)))
-
-
-class TestSpatialIndex:
-    def test_floor_cell_semantics(self):
-        index = build_index(np.array([[-0.1, 0.0], [0.1, 0.0]]), 1.0)
-        assert set(index.cells) == {(-1, 0), (0, 0)}
-        assert index.cells[(-1, 0)].tolist() == [0]
-
-    def test_radius_query_matches_brute(self, rng):
-        for _ in range(30):
-            pts, _ = random_config(rng)
-            cell = float(rng.uniform(0.2, 1.0))
-            index = build_index(pts, cell)
-            center = rng.uniform(-2.0, 2.0, pts.shape[1])
-            r = float(rng.uniform(0.1, 1.5))
-            got = radius_query(index, center, r)
-            want = np.nonzero(np.linalg.norm(pts - center, axis=1) <= r)[0]
-            assert np.array_equal(got, want)
-
-    def test_bad_cell_size(self):
-        with pytest.raises(ValueError):
-            build_index(np.zeros((3, 2)), 0.0)
 
 
 class TestBuildGraph:
@@ -107,14 +85,6 @@ class TestBuildGraph:
         for e, w in ann.items():
             assert w == ball[e]
 
-    def test_thread_count_does_not_change_output(self, rng):
-        pts = rng.uniform(-2.0, 2.0, (300, 3))
-        a = build_graph(pts, kind="ball", r=0.6, threads=1)
-        b = build_graph(pts, kind="ball", r=0.6, threads=3)
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
-
     def test_gates(self):
         pts = np.zeros((1, 2))
         with pytest.raises(ValueError):
@@ -155,6 +125,13 @@ class TestStatsAndComponents:
         assert stats.min_degree == 1
         assert 2 * stats.edge_count == int(g.degrees().sum())
 
+    @given(split_graphs())
+    def test_labels_match_bfs(self, g):
+        labels = connected_components(g)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, bfs_components(g))
+        assert graph_stats(g).components == int(labels.max()) + 1 >= 2
+
     def test_stats_mean(self, rng):
         pts, kw = random_config(rng)
         g = build_graph(pts, **kw)
@@ -190,3 +167,36 @@ class TestGraphIO:
         path.write_text("0,1,0.5\n")
         with pytest.raises(ValueError, match="header"):
             read_graph_csv(str(path))
+
+    def write_edges(self, tmp_path, rows):
+        path = tmp_path / "g.csv"
+        path.write_text("# kind=ball r=1\n" + "".join(f"{row}\n" for row in rows))
+        return str(path)
+
+    def test_index_out_of_range_rejected(self, tmp_path):
+        path = self.write_edges(tmp_path, ["0,1,0.5", "1,3,0.5"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: node index outside [0, 3)")):
+            read_graph_csv(path, n=3)
+
+    def test_unordered_pair_and_self_loop_rejected(self, tmp_path):
+        for row in ("2,1,0.5", "1,1,0.5"):
+            path = self.write_edges(tmp_path, ["0,1,0.5", row])
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: edge must have i < j")):
+                read_graph_csv(path, n=3)
+
+    def test_bad_weight_rejected(self, tmp_path):
+        for w in ("-1.0", "0", "nan", "inf"):
+            path = self.write_edges(tmp_path, ["0,1,0.5", f"1,2,{w}"])
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: weight must be finite and positive")):
+                read_graph_csv(path, n=3)
+
+    def test_duplicate_edge_rejected(self, tmp_path):
+        # COO -> CSR would sum the two listings into one 1.0 edge.
+        path = self.write_edges(tmp_path, ["0,1,0.5", "1,2,0.5", "0,1,0.5"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate edge 0,1 (first on line 2)")):
+            read_graph_csv(path, n=3)
+
+    def test_malformed_row_rejected(self, tmp_path):
+        path = self.write_edges(tmp_path, ["0,1,0.5", "1,2"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected i,j,weight")):
+            read_graph_csv(path, n=3)

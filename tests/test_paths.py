@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from geoknot import (
     EdgeStateEngine,
@@ -19,7 +20,7 @@ from geoknot import (
     sphere,
 )
 from geoknot.paths import BRUTE_FORCE_MAX_NODES, path_result_payload
-from conftest import bellman_ford, graph_edge_set
+from conftest import bellman_ford, graph_edge_set, split_graphs
 
 
 def random_graph(rng, n_max=10, dim=2, r=1.2):
@@ -268,6 +269,13 @@ class TestBulkEngines:
         for s in range(g.n):
             field = dijkstra(g, s)
             assert np.allclose(dist[s], field.dist, rtol=1e-12, atol=0.0)
+
+    @given(split_graphs())
+    def test_shortest_distances_disconnected(self, g):
+        dist = shortest_distances(g, list(range(g.n)))
+        for s in range(g.n):
+            assert np.array_equal(dist[s], dijkstra(g, s).dist)
+        assert np.isinf(dist[: g.n - 1, g.n - 1]).all()
 
     def test_predecessor_paths_agree(self, rng):
         g = random_graph(rng, n_max=12)

@@ -14,6 +14,9 @@ __all__ = [
     "angle",
     "wedge_norm",
     "discrete_curvature",
+    "turn_curvature",
+    "turn_curvatures",
+    "lexicographic_rank",
     "chord_lower_bound",
     "triangle_third_side",
     "triangle_third_side_curv_deriv",
@@ -64,6 +67,49 @@ def wedge_norm(u, v) -> float:
     return float(math.sqrt(na2) * np.linalg.norm(rej))
 
 
+def _dot(a, b):
+    """Sum of coordinate products, added in coordinate order; the
+    coordinates are floats or equally long arrays."""
+    s = a[0] * b[0]
+    for k in range(1, len(a)):
+        s += a[k] * b[k]
+    return s
+
+
+def _circumcurvature(x, y, z):
+    """The curvature formula on coordinate lists; None if two of the
+    points coincide."""
+    if x > z:
+        x, z = z, x  # canonical endpoint order: bitwise symmetric in x, z
+    a = [p - q for p, q in zip(x, y)]
+    b = [p - q for p, q in zip(z, y)]
+    c = [p - q for p, q in zip(z, x)]
+    na2 = _dot(a, a)
+    nb = math.sqrt(_dot(b, b))
+    nc = math.sqrt(_dot(c, c))
+    if na2 == 0.0 or nb == 0.0 or nc == 0.0:
+        return None
+    dot = _dot(a, b)
+    if dot > 0.0:
+        return math.inf
+    # 2 * |a ^ b| / (|a| |b| |z - x|), with the wedge norm expanded through
+    # the rejection of b from a so the |a| factors cancel.
+    t = dot / na2
+    rej = [p - t * q for p, q in zip(b, a)]
+    return 2.0 * math.sqrt(_dot(rej, rej)) / (nb * nc)
+
+
+def turn_curvature(x, y, z) -> float:
+    """:func:`discrete_curvature` of three coordinate lists, with a triple
+    that repeats a point counted as an infeasible turn (``math.inf``).
+
+    The searches call this form; :func:`turn_curvatures` is its row-wise
+    twin.
+    """
+    curv = _circumcurvature(x, y, z)
+    return math.inf if curv is None else curv
+
+
 def discrete_curvature(x, y, z) -> float:
     """Inverse circumradius of a triple whose angle at y is at least pi/2.
 
@@ -74,30 +120,61 @@ def discrete_curvature(x, y, z) -> float:
     return ``math.inf``.
 
     The angle test uses the sign of <x-y, z-y>, so exactly-right angles
-    are included without a tolerance knob.
+    are included without a tolerance knob.  Everything is explicit
+    coordinate arithmetic on floats (products summed in coordinate
+    order), so :func:`turn_curvatures` reproduces it bit for bit.
 
     Raises:
         ValueError: if any two of the points coincide.
     """
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    z = _as_vector(z, "z")
-    if x.tolist() > z.tolist():
-        x, z = z, x  # canonical endpoint order: bitwise symmetric in x, z
-    a = x - y
-    b = z - y
-    na2 = float(np.dot(a, a))
-    nb = float(np.linalg.norm(b))
-    nc = float(np.linalg.norm(z - x))
-    if na2 == 0.0 or nb == 0.0 or nc == 0.0:
+    curv = _circumcurvature(
+        _as_vector(x, "x").tolist(),
+        _as_vector(y, "y").tolist(),
+        _as_vector(z, "z").tolist(),
+    )
+    if curv is None:
         raise ValueError("curvature needs three pairwise distinct points")
-    dot = float(np.dot(a, b))
-    if dot > 0.0:
-        return math.inf
-    # 2 * |a ^ b| / (|a| |b| |z - x|), with the wedge norm expanded through
-    # the rejection so the |a| factors cancel.
-    rej = b - (dot / na2) * a
-    return 2.0 * float(np.linalg.norm(rej)) / (nb * nc)
+    return curv
+
+
+def lexicographic_rank(points) -> np.ndarray:
+    """Position of each point in lexicographic coordinate order, the
+    order :func:`turn_curvature` uses to put the endpoints first."""
+    pts = np.asarray(points, dtype=np.float64)
+    rank = np.empty(len(pts), dtype=np.int64)
+    rank[np.lexsort(pts.T[::-1])] = np.arange(len(pts))
+    return rank
+
+
+def turn_curvatures(points, rank, u, v, w) -> np.ndarray:
+    """Row-wise :func:`turn_curvature` of the triples
+    (points[u], points[v], points[w]) over index arrays, bit for bit.
+
+    ``rank`` is :func:`lexicographic_rank` of ``points``.  Every IEEE
+    operation of the scalar form is repeated per coordinate column, in
+    the same order; triples that repeat a point or turn acutely give
+    ``inf``.
+    """
+    swap = rank[u] > rank[w]
+    x = np.where(swap, w, u)
+    z = np.where(swap, u, w)
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    xs = [col[x] for col in cols]
+    ys = [col[v] for col in cols]
+    zs = [col[z] for col in cols]
+    a = [p - q for p, q in zip(xs, ys)]
+    b = [p - q for p, q in zip(zs, ys)]
+    c = [p - q for p, q in zip(zs, xs)]
+    na2 = _dot(a, a)
+    nb = np.sqrt(_dot(b, b))
+    nc = np.sqrt(_dot(c, c))
+    dot = _dot(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = dot / na2
+        rej = [p - t * q for p, q in zip(b, a)]
+        out = 2.0 * np.sqrt(_dot(rej, rej)) / (nb * nc)
+    out[(na2 == 0.0) | (nb == 0.0) | (nc == 0.0) | (dot > 0.0)] = np.inf
+    return out
 
 
 def chord_lower_bound(kappa: float, s: float) -> float:

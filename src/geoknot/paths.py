@@ -10,9 +10,19 @@ spliced out without touching any surviving triple.  Pruning repeats
 therefore keeps the search exact and bounds the state count by the
 directed edge count.
 
+With kappa = inf the cap is vacuous: a shortest walk never needs a
+backtrack or a repeated node, so plain Dijkstra answers, and bit for bit,
+because adding a nonnegative weight in floating point never lowers a
+partial sum.
+
 Heavy experiment drivers use the compiled Dijkstra from scipy over the
 same graphs (and over the state graph); the hand-rolled searches remain
-the reference implementations the oracles test.
+the reference implementations the oracles test.  The state-graph engine
+stores only the transitions of finite curvature, the only ones a finite
+cap can admit, and sends kappa = inf to plain Dijkstra.  Every search
+computes turn curvatures with the one formula of
+:func:`geometry.turn_curvature` (row-wise: ``turn_curvatures``), so the
+engine and the references agree exactly.
 """
 
 import heapq
@@ -23,10 +33,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geometry import discrete_curvature
+from .geometry import lexicographic_rank, turn_curvature, turn_curvatures
 from .graph import NeighborhoodGraph
 
 BRUTE_FORCE_MAX_NODES = 12
+
+# EdgeStateEngine computes its transitions in blocks of about this many
+# (in-edge, out-edge) candidates, so the scratch arrays of the build stay
+# small next to the transitions it keeps.
+ENGINE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,32 +92,52 @@ def dijkstra(g: NeighborhoodGraph, source: int) -> DistanceField:
     return DistanceField(source=source, dist=dist, predecessor=pred)
 
 
+def _walk_back(pred, source: int, target: int) -> list:
+    """Follow predecessors from target back to source.
+
+    A path has at most len(pred) nodes, so the walk stops there: a
+    predecessor array with a cycle or a broken chain raises ValueError.
+    """
+    nodes = [int(target)]
+    for _ in range(len(pred)):
+        if nodes[-1] == source:
+            return nodes[::-1]
+        prev = int(pred[nodes[-1]])
+        if prev < 0:
+            raise ValueError(f"predecessor chain breaks at node {nodes[-1]}")
+        nodes.append(prev)
+    raise ValueError(f"predecessors of node {target} form a cycle")
+
+
 def extract_path(field: DistanceField, target: int) -> list | None:
     """Node sequence from the field's source to target, or None if
     unreachable."""
     if not math.isfinite(field.dist[target]):
         return None
-    nodes = [int(target)]
-    while nodes[-1] != field.source:
-        nodes.append(int(field.predecessor[nodes[-1]]))
-    return nodes[::-1]
+    return _walk_back(field.predecessor, field.source, target)
 
 
 def path_max_curvature(points) -> float:
     """Largest discrete curvature over the interior triples of a path.
 
     Paths with at most two points have no interior vertex and return 0.
+    A triple whose endpoints coincide counts as an infeasible turn
+    (``inf``), as in the searches.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("path needs at least one point")
     if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
         raise ValueError("path repeats a point consecutively")
-    if pts.shape[0] <= 2:
-        return 0.0
+    return _max_turn(pts.tolist())
+
+
+def _max_turn(coords: list) -> float:
+    """Largest turn curvature along a list of coordinate lists; 0 when
+    there is no interior point."""
     return max(
-        discrete_curvature(pts[k - 1], pts[k], pts[k + 1])
-        for k in range(1, pts.shape[0] - 1)
+        (turn_curvature(a, b, c) for a, b, c in zip(coords, coords[1:], coords[2:])),
+        default=0.0,
     )
 
 
@@ -119,8 +154,9 @@ def constrained_shortest(
 
     Dijkstra over directed-edge states (prev, cur).  All edges out of the
     source are feasible starts: a single edge has no interior vertex.
-    With kappa = inf the constraint is vacuous and the result length
-    matches plain Dijkstra.
+    A triple that repeats a point is an infeasible turn.  With
+    kappa = inf the constraint is vacuous and the result length matches
+    plain Dijkstra.
     """
     if not (kappa > 0.0):
         raise ValueError("kappa must be positive (or math.inf)")
@@ -129,6 +165,7 @@ def constrained_shortest(
     if source == target:
         return PathResult([source], 0.0, 0.0, True)
     pts = _graph_points(g)
+    coords = pts.tolist()
     cost = {}
     parent = {}
     heap = []
@@ -154,7 +191,7 @@ def constrained_shortest(
             if k == u:
                 continue  # immediate backtrack: degenerate triple
             if math.isfinite(kappa):
-                curv = discrete_curvature(pts[u], pts[v], pts[k])
+                curv = turn_curvature(coords[u], coords[v], coords[k])
                 if not curv <= kappa:
                     continue
             nxt = (v, k)
@@ -177,7 +214,7 @@ def constrained_shortest(
     return PathResult(
         nodes=[int(x) for x in nodes],
         length=float(cost[final]),
-        max_interior_curvature=path_max_curvature(pts[nodes]),
+        max_interior_curvature=_max_turn([coords[v] for v in nodes]),
         feasible=True,
     )
 
@@ -193,8 +230,8 @@ def brute_force_constrained(
 
     Enumerates every walk up to ``max_hops`` edges depth-first, allowing
     node revisits but never a repeated directed edge, and keeps walks
-    whose interior triples all satisfy the cap.  Only viable for tiny
-    graphs.
+    whose interior triples all satisfy the cap (a triple that repeats
+    a point never does).  Only viable for tiny graphs.
     """
     if g.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_NODES}")
@@ -206,7 +243,7 @@ def brute_force_constrained(
         raise ValueError("kappa must be positive (or math.inf)")
     if source == target:
         return 0.0
-    pts = _graph_points(g)
+    coords = _graph_points(g).tolist()
     adj = [
         list(zip(g.neighbors(i)[0].tolist(), g.neighbors(i)[1].tolist()))
         for i in range(g.n)
@@ -221,7 +258,7 @@ def brute_force_constrained(
             if nxt == prev or (cur, nxt) in used:
                 continue
             if prev is not None and math.isfinite(kappa):
-                if not discrete_curvature(pts[prev], pts[cur], pts[nxt]) <= kappa:
+                if not turn_curvature(coords[prev], coords[cur], coords[nxt]) <= kappa:
                     continue
             nl = length + w
             if nl >= best:
@@ -299,90 +336,99 @@ def path_from_predecessors(pred_row: np.ndarray, source: int, target: int) -> li
         return [source]
     if pred_row[target] < 0:
         return None
-    nodes = [int(target)]
-    while nodes[-1] != source:
-        nodes.append(int(pred_row[nodes[-1]]))
-    return nodes[::-1]
+    return _walk_back(pred_row, source, target)
 
 
 class EdgeStateEngine:
     """Curvature-constrained distances in bulk over one fixed graph.
 
-    The directed-edge transition list and every triple curvature are
-    precomputed once; each query thresholds the curvatures at its kappa,
-    assembles the state graph, and runs the compiled Dijkstra from
-    per-source virtual start nodes.  Results match
-    :func:`constrained_shortest` exactly.
+    A state is a directed edge u -> v.  It is numbered by the CSR slot of
+    its reverse v -> u, so the states that end at v fill v's row slice
+    ``indptr[v]:indptr[v+1]``: state s has head ``rows[s]``, tail
+    ``indices[s]`` and weight ``weights[s]``.  A transition
+    (u -> v, v -> w) is kept only if its turn curvature is finite:
+    acute turns, backtracks and repeated points are infinite, and no
+    finite cap keeps them.  The kept transitions are computed once, in
+    state order, as the rows of a CSR layout: ``_indptr`` over states,
+    ``_to`` the target state (int32) and ``_curv`` the curvature.
+
+    A query at a finite kappa masks ``_curv <= kappa``, reads the kept
+    row pointers off a cumulative sum of the mask, appends one virtual
+    start row per graph node (leading to the node's outgoing states) and
+    runs the compiled Dijkstra.  The distance to node t is the smallest
+    distance of a state that ends at t.  kappa = inf is answered by
+    :func:`shortest_distances`, which the module docstring shows to be
+    exact.  Results match :func:`constrained_shortest` exactly.
     """
 
     def __init__(self, g: NeighborhoodGraph):
         self.g = g
         pts = _graph_points(g)
-        n = g.n
-        m = len(g.indices)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-        heads = g.indices
-        # States with head v, grouped: in_order[v_start[v]:v_start[v+1]].
-        in_order = np.argsort(heads, kind="stable")
-        v_start = np.searchsorted(heads[in_order], np.arange(n + 1))
-        # Node v owns the (in, out) pairs in slice bounds[v]:bounds[v+1].
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.diff(v_start) * np.diff(g.indptr), out=bounds[1:])
-        self._from = np.empty(bounds[-1], dtype=np.int64)
-        self._to = np.empty(bounds[-1], dtype=np.int64)
-        self._curv = np.empty(bounds[-1], dtype=np.float64)
-        for v in range(n):
-            lo, hi = bounds[v], bounds[v + 1]
-            if hi == lo:
-                continue
-            ins = in_order[v_start[v]:v_start[v + 1]]
-            outs = np.arange(g.indptr[v], g.indptr[v + 1], dtype=np.int64)
-            u = rows[ins]
-            w = heads[outs]
-            a = pts[u] - pts[v]
-            b = pts[w] - pts[v]
-            dots = a @ b.T
-            na2 = np.einsum("ij,ij->i", a, a)
-            rej = b[None, :, :] - (dots / na2[:, None])[:, :, None] * a[:, None, :]
-            wedge = np.linalg.norm(rej, axis=2)
-            nb = np.linalg.norm(b, axis=1)
-            chord = np.linalg.norm(pts[w][None, :, :] - pts[u][:, None, :], axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = 2.0 * wedge / (nb[None, :] * chord)
-            c = np.where(dots > 0.0, np.inf, c)
-            c = np.where(u[:, None] == w[None, :], np.inf, c)  # backtracks
-            self._from[lo:hi] = np.repeat(ins, len(outs))
-            self._to[lo:hi] = np.tile(outs, len(ins))
-            self._curv[lo:hi] = c.ravel()
-        self._m = m
-        self._rows = rows
-        self._in_order = in_order
-        self._v_start = v_start
-        # Virtual start node per graph node, linked to its outgoing states.
-        self._super_from = m + rows
-        self._super_to = np.arange(m, dtype=np.int64)
+        rank = lexicographic_rank(pts)
+        indptr, tails = g.indptr, g.indices
+        deg = np.diff(indptr)
+        heads = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+        # The state of out-edge slot e = (v, w) is the slot of (w, v): in
+        # a symmetric CSR, a stable sort by column lists exactly those.
+        self._out_state = np.argsort(tails, kind="stable").astype(np.int32)
+        # State s = (u -> v) has one candidate per out-edge slot of v.
+        cand = deg[heads]
+        ends = np.zeros(len(tails) + 1, dtype=np.int64)
+        np.cumsum(cand, out=ends[1:])
+        kept = np.zeros(len(tails), dtype=np.int64)
+        to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+        s0 = 0
+        while s0 < len(tails):
+            s1 = int(np.searchsorted(ends, ends[s0] + ENGINE_BLOCK, "right")) - 1
+            s1 = max(s1, s0 + 1)
+            state = np.repeat(np.arange(s0, s1), cand[s0:s1])
+            slot = np.arange(ends[s0], ends[s1]) + np.repeat(
+                indptr[heads[s0:s1]] - ends[s0:s1], cand[s0:s1]
+            )
+            c = turn_curvatures(pts, rank, tails[state], heads[state], tails[slot])
+            finite = np.isfinite(c)
+            to.append(self._out_state[slot[finite]])
+            curv.append(c[finite])
+            kept[s0:s1] = np.bincount(state[finite] - s0, minlength=s1 - s0)
+            s0 = s1
+        self._indptr = np.zeros(len(tails) + 1, dtype=np.int64)
+        np.cumsum(kept, out=self._indptr[1:])
+        self._to = np.concatenate(to)
+        self._curv = np.concatenate(curv)
+
+    @property
+    def states(self) -> int:
+        """Directed edges of the graph."""
+        return len(self.g.indices)
+
+    @property
+    def transitions(self) -> int:
+        """Finite-curvature transitions stored."""
+        return len(self._to)
 
     def distances(self, kappa: float, sources) -> np.ndarray:
         """Distance matrix (len(sources), n) at curvature cap kappa."""
         if not (kappa > 0.0):
             raise ValueError("kappa must be positive (or math.inf)")
         g = self.g
-        m = self._m
+        if math.isinf(kappa):
+            return shortest_distances(g, sources)
+        m = self.states
         keep = self._curv <= kappa
-        row = np.concatenate([self._from[keep], self._super_from])
-        col = np.concatenate([self._to[keep], self._super_to])
-        data = np.concatenate([g.weights[self._to[keep]], g.weights])
+        ptr = np.concatenate(([0], np.cumsum(keep)))[self._indptr]
+        indices = np.concatenate([self._to[keep], self._out_state])
+        indptr = np.concatenate([ptr, ptr[-1] + g.indptr[1:]])
         size = m + g.n
-        mat = csr_matrix((data, (row, col)), shape=(size, size))
+        mat = csr_matrix((g.weights[indices], indices, indptr), shape=(size, size))
         start = [m + int(s) for s in sources]
         dist = _csgraph_dijkstra(mat, directed=True, indices=start)
-        # Distance to node t = min over states that end at t.
+        # Distance to node t = min over the states that end at t.
         out = np.full((len(start), g.n), np.inf)
-        state_dist = dist[:, : m][:, self._in_order]
-        for t in range(g.n):
-            lo, hi = self._v_start[t], self._v_start[t + 1]
-            if hi > lo:
-                out[:, t] = np.min(state_dist[:, lo:hi], axis=1)
+        has_in = np.diff(g.indptr) > 0
+        if has_in.any():
+            out[:, has_in] = np.minimum.reduceat(
+                dist[:, :m], g.indptr[:-1][has_in], axis=1
+            )
         for k, s in enumerate(sources):
             out[k, int(s)] = 0.0
         return out

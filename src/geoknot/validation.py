@@ -432,6 +432,7 @@ def verify_constrained_upper(
         epsilon_padded=cov.padded,
         evaluations=evaluations,
         bisect_tol=bisect_tol,
+        sizes={"states": engine.states, "transitions": engine.transitions},
         fitted_constants={
             "bound_factor": factor,
             "kappa_prime_min": final_cap if kappa_prime is None else None,

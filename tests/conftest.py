@@ -71,9 +71,13 @@ def bfs_components(g):
 
 
 @st.composite
-def split_graphs(draw, max_n=30):
+def split_graphs(draw, max_n=30, points=False):
     """Random weighted graph with at least two components: the last node
-    is isolated and the others fall into blocks that share no edge."""
+    is isolated and the others fall into blocks that share no edge.
+
+    With ``points``, every node also gets 2-D coordinates, often from a
+    small integer lattice, so coincident points and exact right angles
+    are common.  The weights stay independent of the coordinates."""
     n = draw(st.integers(3, max_n))
     cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=4)))
     edges = {}
@@ -91,9 +95,15 @@ def split_graphs(draw, max_n=30):
     jj = np.array([j for _, j in edges], dtype=np.int64)
     ww = np.array(list(edges.values()), dtype=np.float64)
     indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
+    coords = None
+    if points:
+        coord = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
+        coords = np.array(
+            draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        )
     return NeighborhoodGraph(
         n=n, kind="ball", r=10.0, alpha=None,
-        indptr=indptr, indices=indices, weights=weights,
+        indptr=indptr, indices=indices, weights=weights, points=coords,
     )
 
 

@@ -241,6 +241,25 @@ class TestBadGraphFile:
         assert err == [f"error: {g}:3: {message}"]
 
 
+class TestBadPointsFile:
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n1x,0\n1,0\n2,0\n", "2: expected numeric coordinates, got '1x,0'"),
+        ("x0,x1\n0,0\n1,0\nnan,0\n", "4: coordinate is not finite"),
+    ])
+    def test_graph_and_dist_reject_with_file_and_line(self, tmp_path, capsys, text, message):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        g = tmp_path / "g.csv"
+        g.write_text("# kind=ball r=1\n0,1,1\n")
+        for argv in (
+            ["graph", "--points", pts, "--r", 1.0, "--out", tmp_path / "out.csv"],
+            ["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1],
+        ):
+            assert run(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {pts}:{message}"]
+
+
 class TestNoThreadsOption:
     def test_flag_rejected(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

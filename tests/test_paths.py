@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from geoknot import (
     EdgeStateEngine,
@@ -19,7 +19,8 @@ from geoknot import (
     shortest_distances,
     sphere,
 )
-from geoknot.paths import BRUTE_FORCE_MAX_NODES, path_result_payload
+from geoknot.geometry import lexicographic_rank, turn_curvatures
+from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
 from conftest import bellman_ford, graph_edge_set, split_graphs
 
 
@@ -71,6 +72,19 @@ class TestDijkstra:
                     if math.isfinite(rhs):
                         assert lhs <= rhs * (1 + 1e-12)
 
+    def test_predecessor_cycle_raises(self):
+        # Nodes 1 and 2 name each other as predecessor; the walk back
+        # from 1 never reaches the source.
+        field = DistanceField(
+            source=0,
+            dist=np.array([0.0, 1.0, 1.0]),
+            predecessor=np.array([-1, 2, 1]),
+        )
+        with pytest.raises(ValueError, match="cycle"):
+            extract_path(field, 1)
+        with pytest.raises(ValueError, match="cycle"):
+            path_from_predecessors(np.array([-9999, 2, 1]), 0, 1)
+
     def test_bad_source(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         g = build_graph(pts, kind="ball", r=1.0)
@@ -101,6 +115,47 @@ class TestPathMaxCurvature:
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             path_max_curvature(pts)
+
+    def test_coincident_endpoints_are_infinite(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert path_max_curvature(pts) == math.inf
+
+
+def lattice(dim, side=3):
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+class TestTurnCurvatures:
+    """The row-wise kernel the engine uses against the scalar formula."""
+
+    def check(self, pts, u, v, w):
+        got = turn_curvatures(pts, lexicographic_rank(pts), u, v, w)
+        for k, (a, b, c) in enumerate(zip(u.tolist(), v.tolist(), w.tolist())):
+            if len({a, b, c}) < 3:
+                assert got[k] == math.inf
+                continue
+            assert got[k] == discrete_curvature(pts[a], pts[b], pts[c])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_triples(self, rng, dim):
+        pts = rng.uniform(-2.0, 2.0, (40, dim))
+        u, v, w = (rng.integers(0, 40, 2000) for _ in range(3))
+        self.check(pts, u, v, w)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lattice_right_angles(self, dim):
+        pts = lattice(dim)
+        u, v, w = (a.ravel() for a in np.meshgrid(*[np.arange(len(pts))] * 3))
+        right = np.einsum("ij,ij->i", pts[u] - pts[v], pts[w] - pts[v]) == 0.0
+        assert right.sum() > 100
+        self.check(pts, u, v, w)
+
+    def test_coincident_points_are_infinite(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        u, v, w = np.array([0, 0, 1]), np.array([1, 2, 3]), np.array([2, 3, 1])
+        got = turn_curvatures(pts, lexicographic_rank(pts), u, v, w)
+        assert got.tolist() == [math.inf, math.inf, math.inf]
 
 
 class TestConstrainedShortest:
@@ -194,6 +249,15 @@ class TestConstrainedShortest:
             if res.feasible:
                 steps = list(zip(res.nodes, res.nodes[1:]))
                 assert len(steps) == len(set(steps))
+
+    def test_coincident_endpoints_are_infeasible(self):
+        # x0 = x2: the turn 0-1-2 folds back onto its start.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        g = build_graph(pts, kind="ball", r=1.1)
+        res = constrained_shortest(g, 5.0, 0, 2)
+        assert not res.feasible
+        assert brute_force_constrained(g, 5.0, 0, 2) == math.inf
+        assert constrained_shortest(g, 5.0, 0, 3).length == 2.0
 
     def test_gates(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -301,7 +365,7 @@ class TestBulkEngines:
             for t in range(g.n):
                 res = constrained_shortest(g, kappa, 0, t)
                 if res.feasible:
-                    assert dist[0, t] == pytest.approx(res.length, rel=1e-9)
+                    assert dist[0, t] == res.length
                 else:
                     assert math.isinf(dist[0, t])
 
@@ -310,7 +374,52 @@ class TestBulkEngines:
         engine = EdgeStateEngine(g)
         dist = engine.distances(math.inf, [0])
         field = dijkstra(g, 0)
-        assert np.allclose(dist[0], field.dist, rtol=1e-12, atol=0.0)
+        assert np.array_equal(dist[0], field.dist)
+
+    @given(split_graphs(max_n=12, points=True),
+           st.floats(0.1, 20.0) | st.just(math.inf))
+    def test_edge_state_engine_matches_constrained_on_split_graphs(self, g, kappa):
+        dist = EdgeStateEngine(g).distances(kappa, list(range(g.n)))
+        for s in range(g.n):
+            for t in range(g.n):
+                assert dist[s, t] == constrained_shortest(g, kappa, s, t).length
+
+    @given(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                 min_size=2, max_size=5),
+        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        st.floats(0.3, 4.0),
+    )
+    def test_coincident_points_engine_and_references(self, base, dup, kappa):
+        pts = np.array(base + [base[i % len(base)] for i in dup], dtype=np.float64)
+        g = build_graph(pts, kind="ball", r=1.5)
+        dist = EdgeStateEngine(g).distances(kappa, list(range(g.n)))
+        for s in range(g.n):
+            for t in range(g.n):
+                ref = constrained_shortest(g, kappa, s, t).length
+                assert dist[s, t] == ref
+                assert ref == pytest.approx(
+                    brute_force_constrained(g, kappa, s, t), rel=1e-12
+                )
+
+    def test_edge_state_engine_stores_finite_transitions_only(self, rng):
+        for _ in range(10):
+            g = random_graph(rng, n_max=12)
+            engine = EdgeStateEngine(g)
+            finite = 0
+            for v in range(g.n):
+                nbrs = g.neighbors(v)[0].tolist()
+                for u in nbrs:
+                    for w in nbrs:
+                        if u != w and math.isfinite(
+                            discrete_curvature(g.points[u], g.points[v], g.points[w])
+                        ):
+                            finite += 1
+            assert engine.transitions == len(engine._curv) == finite
+            assert np.isfinite(engine._curv).all()
+            assert engine._to.dtype == np.int32
+            assert engine.states == len(g.indices)
+            assert not hasattr(engine, "_from")
 
 
 class TestPayload:

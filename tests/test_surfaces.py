@@ -20,7 +20,40 @@ from geoknot import (
     sphere,
     write_points_csv,
 )
-from geoknot.surfaces import surface_residual
+from geoknot.surfaces import _octahedron_grid, surface_residual
+
+
+def octahedron_grid_2d_unique(level):
+    """The refinement as first written, deduplicating edges with
+    unique(axis=0); kept to pin the grid bit for bit."""
+    verts = np.array(
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        dtype=np.float64,
+    )
+    faces = np.array(
+        [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+         [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]],
+        dtype=np.int64,
+    )
+    for _ in range(level):
+        nf = len(faces)
+        edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        edges.sort(axis=1)
+        uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+        mids = verts[uniq[:, 0]] + verts[uniq[:, 1]]
+        mids /= np.linalg.norm(mids, axis=1, keepdims=True)
+        base = len(verts)
+        verts = np.concatenate([verts, mids])
+        ab = base + inverse[:nf]
+        bc = base + inverse[nf:2 * nf]
+        ca = base + inverse[2 * nf:]
+        faces = np.concatenate([
+            np.stack([faces[:, 0], ab, ca], axis=1),
+            np.stack([faces[:, 1], bc, ab], axis=1),
+            np.stack([faces[:, 2], ca, bc], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ])
+    return verts
 
 
 class TestSpecs:
@@ -62,6 +95,10 @@ class TestSampling:
             (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
         }
         assert {tuple(p) for p in pts.tolist()} == expected
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_octahedron_grid_matches_2d_unique(self, level):
+        assert np.array_equal(_octahedron_grid(level), octahedron_grid_2d_unique(level))
 
     def test_sphere_grid_counts(self):
         for n, expect in [(7, 18), (20, 66), (100, 258), (1000, 1026)]:
@@ -231,6 +268,26 @@ class TestPointsIO:
         assert loaded.surface == samp.surface
         assert loaded.mode == "grid"
         assert np.array_equal(loaded.points, samp.points)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n1x,0\n1,0\n2,0\n", ":2: expected numeric coordinates, got '1x,0'"),
+        ("x0,x1\n0,0\nx0,x1\n", ":3: expected numeric coordinates"),
+        ("1x,0\n1,0\n", ":1: expected numeric coordinates"),
+        ("x0,x1\n0,0\n1,0,2\n", ":3: expected 2 coordinates, got 3"),
+        ("x0,x1\n0,0\n\n1,nan\n", ":4: coordinate is not finite"),
+        ("0,0\ninf,1\n", ":2: coordinate is not finite"),
+    ])
+    def test_bad_row_rejected_with_line(self, tmp_path, text, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_points_csv(str(path))
+        assert str(exc.value).startswith(f"{path}{message}")
+
+    def test_header_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("# sample\n\nx0,x1\n0,0\n\n1,0.5\n")
+        assert read_points_csv(str(path)).tolist() == [[0.0, 0.0], [1.0, 0.5]]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

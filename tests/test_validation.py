@@ -9,6 +9,7 @@ import pytest
 from geoknot import (
     COMPARISON_CONSTANT,
     BoundReport,
+    EdgeStateEngine,
     GateError,
     PairCheck,
     REPORT_HEADER,
@@ -110,6 +111,13 @@ class TestConstrainedUpper:
         assert fc["kappa_prime_min"] == rep.kappa_prime
         assert fc["C_emp"] is not None and fc["C_emp"] > 0.0
         assert rep.summary["evaluations"] >= 2
+        g = build_graph(sample_surface(sphere(1.0), "grid", 200),
+                        kind="annulus", r=0.4, alpha=0.25)
+        engine = EdgeStateEngine(g)
+        assert rep.summary["sizes"] == {
+            "states": 2 * g.edge_count, "transitions": engine.transitions,
+        }
+        assert 0 < engine.transitions < int(np.dot(g.degrees(), g.degrees()))
 
     def test_fixed_infinite_cap(self):
         rep = verify_constrained_upper(

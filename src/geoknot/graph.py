@@ -217,8 +217,9 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
     or the largest index seen, in that order of preference.
 
     Every row must be ``i,j,weight`` with 0 <= i < j < n, a finite
-    positive weight, and an edge not listed before; a violation raises
-    ValueError naming the file and line.
+    positive weight, and an edge not listed before; with ``points``,
+    its two endpoints must also differ.  A violation raises ValueError
+    naming the file and line.
     """
     kind = None
     r = None
@@ -260,7 +261,7 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     ww = np.asarray(ww, dtype=np.float64)
-    _check_edges(path, lines, ii, jj, ww, n)
+    _check_edges(path, lines, ii, jj, ww, n, points)
     indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
     return NeighborhoodGraph(
         n=int(n), kind=kind, r=r, alpha=alpha,
@@ -268,7 +269,7 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
     )
 
 
-def _check_edges(path, lines, ii, jj, ww, n):
+def _check_edges(path, lines, ii, jj, ww, n, points):
     """Reject the first row of a bad edge list, by file line."""
     for bad, what in (
         ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
@@ -277,6 +278,14 @@ def _check_edges(path, lines, ii, jj, ww, n):
     ):
         if bad.any():
             raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
+    if points is not None:
+        # A path through such an edge repeats a point, which no path
+        # curvature is defined for; build_graph never makes one.
+        bad = np.all(points[ii] == points[jj], axis=1)
+        if bad.any():
+            raise ValueError(
+                f"{path}:{lines[int(np.argmax(bad))]}: edge joins coincident points"
+            )
     keys = ii * n + jj
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():

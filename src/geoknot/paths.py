@@ -23,10 +23,20 @@ cap can admit, and sends kappa = inf to plain Dijkstra.  Every search
 computes turn curvatures with the one formula of
 :func:`geometry.turn_curvature` (row-wise: ``turn_curvatures``), so the
 engine and the references agree exactly.
+
+Both bulk searches also take their sources as a mapping
+{source: limit}, which stops each search at its own distance limit.
+Within the limit the answer is exact, bit for bit: every prefix of a
+shortest walk ends no farther than the walk itself (again, a
+nonnegative weight never lowers a float partial sum), so the bounded
+search settles every node on it with the same value.  Nodes beyond
+the limit read ``inf``; a caller that needs them searches again
+without one.
 """
 
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,19 +325,29 @@ def _nearest_indices(pts: np.ndarray, x) -> list:
 def shortest_distances(
     g: NeighborhoodGraph, sources, return_predecessors: bool = False
 ):
-    """Unconstrained distances from many sources at once.
+    """Unconstrained distances from many sources at once, one row per
+    source.
 
     The adjacency already holds both directions of every edge, so the
     search runs on it as a directed graph and skips scipy's
-    symmetrisation.
+    symmetrisation.  A list of sources is searched in one batched call.
+    A mapping {source: limit} runs one search per source, stopped at
+    its limit (see the module docstring); it returns no predecessors.
     """
     mat = g.to_csr()
-    return _csgraph_dijkstra(
-        mat,
-        directed=True,
-        indices=list(sources),
-        return_predecessors=return_predecessors,
-    )
+    if not isinstance(sources, Mapping):
+        return _csgraph_dijkstra(
+            mat,
+            directed=True,
+            indices=list(sources),
+            return_predecessors=return_predecessors,
+        )
+    if return_predecessors:
+        raise ValueError("bounded searches return no predecessors")
+    out = np.empty((len(sources), g.n))
+    for k, (s, limit) in enumerate(sources.items()):
+        out[k] = _csgraph_dijkstra(mat, directed=True, indices=int(s), limit=limit)
+    return out
 
 
 def path_from_predecessors(pred_row: np.ndarray, source: int, target: int) -> list | None:
@@ -356,9 +376,11 @@ class EdgeStateEngine:
     row pointers off a cumulative sum of the mask, appends one virtual
     start row per graph node (leading to the node's outgoing states) and
     runs the compiled Dijkstra.  The distance to node t is the smallest
-    distance of a state that ends at t.  kappa = inf is answered by
-    :func:`shortest_distances`, which the module docstring shows to be
-    exact.  Results match :func:`constrained_shortest` exactly.
+    distance of a state that ends at t, so a search stopped at a limit
+    still answers every node within it exactly.  kappa = inf is
+    answered by :func:`shortest_distances`, which the module docstring
+    shows to be exact.  Results match :func:`constrained_shortest`
+    exactly.
     """
 
     def __init__(self, g: NeighborhoodGraph):
@@ -407,7 +429,12 @@ class EdgeStateEngine:
         return len(self._to)
 
     def distances(self, kappa: float, sources) -> np.ndarray:
-        """Distance matrix (len(sources), n) at curvature cap kappa."""
+        """Distance matrix (len(sources), n) at curvature cap kappa.
+
+        ``sources`` is a list of nodes, or a mapping {source: limit}
+        that stops each search at its limit, as in
+        :func:`shortest_distances`.
+        """
         if not (kappa > 0.0):
             raise ValueError("kappa must be positive (or math.inf)")
         g = self.g
@@ -420,16 +447,22 @@ class EdgeStateEngine:
         indptr = np.concatenate([ptr, ptr[-1] + g.indptr[1:]])
         size = m + g.n
         mat = csr_matrix((g.weights[indices], indices, indptr), shape=(size, size))
-        start = [m + int(s) for s in sources]
-        dist = _csgraph_dijkstra(mat, directed=True, indices=start)
-        # Distance to node t = min over the states that end at t.
-        out = np.full((len(start), g.n), np.inf)
+        # One search per source, each reduced at once to its node minima
+        # (the distance to node t is the smallest distance of a state
+        # that ends at t): no (sources, states) matrix is ever built.
+        if isinstance(sources, Mapping):
+            items = list(sources.items())
+        else:
+            items = [(s, math.inf) for s in sources]
         has_in = np.diff(g.indptr) > 0
-        if has_in.any():
-            out[:, has_in] = np.minimum.reduceat(
-                dist[:, :m], g.indptr[:-1][has_in], axis=1
+        starts = g.indptr[:-1][has_in]
+        out = np.full((len(items), g.n), np.inf)
+        for k, (s, limit) in enumerate(items):
+            dist = _csgraph_dijkstra(
+                mat, directed=True, indices=m + int(s), limit=limit
             )
-        for k, s in enumerate(sources):
+            if has_in.any():
+                out[k, has_in] = np.minimum.reduceat(dist[:m], starts)
             out[k, int(s)] = 0.0
         return out
 

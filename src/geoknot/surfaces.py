@@ -7,6 +7,7 @@ Samplers produce deterministic grids or seeded uniform-random draws, and
 """
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -173,8 +174,9 @@ def _octahedron_grid(level: int) -> np.ndarray:
     return verts
 
 
-def _grid_points(spec: SurfaceSpec, n: int) -> np.ndarray:
-    """Deterministic grid on the surface.
+def _grid_shape(spec: SurfaceSpec, n: int):
+    """Construction parameters of the grid for n points; grids of equal
+    shape are equal.
 
     Sphere, cylinder, and circle grids contain at least n points (the
     smallest constructible grid of that size); the disk grid is the
@@ -185,19 +187,11 @@ def _grid_points(spec: SurfaceSpec, n: int) -> np.ndarray:
         level = 0
         while 2 + 4 ** (level + 1) < n:
             level += 1
-        return spec.radius * _octahedron_grid(level)
+        return level
     if spec.kind == "disk":
-        m = max(2, math.isqrt(n - 1) + 1)  # ceil(sqrt(n))
-        axis = np.linspace(-spec.radius, spec.radius, m)
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) <= spec.radius]
-        if spec.ambient_dim == 3:
-            pts = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
-        return pts
+        return max(2, math.isqrt(n - 1) + 1)  # ceil(sqrt(n))
     if spec.kind == "circle":
-        theta = 2.0 * math.pi * np.arange(n) / n
-        return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return n
     # Cylinder: balance angular and vertical spacing, then bump the row
     # count until the lattice reaches n points.
     circ = 2.0 * math.pi * spec.radius
@@ -205,6 +199,29 @@ def _grid_points(spec: SurfaceSpec, n: int) -> np.ndarray:
     n_z = max(2, math.ceil(n / n_theta))
     while n_theta * n_z < n:
         n_z += 1
+    return n_theta, n_z
+
+
+def _grid_points(spec: SurfaceSpec, n: int) -> np.ndarray:
+    """Deterministic grid on the surface (see ``_grid_shape``)."""
+    return _grid_of_shape(spec, _grid_shape(spec, n))
+
+
+def _grid_of_shape(spec: SurfaceSpec, shape) -> np.ndarray:
+    if spec.kind == "sphere":
+        return spec.radius * _octahedron_grid(shape)
+    if spec.kind == "disk":
+        axis = np.linspace(-spec.radius, spec.radius, shape)
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+        pts = pts[np.linalg.norm(pts, axis=1) <= spec.radius]
+        if spec.ambient_dim == 3:
+            pts = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
+        return pts
+    if spec.kind == "circle":
+        theta = 2.0 * math.pi * np.arange(shape) / shape
+        return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    n_theta, n_z = shape
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     zs = np.linspace(0.0, spec.height, n_z)
     tt, zz = np.meshgrid(theta, zs, indexing="ij")
@@ -335,9 +352,16 @@ def directed_hausdorff(from_points, to_points) -> float:
     return float(np.max(dists))
 
 
-def reference_grid(spec: SurfaceSpec, n: int) -> np.ndarray:
-    """The deterministic grid used as the reference in density estimates."""
-    return _grid_points(spec, n)
+@functools.lru_cache(maxsize=8)
+def _reference(spec: SurfaceSpec, shape) -> tuple:
+    """Reference grid (read-only) and its nearest-neighbour spacing.
+
+    Keyed by the grid's shape, not the requested count, so every count
+    that builds the same grid shares one entry.
+    """
+    ref = _frozen(_grid_of_shape(spec, shape))
+    spacing_d, _ = cKDTree(ref).query(ref, k=2)
+    return ref, float(np.max(spacing_d[:, 1]))
 
 
 def covering_radius(sample: SampleSet, reference_n: int) -> CoveringEstimate:
@@ -346,14 +370,15 @@ def covering_radius(sample: SampleSet, reference_n: int) -> CoveringEstimate:
     Evaluates the nearest-sample distance over a dense deterministic
     reference grid of the same surface.  The reference must outnumber
     the sample at least tenfold so that the grid, not the sample,
-    limits the resolution.
+    limits the resolution.  Each distinct grid and its spacing are
+    computed once per process.
     """
     n = sample.n
     if n > 0 and reference_n < 10 * n:
         raise ValueError("reference_n must be at least 10x the sample size")
-    ref = reference_grid(sample.surface, reference_n)
-    spacing_d, _ = cKDTree(ref).query(ref, k=2)
-    spacing = float(np.max(spacing_d[:, 1]))
+    ref, spacing = _reference(
+        sample.surface, _grid_shape(sample.surface, reference_n)
+    )
     if n == 0:
         return CoveringEstimate(math.inf, len(ref), spacing)
     eps = directed_hausdorff(ref, sample.points)

@@ -241,6 +241,18 @@ class TestBadGraphFile:
         assert err == [f"error: {g}:3: {message}"]
 
 
+    @pytest.mark.parametrize("kappa", [[], ["--kappa", 3]])
+    def test_dist_rejects_edge_between_coincident_points(self, tmp_path, capsys, kappa):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n0,0\n1,0\n")
+        g = tmp_path / "g.csv"
+        g.write_text("# kind=ball r=1\n0,1,1\n1,2,1\n")
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 2, *kappa])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {g}:2: edge joins coincident points"]
+
+
 class TestBadPointsFile:
     @pytest.mark.parametrize("text, message", [
         ("0,0\n1x,0\n1,0\n2,0\n", "2: expected numeric coordinates, got '1x,0'"),

@@ -196,6 +196,14 @@ class TestGraphIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate edge 0,1 (first on line 2)")):
             read_graph_csv(path, n=3)
 
+    def test_edge_between_coincident_points_rejected(self, tmp_path):
+        path = self.write_edges(tmp_path, ["0,1,1", "1,2,1"])
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: edge joins coincident points")):
+            read_graph_csv(path, points=pts)
+        # Without coordinates there is nothing to compare.
+        assert read_graph_csv(path, n=3).edge_count == 2
+
     def test_malformed_row_rejected(self, tmp_path):
         path = self.write_edges(tmp_path, ["0,1,0.5", "1,2"])
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected i,j,weight")):

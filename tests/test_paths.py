@@ -326,6 +326,29 @@ class TestPseudoMetric:
             pseudo_metric(np.zeros((0, 2)), self.g, [0.0, 0.0], [1.0, 0.0])
 
 
+def draw_limits(data, full):
+    """{source: limit} over a random subset of sources in random order.
+    A limit is often one of the source's own finite distances, so the
+    boundary case (distance == limit) comes up."""
+    n = full.shape[1]
+    sources = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    limits = {}
+    for s in sources:
+        reached = sorted(set(full[s][np.isfinite(full[s])].tolist()))
+        limits[s] = data.draw(
+            st.sampled_from(reached) | st.floats(0.0, 40.0) | st.just(math.inf)
+        )
+    return limits
+
+
+def assert_bounded(bounded, full, limits):
+    """Equal to the unbounded rows within each row's limit, inf beyond."""
+    within = full <= np.asarray(limits, dtype=np.float64).reshape(-1, 1)
+    assert bounded.shape == full.shape
+    assert np.array_equal(bounded[within], full[within])
+    assert np.isinf(bounded[~within]).all()
+
+
 class TestBulkEngines:
     def test_shortest_distances_matches_dijkstra(self, rng):
         g = random_graph(rng, n_max=20)
@@ -401,6 +424,27 @@ class TestBulkEngines:
                 assert ref == pytest.approx(
                     brute_force_constrained(g, kappa, s, t), rel=1e-12
                 )
+
+    @given(split_graphs(), st.data())
+    def test_bounded_shortest_distances_match_unbounded(self, g, data):
+        full = shortest_distances(g, list(range(g.n)))
+        limits = draw_limits(data, full)
+        bounded = shortest_distances(g, limits)
+        assert_bounded(bounded, full[list(limits)], list(limits.values()))
+
+    @given(split_graphs(max_n=12, points=True),
+           st.floats(0.1, 20.0) | st.just(math.inf), st.data())
+    def test_bounded_engine_matches_unbounded(self, g, kappa, data):
+        engine = EdgeStateEngine(g)
+        full = engine.distances(kappa, list(range(g.n)))
+        limits = draw_limits(data, full)
+        bounded = engine.distances(kappa, limits)
+        assert_bounded(bounded, full[list(limits)], list(limits.values()))
+
+    def test_bounded_search_has_no_predecessors(self, rng):
+        g = random_graph(rng, n_max=6)
+        with pytest.raises(ValueError, match="no predecessors"):
+            shortest_distances(g, {0: 1.0}, return_predecessors=True)
 
     def test_edge_state_engine_stores_finite_transitions_only(self, rng):
         for _ in range(10):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from geoknot import (
     SampleSet,
@@ -20,7 +21,12 @@ from geoknot import (
     sphere,
     write_points_csv,
 )
-from geoknot.surfaces import _octahedron_grid, surface_residual
+from geoknot.surfaces import (
+    _grid_points,
+    _octahedron_grid,
+    _reference,
+    surface_residual,
+)
 
 
 def octahedron_grid_2d_unique(level):
@@ -241,6 +247,25 @@ class TestCoveringRadius:
         coarse = covering_radius(sample_surface(sphere(1.0), "grid", 66), 1000)
         fine = covering_radius(sample_surface(sphere(1.0), "grid", 258), 10000)
         assert fine.radius < coarse.radius
+
+    def test_reference_grid_built_once_per_shape(self):
+        # 2580 and 2500 requested points build the same 4098-point grid.
+        _reference.cache_clear()
+        grid = sample_surface(sphere(1.0), "grid", 258)
+        random = sample_surface(sphere(1.0), "uniform-random", 250, 3)
+        ests = [covering_radius(grid, 2580), covering_radius(random, 2500)]
+        info = _reference.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        ref, spacing = _reference(sphere(1.0), 5)
+        assert not ref.flags.writeable
+        # Bit for bit what an uncached estimate computes.
+        fresh = _grid_points(sphere(1.0), 2580)
+        assert np.array_equal(ref, fresh)
+        assert spacing == float(np.max(cKDTree(fresh).query(fresh, k=2)[0][:, 1]))
+        for est, samp in zip(ests, (grid, random)):
+            assert est.reference_size == 4098
+            assert est.reference_spacing == spacing
+            assert est.radius == directed_hausdorff(fresh, samp.points)
 
     def test_directed_hausdorff_empty_target(self):
         assert directed_hausdorff(np.ones((3, 2)), np.empty((0, 2))) == math.inf

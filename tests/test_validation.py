@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from geoknot import validation
 from geoknot import (
     COMPARISON_CONSTANT,
     BoundReport,
@@ -14,11 +15,13 @@ from geoknot import (
     PairCheck,
     REPORT_HEADER,
     build_graph,
+    covering_radius,
     disk,
     geodesic_oracle,
     perturb_graph_weights,
     sample_surface,
     select_pairs,
+    shortest_distances,
     sphere,
     summary_payload,
     surface_label,
@@ -100,7 +103,16 @@ class TestUnconstrainedLower:
 
 
 class TestConstrainedUpper:
-    def test_bisection_finds_finite_cap(self):
+    def test_bisection_finds_finite_cap(self, monkeypatch):
+        caps = []
+
+        class CapSpy(EdgeStateEngine):
+            def distances(self, kappa, sources):
+                if isinstance(sources, dict):
+                    caps.append(kappa)
+                return super().distances(kappa, sources)
+
+        monkeypatch.setattr(validation, "EdgeStateEngine", CapSpy)
         rep = verify_constrained_upper(
             sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0, pairs=8
         )
@@ -114,8 +126,26 @@ class TestConstrainedUpper:
         g = build_graph(sample_surface(sphere(1.0), "grid", 200),
                         kind="annulus", r=0.4, alpha=0.25)
         engine = EdgeStateEngine(g)
+        # A source is re-searched at a cap when one of its targets lies
+        # beyond SEARCH_REACH times its farthest pair's oracle.
+        reach = {}
+        for row in rep.rows:
+            reach[row.pair_i] = max(reach.get(row.pair_i, 0.0), row.oracle_delta)
+        sources = sorted(reach)
+        missed = 0
+        for cap in caps:
+            dist = engine.distances(cap, sources)
+            missed += len({
+                row.pair_i for row in rep.rows
+                if dist[sources.index(row.pair_i), row.pair_j]
+                > validation.SEARCH_REACH * reach[row.pair_i]
+            })
+        assert len(caps) == rep.summary["evaluations"]
+        assert missed > 0
         assert rep.summary["sizes"] == {
             "states": 2 * g.edge_count, "transitions": engine.transitions,
+            "searched_sources": len(caps) * len(sources),
+            "re_searched_sources": missed,
         }
         assert 0 < engine.transitions < int(np.dot(g.degrees(), g.degrees()))
 
@@ -159,6 +189,89 @@ class TestConstrainedLower:
             verify_constrained_lower(sphere(1.0), [100], r=0.5)
         with pytest.raises(GateError, match="kappa"):
             verify_constrained_lower(sphere(1.0), [100], r=0.3, kappa=math.inf)
+
+
+    def test_certified_regime_reads_padded_eps(self):
+        # A threshold between the raw estimate and the padded one: only
+        # the raw underestimate would claim the certified regime.
+        sample = sample_surface(sphere(1.0), "grid", 900)
+        cov = covering_radius(sample, 10 * sample.n)
+        scale = 0.25 * 1.0 * 0.3**2  # alpha * kappa * r^2
+
+        def run(threshold):
+            (rep,) = verify_constrained_lower(
+                sphere(1.0), [900], r=0.3, alpha=0.25, kappa=1.0, pairs=10,
+                c_gate=scale / threshold,
+            )
+            return rep
+
+        assert cov.radius < cov.padded
+        rep = run(0.5 * (cov.radius + cov.padded))
+        assert rep.summary["certified_regime"] is False
+        assert rep.epsilon == cov.radius
+        rep = run(cov.padded * (1.0 + 1e-9))
+        assert rep.summary["certified_regime"] is True
+        assert rep.epsilon == cov.radius
+
+
+class TestBoundedSearches:
+    """The runners search each source only up to SEARCH_REACH times its
+    farthest pair's oracle, then re-search the sources that missed a
+    target.  Reports must equal unbounded searches bit for bit."""
+
+    def test_no_re_search_on_criterion_one_input(self):
+        rep = verify_unconstrained_upper(sphere(1.0), 2000, pairs=200, seed=0)
+        assert rep.summary["sizes"] == {
+            "searched_sources": len({row.pair_i for row in rep.rows}),
+            "re_searched_sources": 0,
+        }
+
+    @pytest.mark.parametrize("perturb", [0.0, -0.5])
+    @pytest.mark.parametrize("runner, kwargs", [
+        (verify_unconstrained_upper, {}),
+        (verify_unconstrained_lower, {"r": 0.3}),
+    ])
+    def test_unconstrained_rows_equal_unbounded_search(self, runner, kwargs, perturb):
+        rep = runner(sphere(1.0), 500, pairs=30, seed=3,
+                     perturb_weights=perturb, **kwargs)
+        g = perturb_graph_weights(
+            build_graph(sample_surface(sphere(1.0), "grid", 500),
+                        kind="ball", r=rep.r),
+            perturb,
+        )
+        sources = sorted({row.pair_i for row in rep.rows})
+        dist = shortest_distances(g, sources)
+        for row in rep.rows:
+            assert row.graph_delta == dist[sources.index(row.pair_i), row.pair_j]
+        sizes = rep.summary["sizes"]
+        assert sizes["searched_sources"] == len(sources)
+        # Doubled weights put every target beyond 1.25x its oracle.
+        missed = len(sources) if perturb else 0
+        assert sizes["re_searched_sources"] == missed
+
+    @pytest.mark.parametrize("perturb", [0.0, -0.5])
+    @pytest.mark.parametrize("kappa_prime", [None, math.inf])
+    def test_constrained_rows_equal_unbounded_search(self, kappa_prime, perturb):
+        rep = verify_constrained_upper(
+            sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0, pairs=8,
+            kappa_prime=kappa_prime, perturb_weights=perturb,
+        )
+        g = perturb_graph_weights(
+            build_graph(sample_surface(sphere(1.0), "grid", 200),
+                        kind="annulus", r=0.4, alpha=0.25),
+            perturb,
+        )
+        sources = sorted({row.pair_i for row in rep.rows})
+        dist = EdgeStateEngine(g).distances(rep.kappa_prime, sources)
+        for row in rep.rows:
+            assert row.graph_delta == dist[sources.index(row.pair_i), row.pair_j]
+        sizes = rep.summary["sizes"]
+        searched = rep.summary["evaluations"] * len(sources)
+        assert sizes["searched_sources"] == searched
+        if perturb:
+            assert sizes["re_searched_sources"] == searched
+        elif kappa_prime == math.inf:
+            assert sizes["re_searched_sources"] == 0
 
 
 class TestChordBound:

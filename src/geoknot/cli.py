@@ -7,6 +7,7 @@ argument, file, or precondition-gate errors.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -18,12 +19,11 @@ from .paths import (
     PathResult,
     constrained_shortest,
     dijkstra,
-    extract_path,
+    path_from_predecessors,
     path_max_curvature,
     path_result_payload,
 )
 from .surfaces import (
-    SurfaceSpec,
     read_points_csv,
     sample_surface,
     surface_from_json,
@@ -71,10 +71,33 @@ class ExperimentConfig:
     out_json: str | None = None
 
 
-def _coerce_num(value):
-    if isinstance(value, str):
-        return float(value)  # accepts "inf"
+# The type of each config field that is not a string.
+FLOAT_FIELDS = ("r", "alpha", "kappa", "kappa_prime", "perturb_weights", "c_emp")
+FIELD_TYPES = {"surface": dict, "n": int, "pairs": int, "seed": int}
+FIELD_TYPES.update(dict.fromkeys(FLOAT_FIELDS, (int, float)))
+
+
+def _typed(f, value):
+    """``value`` for config field ``f``, or ValueError if its type is
+    wrong.  No boolean counts as a number, n may also be a nonempty
+    list of integers, and a float field also reads a string such as
+    "inf"."""
+    if f.name in FLOAT_FIELDS and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = float(value)
+    if value is None:
+        ok = f.default is None
+    elif f.name == "n" and isinstance(value, list):
+        ok = len(value) > 0 and all(_is_a(v, int) for v in value)
+    else:
+        ok = _is_a(value, FIELD_TYPES.get(f.name, str))
+    if not ok:
+        raise ValueError(f"config field {f.name!r} has the wrong type: {value!r}")
     return value
+
+
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_config(path: str | None, args) -> ExperimentConfig:
@@ -83,57 +106,39 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+    known = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = set(data) - set(known)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    overrides = {
-        "experiment": args.experiment,
-        "n": args.n if args.n else None,
-        "r": args.r,
-        "alpha": args.alpha,
-        "kappa": args.kappa,
-        "kappa_prime": args.kappa_prime,
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "mode": args.mode,
-        "perturb_weights": args.perturb_weights,
-        "c_emp": args.c_emp,
-        "curve": args.curve,
-        "out_csv": args.out_csv,
-        "out_json": args.out_json,
-    }
+    overrides = {name: getattr(args, name) for name in known if name != "surface"}
     if args.surface is not None:
-        surf = {"kind": args.surface, "radius": args.radius}
-        if args.height is not None:
-            surf["height"] = args.height
-        if args.ambient_dim is not None:
-            surf["ambient_dim"] = args.ambient_dim
-        overrides["surface"] = surf
+        overrides["surface"] = _surface_args(args)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
     if "experiment" not in data:
         raise ValueError("config needs an 'experiment' field or --experiment")
-    for key in ("r", "alpha", "kappa", "kappa_prime", "perturb_weights"):
-        if key in data and data[key] is not None:
-            data[key] = _coerce_num(data[key])
-    cfg = ExperimentConfig(**data)
+    cfg = ExperimentConfig(**{k: _typed(known[k], v) for k, v in data.items()})
     if cfg.experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}"
         )
-    if cfg.n is not None and isinstance(cfg.n, list):
-        cfg.n = [int(v) for v in cfg.n]
-        if len(cfg.n) == 1:
-            cfg.n = cfg.n[0]
+    if isinstance(cfg.n, list) and len(cfg.n) == 1:
+        cfg.n = cfg.n[0]
     return cfg
 
 
-def _config_surface(cfg: ExperimentConfig) -> SurfaceSpec:
-    if cfg.surface is None:
-        raise GateError(f"experiment {cfg.experiment} needs a surface")
-    return surface_from_json(cfg.surface)
+def _surface_args(args) -> dict:
+    """The surface dict of the --surface, --radius, --height and
+    --ambient-dim flags, as a config file spells it."""
+    surf = {"kind": args.surface, "radius": args.radius}
+    if args.height is not None:
+        surf["height"] = args.height
+    if args.ambient_dim is not None:
+        surf["ambient_dim"] = args.ambient_dim
+    return surf
 
 
 def _check_writable(path: str | None):
@@ -152,10 +157,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     )
     name = cfg.experiment
     if name == "chord-bound":
-        return [verify_chord_bound(kappa=cfg.kappa or 1.0, seed=cfg.seed)]
+        return [verify_chord_bound(kappa=_or(cfg.kappa, 1.0), seed=cfg.seed)]
     if name == "curvature-consistency":
         return [verify_curvature_consistency(curve_spec=cfg.curve)]
-    spec = _config_surface(cfg)
+    if cfg.surface is None:
+        raise GateError(f"experiment {name} needs a surface")
+    spec = surface_from_json(cfg.surface)
     if cfg.n is None:
         raise GateError(f"experiment {name} needs n")
     if name == "constrained-lower":
@@ -194,12 +201,7 @@ def _or(value, default):
 
 
 def cmd_sample(args) -> int:
-    surf = {"kind": args.surface, "radius": args.radius}
-    if args.height is not None:
-        surf["height"] = args.height
-    if args.ambient_dim is not None:
-        surf["ambient_dim"] = args.ambient_dim
-    spec = surface_from_json(surf)
+    spec = surface_from_json(_surface_args(args))
     sample = sample_surface(spec, args.mode, args.n, args.seed)
     write_points_csv(args.out, sample)
     print(f"wrote {sample.n} points to {args.out}")
@@ -228,7 +230,7 @@ def cmd_dist(args) -> int:
         # Vacuous constraint: answer with plain Dijkstra so that
         # --kappa inf and an omitted kappa print identical results.
         field = dijkstra(g, args.src)
-        nodes = extract_path(field, args.dst)
+        nodes = path_from_predecessors(field.predecessor, args.src, args.dst)
         if nodes is None:
             result = PathResult([], math.inf, 0.0, False)
         else:

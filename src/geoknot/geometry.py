@@ -11,16 +11,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "angle",
-    "wedge_norm",
     "discrete_curvature",
     "turn_curvature",
     "turn_curvatures",
     "lexicographic_rank",
     "chord_lower_bound",
-    "triangle_third_side",
-    "triangle_third_side_curv_deriv",
-    "polyline_length",
 ]
 
 
@@ -29,42 +24,6 @@ def _as_vector(v, name):
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d coordinate vector")
     return arr
-
-
-def angle(u, v) -> float:
-    """Angle between two nonzero vectors, in [0, pi].
-
-    The cosine is clamped to [-1, 1] before the arccos; rounding can push
-    it just outside that range for near-parallel vectors, where arccos
-    would return NaN.
-
-    Raises:
-        ValueError: if either vector is zero.
-    """
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle of a zero vector is undefined")
-    c = float(np.dot(u, v)) / (nu * nv)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def wedge_norm(u, v) -> float:
-    """Area of the parallelogram spanned by u and v, in any dimension.
-
-    Computed as |u| times the norm of the rejection of v from u, which
-    stays accurate for near-parallel vectors where the Gram identity
-    |u|^2 |v|^2 - <u,v>^2 cancels badly.  Zero vectors give 0.
-    """
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    na2 = float(np.dot(u, u))
-    if na2 == 0.0:
-        return 0.0
-    rej = v - (float(np.dot(u, v)) / na2) * u
-    return float(math.sqrt(na2) * np.linalg.norm(rej))
 
 
 def _dot(a, b):
@@ -191,51 +150,3 @@ def chord_lower_bound(kappa: float, s: float) -> float:
     if s > math.pi / kappa:
         raise ValueError("chord bound only holds for s <= pi/kappa")
     return (2.0 / kappa) * math.sin(kappa * s / 2.0)
-
-
-def triangle_third_side(a: float, c: float, kappa: float) -> float:
-    """Third side of an obtuse-or-right triangle with sides a <= c whose
-    circumscribed circle has curvature kappa.
-
-    With the angle opposite c at least pi/2, the law of cosines pins the
-    remaining side to ``c*sqrt(1 - (kappa*a/2)^2) - a*sqrt(1 - (kappa*c/2)^2)``.
-    The result is nonincreasing in a and nondecreasing, convex in kappa.
-    """
-    if not (0.0 <= a <= c):
-        raise ValueError("sides must satisfy 0 <= a <= c")
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError("kappa must be finite and nonnegative")
-    if kappa * a > 2.0 or kappa * c > 2.0:
-        raise ValueError("side exceeds the circumcircle diameter 2/kappa")
-    qa = math.sqrt(1.0 - (kappa * a / 2.0) ** 2)
-    qc = math.sqrt(1.0 - (kappa * c / 2.0) ** 2)
-    return c * qa - a * qc
-
-
-def triangle_third_side_curv_deriv(a: float, c: float, kappa: float) -> float:
-    """Derivative of :func:`triangle_third_side` with respect to kappa.
-
-    Needs kappa*c strictly below 2; the derivative blows up at the
-    diameter.
-    """
-    if not (0.0 <= a <= c):
-        raise ValueError("sides must satisfy 0 <= a <= c")
-    if not (kappa >= 0.0 and kappa * c < 2.0):
-        raise ValueError("derivative needs 0 <= kappa and kappa*c < 2")
-    qa = math.sqrt(1.0 - (kappa * a / 2.0) ** 2)
-    qc = math.sqrt(1.0 - (kappa * c / 2.0) ** 2)
-    return (kappa * a * c / 4.0) * (c / qc - a / qa)
-
-
-def polyline_length(points) -> float:
-    """Total length of the polygonal line through the given points.
-
-    A single point has length 0; an empty sequence is an error.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("polyline needs at least one point")
-    if pts.shape[0] == 1:
-        return 0.0
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return float(np.sum(steps))

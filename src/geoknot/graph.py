@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from .surfaces import SampleSet
+from .surfaces import SampleSet, _fmt
 
 BRUTE_FORCE_LIMIT = 2000
 
@@ -194,10 +194,6 @@ def graph_stats(g: NeighborhoodGraph) -> GraphStats:
 # ---------------------------------------------------------------------------
 # Graph file format: `# kind=ball r=<r>` or `# kind=annulus r=<r> alpha=<a>`
 # comment, then one `i,j,weight` row per undirected edge with i < j.
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
 
 def write_graph_csv(path: str, g: NeighborhoodGraph):
     with open(path, "w", encoding="utf-8") as fh:

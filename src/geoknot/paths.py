@@ -45,6 +45,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import lexicographic_rank, turn_curvature, turn_curvatures
 from .graph import NeighborhoodGraph
+from .surfaces import _jsonable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -102,12 +103,16 @@ def dijkstra(g: NeighborhoodGraph, source: int) -> DistanceField:
     return DistanceField(source=source, dist=dist, predecessor=pred)
 
 
-def _walk_back(pred, source: int, target: int) -> list:
-    """Follow predecessors from target back to source.
+def path_from_predecessors(pred, source: int, target: int) -> list | None:
+    """Node path from source to target along a predecessor array (a
+    scipy predecessor row or a :class:`DistanceField`'s), or None if
+    target is unreachable.
 
     A path has at most len(pred) nodes, so the walk stops there: a
     predecessor array with a cycle or a broken chain raises ValueError.
     """
+    if target != source and pred[target] < 0:
+        return None
     nodes = [int(target)]
     for _ in range(len(pred)):
         if nodes[-1] == source:
@@ -117,14 +122,6 @@ def _walk_back(pred, source: int, target: int) -> list:
             raise ValueError(f"predecessor chain breaks at node {nodes[-1]}")
         nodes.append(prev)
     raise ValueError(f"predecessors of node {target} form a cycle")
-
-
-def extract_path(field: DistanceField, target: int) -> list | None:
-    """Node sequence from the field's source to target, or None if
-    unreachable."""
-    if not math.isfinite(field.dist[target]):
-        return None
-    return _walk_back(field.predecessor, field.source, target)
 
 
 def path_max_curvature(points) -> float:
@@ -284,39 +281,6 @@ def brute_force_constrained(
     return best
 
 
-def pseudo_metric(sample, g: NeighborhoodGraph, x, xp, kappa: float | None = None) -> float:
-    """Graph distance between arbitrary ambient points.
-
-    Each query point is mapped to the set of sample indices at the
-    minimal distance (ties within 1e-12 relative), and the smallest
-    graph distance over those index pairs answers.  Distinct points
-    sharing a nearest sample index get distance 0: this is only a
-    pseudo-metric.
-    """
-    pts = sample.points if hasattr(sample, "points") else np.asarray(sample, float)
-    if len(pts) == 0:
-        raise ValueError("empty sample")
-    sources = _nearest_indices(pts, x)
-    targets = _nearest_indices(pts, xp)
-    best = math.inf
-    if kappa is None:
-        for i in sources:
-            field = dijkstra(g, i)
-            best = min(best, float(np.min(field.dist[targets])))
-    else:
-        for i in sources:
-            for j in targets:
-                best = min(best, constrained_shortest(g, kappa, i, j).length)
-    return best
-
-
-def _nearest_indices(pts: np.ndarray, x) -> list:
-    x = np.asarray(x, dtype=np.float64)
-    d = np.linalg.norm(pts - x, axis=1)
-    dmin = float(np.min(d))
-    return [int(i) for i in np.nonzero(d <= dmin * (1.0 + 1e-12))[0]]
-
-
 # ---------------------------------------------------------------------------
 # Batch engines.  Experiments query hundreds of sources over graphs with
 # millions of edges; these wrap the compiled searches while the pure
@@ -348,15 +312,6 @@ def shortest_distances(
     for k, (s, limit) in enumerate(sources.items()):
         out[k] = _csgraph_dijkstra(mat, directed=True, indices=int(s), limit=limit)
     return out
-
-
-def path_from_predecessors(pred_row: np.ndarray, source: int, target: int) -> list | None:
-    """Rebuild one node path from a scipy predecessor row."""
-    if target == source:
-        return [source]
-    if pred_row[target] < 0:
-        return None
-    return _walk_back(pred_row, source, target)
 
 
 class EdgeStateEngine:
@@ -470,22 +425,16 @@ class EdgeStateEngine:
 # ---------------------------------------------------------------------------
 # Path JSON: the one external format of this module.
 
-def _num_out(x: float):
-    if math.isinf(x):
-        return "inf"
-    return x
-
-
 def path_result_payload(
     result: PathResult, source: int, target: int, kappa: float
 ) -> dict:
     """JSON-ready dict for a path query; infinities spell "inf"."""
-    return {
+    return _jsonable({
         "source": int(source),
         "target": int(target),
-        "kappa": _num_out(float(kappa)),
-        "length": _num_out(float(result.length)),
+        "kappa": float(kappa),
+        "length": float(result.length),
         "nodes": [int(v) for v in result.nodes],
-        "max_interior_curvature": _num_out(float(result.max_interior_curvature)),
+        "max_interior_curvature": float(result.max_interior_curvature),
         "feasible": bool(result.feasible),
-    }
+    })

@@ -6,7 +6,6 @@ Samplers produce deterministic grids or seeded uniform-random draws, and
 ``covering_radius`` estimates how densely a sample covers its surface.
 """
 
-import dataclasses
 import functools
 import json
 import math
@@ -202,11 +201,6 @@ def _grid_shape(spec: SurfaceSpec, n: int):
     return n_theta, n_z
 
 
-def _grid_points(spec: SurfaceSpec, n: int) -> np.ndarray:
-    """Deterministic grid on the surface (see ``_grid_shape``)."""
-    return _grid_of_shape(spec, _grid_shape(spec, n))
-
-
 def _grid_of_shape(spec: SurfaceSpec, shape) -> np.ndarray:
     if spec.kind == "sphere":
         return spec.radius * _octahedron_grid(shape)
@@ -258,7 +252,7 @@ def sample_surface(spec: SurfaceSpec, mode: str, n: int, seed: int | None = None
     """Sample n points from the surface.
 
     Grid mode is fully deterministic and ignores the seed; its actual
-    point count follows the grid construction (see ``_grid_points``).
+    point count follows the grid construction (see ``_grid_shape``).
     Random mode draws exactly n points, uniform in surface area,
     reproducible from the 64-bit seed.
     """
@@ -267,7 +261,7 @@ def sample_surface(spec: SurfaceSpec, mode: str, n: int, seed: int | None = None
     if mode not in MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if mode == "grid":
-        pts = _grid_points(spec, n)
+        pts = _grid_of_shape(spec, _grid_shape(spec, n))
         return SampleSet(_frozen(pts), spec, mode, None)
     pts = _random_points(spec, n, 0 if seed is None else seed)
     return SampleSet(_frozen(pts), spec, mode, 0 if seed is None else seed)
@@ -292,29 +286,13 @@ def geodesic_oracle(spec: SurfaceSpec, x, y) -> float:
         return spec.radius * math.acos(min(1.0, max(-1.0, c)))
     if spec.kind == "disk":
         return float(np.linalg.norm(x - y))
-    # Cylinder: unroll and take the best winding; |k| <= 2 is enough for
-    # the heights and pair separations used here.
+    # Cylinder: unroll.  After math.remainder |dtheta| <= pi, so no other
+    # winding (dtheta + 2*pi*k, k != 0) is shorter.
     t1 = math.atan2(x[1], x[0])
     t2 = math.atan2(y[1], y[0])
     dz = float(y[2] - x[2])
     dtheta = math.remainder(t2 - t1, 2.0 * math.pi)
-    return min(
-        math.hypot(dz, spec.radius * (dtheta + 2.0 * math.pi * k))
-        for k in range(-2, 3)
-    )
-
-
-def constrained_oracle(spec: SurfaceSpec, kappa: float, x, y) -> float | None:
-    """Intrinsic distance under a curvature budget of kappa.
-
-    For kappa at or above the surface's own curvature bound the
-    constraint is inactive and the unconstrained geodesic answers.
-    Below the bound no closed form is available and None is returned;
-    callers must treat that as "oracle unavailable", not as infinity.
-    """
-    if kappa < curvature_bound(spec):
-        return None
-    return geodesic_oracle(spec, x, y)
+    return math.hypot(dz, spec.radius * dtheta)
 
 
 @dataclass(frozen=True)
@@ -389,10 +367,25 @@ def covering_radius(sample: SampleSet, reference_n: int) -> CoveringEstimate:
 # Points file format: CSV with one point per row and an optional
 # `x0,x1,...` header; a JSON sidecar at <path>.json records the sample
 # metadata.  Floats are written with 17 significant digits so that
-# parsing returns bit-identical values.
+# parsing returns bit-identical values.  ``_fmt`` also writes the floats
+# of the graph and report CSVs, ``_jsonable`` the report and path JSON.
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _jsonable(value):
+    """``value`` ready for json.dump: numpy scalars as Python numbers,
+    infinities spelt "inf" and "-inf"."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and math.isinf(value):
+        return "-inf" if value < 0 else "inf"
+    return value
 
 
 def surface_to_json(spec: SurfaceSpec) -> dict:
@@ -417,11 +410,10 @@ def sidecar_path(points_path: str) -> str:
     return points_path + ".json"
 
 
-def write_points_csv(path: str, sample: SampleSet, header: bool = True):
+def write_points_csv(path: str, sample: SampleSet):
     pts = sample.points
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(f"x{k}" for k in range(pts.shape[1])) + "\n")
+        fh.write(",".join(f"x{k}" for k in range(pts.shape[1])) + "\n")
         for row in pts:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     meta = {

@@ -32,6 +32,8 @@ from .paths import (
 from .surfaces import (
     SampleSet,
     SurfaceSpec,
+    _fmt,
+    _jsonable,
     covering_radius,
     curvature_bound,
     geodesic_oracle,
@@ -53,6 +55,9 @@ FLOAT_SLACK = 1e-12
 # pair it does cut off comes back inf and its source is searched again
 # without a limit: the constant trades speed only, never the answer.
 SEARCH_REACH = 1.25
+
+# verify_constrained_upper bisects the cap down to this fraction of kappa.
+BISECT_TOL = 0.005
 
 
 class GateError(ValueError):
@@ -82,11 +87,11 @@ class BoundReport:
     experiment: str
     surface: str
     n: int
-    r: float | None
-    alpha: float | None
-    kappa: float | None
-    kappa_prime: float | None
-    epsilon: float | None
+    r: float | None = None
+    alpha: float | None = None
+    kappa: float | None = None
+    kappa_prime: float | None = None
+    epsilon: float | None = None
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -164,6 +169,8 @@ def select_pairs(
     from the boundary so graph paths are not clipped.
     Returns (i, j, oracle_delta) triples.
     """
+    if count < 1:
+        raise GateError(f"pairs must be at least 1, got {count}")
     pts = sample.points
     lo, hi = 3.0 * r, intrinsic_diameter(spec) / 2.0
     if lo > hi:
@@ -200,6 +207,35 @@ def select_pairs(
             f"with oracle distance in [{lo:.4g}, {hi:.4g}]"
         )
     return out
+
+
+def _sample(surface: SurfaceSpec, n: int, seed: int, mode: str):
+    """The sample of a runner and its covering-radius estimate."""
+    sample = sample_surface(surface, mode, n, seed)
+    return sample, covering_radius(sample, 10 * sample.n)
+
+
+def _graph_and_pairs(
+    surface, sample, r, pairs, seed, perturb_weights, alpha=None
+) -> tuple:
+    """The runner's graph, ball for alpha None and annulus otherwise,
+    with its weights perturbed, and its seeded pairs."""
+    kind = "ball" if alpha is None else "annulus"
+    g = build_graph(sample, kind=kind, r=r, alpha=alpha)
+    pair_list = select_pairs(surface, sample, r, pairs, np.random.default_rng(seed))
+    return perturb_graph_weights(g, perturb_weights), pair_list
+
+
+def _upper_rows(pair_list: list, deltas: dict, factor: float) -> list:
+    """One row per pair checking graph distance <= factor * oracle."""
+    rows = []
+    for i, j, oracle in pair_list:
+        graph = deltas[(i, j)]
+        rows.append(
+            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
+                      _holds(graph, factor * oracle))
+        )
+    return rows
 
 
 def _graph_deltas(search, pair_list: list, counts: Counter) -> dict:
@@ -241,8 +277,7 @@ def verify_unconstrained_upper(
     estimate) form so the certificate stays one-sided.
     """
     t0 = time.perf_counter()
-    sample = sample_surface(surface, mode, n, seed)
-    cov = covering_radius(sample, 10 * sample.n)
+    sample, cov = _sample(surface, n, seed, mode)
     eps = cov.padded
     if r is None:
         r = 4.0 * eps
@@ -250,11 +285,9 @@ def verify_unconstrained_upper(
         raise GateError(
             f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}"
         )
-    g = perturb_graph_weights(
-        build_graph(sample, kind="ball", r=r), perturb_weights
+    g, pair_list = _graph_and_pairs(
+        surface, sample, r, pairs, seed, perturb_weights
     )
-    rng = np.random.default_rng(seed)
-    pair_list = select_pairs(surface, sample, r, pairs, rng)
     searches = Counter()
     deltas = _graph_deltas(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
@@ -263,17 +296,9 @@ def verify_unconstrained_upper(
         surface=surface_label(surface),
         n=sample.n,
         r=r,
-        alpha=None,
-        kappa=None,
-        kappa_prime=None,
         epsilon=eps,
+        rows=_upper_rows(pair_list, deltas, factor),
     )
-    for i, j, oracle in pair_list:
-        graph = deltas[(i, j)]
-        report.rows.append(
-            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
-                      _holds(graph, factor * oracle))
-        )
     return _finish(
         report,
         t0,
@@ -309,13 +334,10 @@ def verify_unconstrained_lower(
         raise GateError(
             f"gate kappa_S*r <= 1/3 failed: {kappa_s * r:.6g}"
         )
-    sample = sample_surface(surface, mode, n, seed)
-    cov = covering_radius(sample, 10 * sample.n)
-    g = perturb_graph_weights(
-        build_graph(sample, kind="ball", r=r), perturb_weights
+    sample, cov = _sample(surface, n, seed, mode)
+    g, pair_list = _graph_and_pairs(
+        surface, sample, r, pairs, seed, perturb_weights
     )
-    rng = np.random.default_rng(seed)
-    pair_list = select_pairs(surface, sample, r, pairs, rng)
     searches = Counter()
     deltas = _graph_deltas(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
@@ -324,21 +346,13 @@ def verify_unconstrained_lower(
         surface=surface_label(surface),
         n=sample.n,
         r=r,
-        alpha=None,
-        kappa=None,
-        kappa_prime=None,
         epsilon=cov.radius,
     )
     for i, j, oracle in pair_list:
         graph = deltas[(i, j)]
-        if math.isinf(graph):
-            report.rows.append(
-                PairCheck(i, j, oracle, graph, math.inf, factor, None)
-            )
-            continue
+        passed = None if math.isinf(graph) else _holds(oracle, factor * graph)
         report.rows.append(
-            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
-                      _holds(oracle, factor * graph))
+            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor, passed)
         )
     return _finish(
         report,
@@ -361,7 +375,6 @@ def verify_constrained_upper(
     seed: int = 0,
     mode: str = "grid",
     c_emp: float = 8.0,
-    bisect_tol: float = 0.005,
     perturb_weights: float = 0.0,
 ) -> BoundReport:
     """Check constrained graph distance <= (1 + 6 eps/r) * oracle.
@@ -370,7 +383,8 @@ def verify_constrained_upper(
     cap.  Otherwise searches: starting from the slack
     c_emp * (kappa^2 r + eps/r^2) above kappa (doubling it while any
     pair fails), then bisects down to the smallest cap at which every
-    pair passes, reported together with the fitted slack multiple.
+    pair passes (to within BISECT_TOL * kappa), reported together with
+    the fitted slack multiple.
     """
     t0 = time.perf_counter()
     if not 0.0 <= alpha <= 0.25:
@@ -381,15 +395,11 @@ def verify_constrained_upper(
             "constrained oracle unavailable: kappa "
             f"{kappa:.6g} below the surface curvature bound {kappa_s:.6g}"
         )
-    sample = sample_surface(surface, mode, n, seed)
-    cov = covering_radius(sample, 10 * sample.n)
+    sample, cov = _sample(surface, n, seed, mode)
     eps = cov.padded
-    g = perturb_graph_weights(
-        build_graph(sample, kind="annulus", r=r, alpha=alpha),
-        perturb_weights,
+    g, pair_list = _graph_and_pairs(
+        surface, sample, r, pairs, seed, perturb_weights, alpha
     )
-    rng = np.random.default_rng(seed)
-    pair_list = select_pairs(surface, sample, r, pairs, rng)
     engine = EdgeStateEngine(g)
     factor = 1.0 + 6.0 * eps / r
     evaluations = 0
@@ -403,10 +413,7 @@ def verify_constrained_upper(
         )
 
     def all_pass(deltas: dict) -> bool:
-        return all(
-            _holds(deltas[(i, j)], factor * oracle)
-            for i, j, oracle in pair_list
-        )
+        return all(row.passed for row in _upper_rows(pair_list, deltas, factor))
 
     base_slack = kappa**2 * r + eps / r**2
     if kappa_prime is not None:
@@ -424,7 +431,7 @@ def verify_constrained_upper(
             doublings += 1
         if all_pass(final):
             lo = kappa
-            while hi - lo > bisect_tol * kappa:
+            while hi - lo > BISECT_TOL * kappa:
                 mid = 0.5 * (lo + hi)
                 trial = deltas_at(mid)
                 if all_pass(trial):
@@ -443,13 +450,8 @@ def verify_constrained_upper(
         kappa=kappa,
         kappa_prime=final_cap,
         epsilon=eps,
+        rows=_upper_rows(pair_list, final, factor),
     )
-    for i, j, oracle in pair_list:
-        graph = final[(i, j)]
-        report.rows.append(
-            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
-                      _holds(graph, factor * oracle))
-        )
     fitted = None
     if math.isfinite(final_cap) and base_slack > 0.0:
         fitted = (final_cap - kappa) / base_slack
@@ -459,7 +461,7 @@ def verify_constrained_upper(
         epsilon_raw=cov.radius,
         epsilon_padded=cov.padded,
         evaluations=evaluations,
-        bisect_tol=bisect_tol,
+        bisect_tol=BISECT_TOL,
         sizes={
             "states": engine.states,
             "transitions": engine.transitions,
@@ -507,15 +509,11 @@ def verify_constrained_lower(
     reports = []
     for n in n_sequence:
         t0 = time.perf_counter()
-        sample = sample_surface(surface, mode, n, seed)
-        cov = covering_radius(sample, 10 * sample.n)
+        sample, cov = _sample(surface, n, seed, mode)
         eps = cov.radius
-        g = perturb_graph_weights(
-            build_graph(sample, kind="annulus", r=r, alpha=alpha),
-            perturb_weights,
+        g, pair_list = _graph_and_pairs(
+            surface, sample, r, pairs, seed, perturb_weights, alpha
         )
-        rng = np.random.default_rng(seed)
-        pair_list = select_pairs(surface, sample, r, pairs, rng)
         sources = sorted({i for i, _, _ in pair_list})
         dist, pred = shortest_distances(g, sources, return_predecessors=True)
         row = {s: k for k, s in enumerate(sources)}
@@ -529,7 +527,6 @@ def verify_constrained_lower(
             r=r,
             alpha=alpha,
             kappa=kappa,
-            kappa_prime=None,
             epsilon=eps,
         )
         worst = 0.0
@@ -568,7 +565,6 @@ def verify_constrained_lower(
 
 def verify_chord_bound(
     kappa: float = 1.0,
-    arclengths=None,
     arc_count: int = 50,
     seed: int = 0,
 ) -> BoundReport:
@@ -584,24 +580,14 @@ def verify_chord_bound(
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise GateError("kappa must be finite and positive")
     R = 1.0 / kappa
-    if arclengths is None:
-        arclengths = [
-            math.pi / kappa * k / arc_count for k in range(1, arc_count + 1)
-        ]
-    for s in arclengths:
-        if not 0.0 < s <= math.pi / kappa + 1e-15:
-            raise GateError(f"arclength {s:.6g} outside (0, pi/kappa]")
     report = BoundReport(
         experiment="chord-bound",
         surface=f"circle(R={R:g})",
-        n=len(arclengths),
-        r=None,
-        alpha=None,
+        n=arc_count,
         kappa=kappa,
-        kappa_prime=None,
-        epsilon=None,
     )
-    for k, s in enumerate(arclengths):
+    for k in range(arc_count):
+        s = math.pi / kappa * (k + 1) / arc_count
         p = np.array([R, 0.0])
         q = np.array([R * math.cos(s / R), R * math.sin(s / R)])
         chord = float(np.linalg.norm(q - p))
@@ -674,11 +660,7 @@ def verify_curvature_consistency(
         experiment="curvature-consistency",
         surface=curve_spec,
         n=len(hs),
-        r=None,
-        alpha=None,
         kappa=true_curv,
-        kappa_prime=None,
-        epsilon=None,
     )
     errors = []
     for k, h in enumerate(hs):
@@ -717,12 +699,7 @@ REPORT_HEADER = (
 
 
 def _csv_num(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return f"{x:.17g}"
+    return "" if x is None else _fmt(float(x))
 
 
 def _csv_pass(passed) -> str:
@@ -765,18 +742,6 @@ def write_report_csv(path: str, reports) -> None:
             )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "-inf" if value < 0 else "inf"
-    return value
 
 
 def summary_payload(reports) -> dict:

@@ -223,6 +223,65 @@ class TestVerify:
         assert rc == 0
 
 
+class TestGatedArguments:
+    def test_chord_bound_rejects_kappa_zero(self, capsys):
+        assert run(["verify", "--experiment", "chord-bound", "--kappa", 0]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gate error:")
+
+    GRAPH_RUNS = {
+        "unconstrained-upper": ["--n", 66],
+        "unconstrained-lower": ["--n", 66, "--r", 0.3],
+        "constrained-upper": ["--n", 66, "--r", 0.4],
+        "constrained-lower": ["--n", 66, "--r", 0.3],
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(GRAPH_RUNS))
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_too_few_pairs_rejected(self, tmp_path, capsys, experiment, pairs):
+        argv = ["--experiment", experiment, "--surface", "sphere",
+                *self.GRAPH_RUNS[experiment]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": pairs}))
+        for extra in (["--pairs", pairs], ["--config", cfg]):
+            assert run(["verify", *argv, *extra]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"gate error: pairs must be at least 1, got {pairs}"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("surface", "sphere"),
+        ("n", "100"),
+        ("n", 2.5),
+        ("n", []),
+        ("pairs", "ten"),
+        ("pairs", True),
+        ("seed", "a"),
+        ("r", "wide"),
+        ("c_emp", [8]),
+        ("mode", 3),
+    ])
+    def test_mistyped_config_field(self, tmp_path, capsys, key, value):
+        data = {"experiment": "unconstrained-lower",
+                "surface": {"kind": "sphere", "radius": 1.0},
+                "n": 66, "r": 0.3, "pairs": 3, key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert run(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: config field {key!r} has the wrong type: {value!r}"
+        ]
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5\n")
+        assert run(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: config must be a JSON object"
+        ]
+
+
 class TestBadGraphFile:
     @pytest.mark.parametrize("row, message", [
         ("1,3,0.5", "node index outside [0, 3)"),

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geoknot import (
-    angle,
-    chord_lower_bound,
-    discrete_curvature,
-    polyline_length,
-    triangle_third_side,
-    triangle_third_side_curv_deriv,
-    wedge_norm,
-)
+from geoknot import chord_lower_bound, discrete_curvature
 from conftest import heron_circumradius
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -20,51 +12,6 @@ coords = st.floats(-10.0, 10.0, allow_nan=False)
 
 def vec(dim):
     return st.lists(coords, min_size=dim, max_size=dim).map(np.array)
-
-
-class TestAngle:
-    def test_right_angle(self):
-        assert angle([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.pi / 2)
-
-    def test_parallel_is_zero(self):
-        assert angle([2.0, 0.0], [5.0, 0.0]) == 0.0
-
-    def test_opposite_is_pi(self):
-        assert angle([1.0, 0.0], [-3.0, 0.0]) == pytest.approx(math.pi)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle([0.0, 0.0], [1.0, 0.0])
-
-    def test_clamped_against_roundoff(self):
-        # Nearly parallel vectors can push the cosine above 1 in floats.
-        u = np.array([1.0, 1e-9])
-        assert angle(u, u) == 0.0
-
-
-class TestWedgeNorm:
-    def test_unit_square(self):
-        assert wedge_norm([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-
-    def test_parallel(self):
-        assert wedge_norm([1.0, 2.0], [2.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_sheared(self):
-        assert wedge_norm([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]) == pytest.approx(1.0)
-
-    @given(vec(3), vec(3))
-    def test_matches_cross_product(self, u, v):
-        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
-            return
-        expected = np.linalg.norm(np.cross(u, v))
-        assert wedge_norm(u, v) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    @given(vec(2), vec(2))
-    def test_parallelogram_area_in_2d(self, u, v):
-        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
-            return
-        expected = abs(u[0] * v[1] - u[1] * v[0])
-        assert wedge_norm(u, v) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestDiscreteCurvature:
@@ -155,94 +102,3 @@ class TestChordLowerBound:
             chord_lower_bound(math.inf, 1.0)
         with pytest.raises(ValueError):
             chord_lower_bound(1.0, -0.1)
-
-
-class TestTriangleThirdSide:
-    def test_worked_value(self):
-        assert triangle_third_side(3.0, 5.0, 0.4) == pytest.approx(4.0, rel=1e-12)
-
-    def test_zero_near_side(self):
-        assert triangle_third_side(0.0, 2.0, 0.5) == pytest.approx(2.0)
-
-    def test_equal_sides_vanish(self):
-        assert triangle_third_side(1.5, 1.5, 0.3) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_curvature_is_difference(self):
-        assert triangle_third_side(1.0, 3.0, 0.0) == pytest.approx(2.0)
-
-    @given(
-        st.floats(0.0, 3.0, allow_nan=False),
-        st.floats(0.0, 3.0, allow_nan=False),
-        st.floats(0.0, 0.5, allow_nan=False),
-    )
-    def test_monotone_in_far_side(self, a, c, kappa):
-        lo, hi = sorted((a, c))
-        if kappa * hi > 2.0:
-            return
-        # Larger far side, larger gap.
-        assert triangle_third_side(lo, hi, kappa) >= -1e-12
-        bigger = triangle_third_side(lo, min(hi + 0.1, 2.0 / max(kappa, 1e-9)), kappa) \
-            if kappa * (hi + 0.1) <= 2.0 else None
-        if bigger is not None:
-            assert bigger >= triangle_third_side(lo, hi, kappa) - 1e-12
-
-    @given(
-        st.floats(0.1, 2.0, allow_nan=False),
-        st.floats(0.1, 2.0, allow_nan=False),
-        st.floats(0.01, 0.4, allow_nan=False),
-        st.floats(0.01, 0.4, allow_nan=False),
-    )
-    def test_convex_in_curvature(self, a, c, k1, k2):
-        a, c = sorted((a, c))
-        mid = 0.5 * (k1 + k2)
-        lhs = triangle_third_side(a, c, mid)
-        rhs = 0.5 * (
-            triangle_third_side(a, c, k1) + triangle_third_side(a, c, k2)
-        )
-        assert lhs <= rhs + 1e-12
-
-    @given(
-        st.floats(0.1, 1.8, allow_nan=False),
-        st.floats(0.1, 1.8, allow_nan=False),
-        st.floats(0.05, 0.9, allow_nan=False),
-    )
-    def test_curvature_derivative(self, a, c, kappa):
-        a, c = sorted((a, c))
-        if kappa * c >= 1.9:
-            return
-        deriv = triangle_third_side_curv_deriv(a, c, kappa)
-        h = 1e-6
-        fd = (
-            triangle_third_side(a, c, kappa + h)
-            - triangle_third_side(a, c, kappa - h)
-        ) / (2.0 * h)
-        assert deriv == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        assert deriv >= kappa * a * c * (c - a) / 4.0 - 1e-12
-
-    def test_gates(self):
-        with pytest.raises(ValueError):
-            triangle_third_side(3.0, 2.0, 0.1)  # a > c
-        with pytest.raises(ValueError):
-            triangle_third_side(1.0, 1e9, 0.1)  # kappa*c > 2
-        with pytest.raises(ValueError):
-            triangle_third_side(1.0, 2.0, math.inf)
-        with pytest.raises(ValueError):
-            triangle_third_side(1.0, 2.0, -0.5)
-
-
-class TestPolylineLength:
-    def test_three_four_five(self):
-        assert polyline_length([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
-
-    def test_single_point(self):
-        assert polyline_length([[1.0, 2.0]]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            polyline_length([])
-
-    @given(st.lists(vec(2), min_size=2, max_size=6))
-    def test_at_least_endpoint_distance(self, pts):
-        total = polyline_length(pts)
-        chord = float(np.linalg.norm(np.asarray(pts[-1]) - np.asarray(pts[0])))
-        assert total >= chord - 1e-9

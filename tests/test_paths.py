@@ -11,13 +11,9 @@ from geoknot import (
     constrained_shortest,
     dijkstra,
     discrete_curvature,
-    extract_path,
     path_from_predecessors,
     path_max_curvature,
-    pseudo_metric,
-    sample_surface,
     shortest_distances,
-    sphere,
 )
 from geoknot.geometry import lexicographic_rank, turn_curvatures
 from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
@@ -36,14 +32,14 @@ class TestDijkstra:
         g = build_graph(pts, kind="ball", r=1.0)
         field = dijkstra(g, 0)
         assert field.dist.tolist() == [0.0, 1.0, 2.0]
-        assert extract_path(field, 2) == [0, 1, 2]
+        assert path_from_predecessors(field.predecessor, 0, 2) == [0, 1, 2]
 
     def test_isolated_vertex(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [9.0, 0.0]])
         g = build_graph(pts, kind="ball", r=1.0)
         field = dijkstra(g, 0)
         assert math.isinf(field.dist[2])
-        assert extract_path(field, 2) is None
+        assert path_from_predecessors(field.predecessor, 0, 2) is None
 
     def test_matches_bellman_ford(self, rng):
         for _ in range(20):
@@ -81,7 +77,7 @@ class TestDijkstra:
             predecessor=np.array([-1, 2, 1]),
         )
         with pytest.raises(ValueError, match="cycle"):
-            extract_path(field, 1)
+            path_from_predecessors(field.predecessor, field.source, 1)
         with pytest.raises(ValueError, match="cycle"):
             path_from_predecessors(np.array([-9999, 2, 1]), 0, 1)
 
@@ -172,7 +168,7 @@ class TestConstrainedShortest:
                 if math.isinf(field.dist[t]):
                     assert not res.feasible
                     continue
-                path = extract_path(field, t)
+                path = path_from_predecessors(field.predecessor, 0, t)
                 if path_max_curvature(g.points[path]) <= 1e9:
                     assert res.feasible
                     assert res.length == pytest.approx(field.dist[t], rel=1e-9)
@@ -293,37 +289,6 @@ class TestBruteForce:
         g = build_graph(pts, kind="ball", r=1.0)
         with pytest.raises(ValueError):
             brute_force_constrained(g, 1.0, 0, 1, max_hops=g.n + 4)
-
-
-class TestPseudoMetric:
-    def setup_method(self):
-        self.pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        self.g = build_graph(self.pts, kind="ball", r=1.0)
-
-    def test_exact_sample_points(self):
-        d = pseudo_metric(self.pts, self.g, self.pts[0], self.pts[2])
-        assert d == pytest.approx(2.0)
-
-    def test_off_sample_snaps_to_nearest(self):
-        d = pseudo_metric(self.pts, self.g, [0.1, 0.0], [1.9, 0.0])
-        assert d == pytest.approx(2.0)
-
-    def test_midpoint_tie_takes_min(self):
-        # Equidistant from nodes 0 and 1: the cheaper assignment wins.
-        d = pseudo_metric(self.pts, self.g, [0.5, 0.0], [2.0, 0.0])
-        assert d == pytest.approx(1.0)
-
-    def test_same_nearest_is_zero(self):
-        d = pseudo_metric(self.pts, self.g, [0.01, 0.0], [-0.01, 0.0])
-        assert d == 0.0
-
-    def test_constrained_variant(self):
-        d = pseudo_metric(self.pts, self.g, self.pts[0], self.pts[2], kappa=1.0)
-        assert d == pytest.approx(2.0)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_metric(np.zeros((0, 2)), self.g, [0.0, 0.0], [1.0, 0.0])
 
 
 def draw_limits(data, full):

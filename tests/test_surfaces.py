@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 from geoknot import (
     SampleSet,
     circle,
-    constrained_oracle,
     covering_radius,
     curvature_bound,
     cylinder,
@@ -22,7 +21,6 @@ from geoknot import (
     write_points_csv,
 )
 from geoknot.surfaces import (
-    _grid_points,
     _octahedron_grid,
     _reference,
     surface_residual,
@@ -198,21 +196,6 @@ class TestGeodesicOracle:
         assert geodesic_oracle(spec, a, b) == geodesic_oracle(spec, b, a)
 
 
-class TestConstrainedOracle:
-    def test_above_bound_matches_geodesic(self):
-        spec = sphere(1.0)
-        x, y = [1, 0, 0], [0, 0, 1]
-        assert constrained_oracle(spec, 1.0, x, y) == geodesic_oracle(spec, x, y)
-        assert constrained_oracle(spec, 2.5, x, y) == geodesic_oracle(spec, x, y)
-
-    def test_below_bound_unavailable(self):
-        assert constrained_oracle(sphere(1.0), 0.5, [1, 0, 0], [0, 0, 1]) is None
-
-    def test_flat_surface_always_available(self):
-        got = constrained_oracle(disk(1.0), 0.01, [0.0, 0.0], [0.5, 0.0])
-        assert got == 0.5
-
-
 class TestCoveringRadius:
     def test_reference_must_dominate(self):
         samp = sample_surface(sphere(1.0), "grid", 66)
@@ -259,7 +242,7 @@ class TestCoveringRadius:
         ref, spacing = _reference(sphere(1.0), 5)
         assert not ref.flags.writeable
         # Bit for bit what an uncached estimate computes.
-        fresh = _grid_points(sphere(1.0), 2580)
+        fresh = sample_surface(sphere(1.0), "grid", 2580).points
         assert np.array_equal(ref, fresh)
         assert spacing == float(np.max(cKDTree(fresh).query(fresh, k=2)[0][:, 1]))
         for est, samp in zip(ests, (grid, random)):

@@ -1,0 +1,40 @@
+"""The benchmark's tracer must find every name it rebinds.
+
+perfbench/tracing.py wraps library functions by their names in the
+package's module namespaces.  Installing it here makes a deleted or
+renamed name fail the package's own suite, not only the benchmark's.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import geoknot.cli
+import geoknot.validation
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = load_tracing()
+    originals = {
+        (module, attr): getattr(module, attr) for module, attr, _ in tracing.WRAPPED
+    }
+    engine = geoknot.validation.EdgeStateEngine
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert geoknot.validation.EdgeStateEngine is not engine
+        assert issubclass(geoknot.validation.EdgeStateEngine, engine)
+        assert geoknot.cli.main is not originals[(geoknot.cli, "main")]
+    finally:
+        tracer.uninstall()
+    assert geoknot.validation.EdgeStateEngine is engine
+    for (module, attr), fn in originals.items():
+        assert getattr(module, attr) is fn

@@ -287,13 +287,10 @@ class TestChordBound:
             assert row.oracle_delta >= row.graph_delta - 1e-12
         assert set(rep.summary["row_groups"]) == {"0", "1"}
 
-    def test_arclength_gate(self):
-        with pytest.raises(GateError, match="arclength"):
-            verify_chord_bound(kappa=1.0, arclengths=[4.0])
-        with pytest.raises(GateError, match="arclength"):
-            verify_chord_bound(kappa=1.0, arclengths=[-0.1])
-        with pytest.raises(GateError, match="kappa"):
-            verify_chord_bound(kappa=math.inf)
+    def test_kappa_gate(self):
+        for kappa in (math.inf, 0.0, -1.0):
+            with pytest.raises(GateError, match="kappa"):
+                verify_chord_bound(kappa=kappa)
 
 
 class TestCurvatureConsistency:

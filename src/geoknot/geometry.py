@@ -11,11 +11,13 @@ import math
 import numpy as np
 
 __all__ = [
+    "wedge_norm",
     "discrete_curvature",
     "turn_curvature",
     "turn_curvatures",
     "lexicographic_rank",
     "chord_lower_bound",
+    "polyline_length",
 ]
 
 
@@ -24,6 +26,22 @@ def _as_vector(v, name):
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d coordinate vector")
     return arr
+
+
+def wedge_norm(u, v) -> float:
+    """Area of the parallelogram spanned by u and v, in any dimension.
+
+    Computed as |u| times the norm of the rejection of v from u, which
+    stays accurate for near-parallel vectors where the Gram identity
+    |u|^2 |v|^2 - <u,v>^2 cancels badly.  Zero vectors give 0.
+    """
+    u = _as_vector(u, "u")
+    v = _as_vector(v, "v")
+    na2 = float(np.dot(u, u))
+    if na2 == 0.0:
+        return 0.0
+    rej = v - (float(np.dot(u, v)) / na2) * u
+    return float(math.sqrt(na2) * np.linalg.norm(rej))
 
 
 def _dot(a, b):
@@ -150,3 +168,14 @@ def chord_lower_bound(kappa: float, s: float) -> float:
     if s > math.pi / kappa:
         raise ValueError("chord bound only holds for s <= pi/kappa")
     return (2.0 / kappa) * math.sin(kappa * s / 2.0)
+
+
+def polyline_length(points) -> float:
+    """Total length of the polygonal line through the given points.
+
+    A single point has length 0; an empty sequence is an error.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("polyline needs at least one point")
+    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geoknot import chord_lower_bound, discrete_curvature
+from geoknot import (
+    chord_lower_bound,
+    discrete_curvature,
+    polyline_length,
+    wedge_norm,
+)
 from conftest import heron_circumradius
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -12,6 +17,31 @@ coords = st.floats(-10.0, 10.0, allow_nan=False)
 
 def vec(dim):
     return st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+
+
+class TestWedgeNorm:
+    def test_unit_square(self):
+        assert wedge_norm([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+
+    def test_parallel(self):
+        assert wedge_norm([1.0, 2.0], [2.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sheared(self):
+        assert wedge_norm([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]) == pytest.approx(1.0)
+
+    @given(vec(3), vec(3))
+    def test_matches_cross_product(self, u, v):
+        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
+            return
+        expected = np.linalg.norm(np.cross(u, v))
+        assert wedge_norm(u, v) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @given(vec(2), vec(2))
+    def test_parallelogram_area_in_2d(self, u, v):
+        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
+            return
+        expected = abs(u[0] * v[1] - u[1] * v[0])
+        assert wedge_norm(u, v) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestDiscreteCurvature:
@@ -102,3 +132,21 @@ class TestChordLowerBound:
             chord_lower_bound(math.inf, 1.0)
         with pytest.raises(ValueError):
             chord_lower_bound(1.0, -0.1)
+
+
+class TestPolylineLength:
+    def test_three_four_five(self):
+        assert polyline_length([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
+
+    def test_single_point(self):
+        assert polyline_length([[1.0, 2.0]]) == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            polyline_length([])
+
+    @given(st.lists(vec(2), min_size=2, max_size=6))
+    def test_at_least_endpoint_distance(self, pts):
+        total = polyline_length(pts)
+        chord = float(np.linalg.norm(np.asarray(pts[-1]) - np.asarray(pts[0])))
+        assert total >= chord - 1e-9

@@ -24,6 +24,7 @@ from .paths import (
     path_result_payload,
 )
 from .surfaces import (
+    _is_a,
     read_points_csv,
     sample_surface,
     surface_from_json,
@@ -94,10 +95,6 @@ def _typed(f, value):
     if not ok:
         raise ValueError(f"config field {f.name!r} has the wrong type: {value!r}")
     return value
-
-
-def _is_a(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_config(path: str | None, args) -> ExperimentConfig:
@@ -267,8 +264,15 @@ def cmd_verify(args) -> int:
     return 0 if violations == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geoknot",
         description="Geodesic distances from point samples, "
         "with optional curvature-constrained paths.",
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
     except HardFailure as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

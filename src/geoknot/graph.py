@@ -12,6 +12,7 @@ decides an edge.  A brute-force all-pairs builder is retained for small
 inputs as the testing oracle.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,12 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from .surfaces import SampleSet, _fmt
+from .surfaces import SampleSet, _fmt, _loadtxt_rows
 
 BRUTE_FORCE_LIMIT = 2000
+
+# One edge-list row of a graph file.
+EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,18 @@ class GraphStats:
 def connected_components(g: NeighborhoodGraph) -> np.ndarray:
     """Component label per node; components are numbered in the order of
     their smallest node index."""
-    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
-    return labels.astype(np.int64)
+    # The CSR is symmetric, so its strong components are the undirected
+    # ones, found without the transpose that directed=False builds.
+    k, labels = csgraph.connected_components(
+        g.to_csr(), directed=True, connection="strong"
+    )
+    # Renumber in O(n): a component's label is the number of components
+    # whose smallest node comes before its own.
+    first = np.full(k, g.n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(g.n))
+    starts = np.zeros(g.n, dtype=np.int64)
+    starts[first] = 1
+    return (np.cumsum(starts) - 1)[first][labels]
 
 
 def graph_stats(g: NeighborhoodGraph) -> GraphStats:
@@ -216,47 +230,77 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
     positive weight, and an edge not listed before; with ``points``,
     its two endpoints must also differ.  A violation raises ValueError
     naming the file and line.
+
+    A plain file (the header comment on the first line, no other ``#``,
+    rows that ``np.loadtxt`` parses and that pass every check) is read
+    in one numpy pass; any other file goes through the line loop, which
+    returns the same graph or raises the message.
     """
-    kind = None
-    r = None
-    alpha = None
-    ii, jj, ww, lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = dict(
-                    part.split("=", 1) for part in line[1:].split() if "=" in part
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    head = head.strip()
+    if head.startswith("#") and "#" not in body:
+        rows = _loadtxt_rows(body, EDGE_ROW, 1)
+        if rows is not None:
+            # Row positions stand in for line numbers: a failed check
+            # only sends the file to the loop, which reports it.
+            with contextlib.suppress(ValueError):
+                return _graph_of(
+                    path, *_header(head),
+                    rows["i"], rows["j"], rows["w"], range(len(rows)), points, n,
                 )
-                kind = fields.get("kind", kind)
-                if "r" in fields:
-                    r = float(fields["r"])
-                if "alpha" in fields:
-                    alpha = float(fields["alpha"])
-                continue
-            try:
-                a, b, w = line.split(",")
-                ii.append(int(a))
-                jj.append(int(b))
-                ww.append(float(w))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected i,j,weight, got {line!r}") from None
-            lines.append(lineno)
+    return _graph_by_line(path, text, points, n)
+
+
+def _graph_by_line(path, text, points, n) -> NeighborhoodGraph:
+    """:func:`read_graph_csv` one line at a time, the error reporter."""
+    kind = r = alpha = None
+    ii, jj, ww, lines = [], [], [], []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            kind, r, alpha = _header(line, kind, r, alpha)
+            continue
+        try:
+            a, b, w = line.split(",")
+            # An index beyond int64 overflows like a malformed token.
+            ii.append(np.int64(int(a)))
+            jj.append(np.int64(int(b)))
+            ww.append(float(w))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{lineno}: expected i,j,weight, got {line!r}") from None
+        lines.append(lineno)
+    return _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points, n)
+
+
+def _header(line, kind=None, r=None, alpha=None):
+    """kind, r and alpha after the header comment ``line``."""
+    fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
+    return (
+        fields.get("kind", kind),
+        float(fields["r"]) if "r" in fields else r,
+        float(fields["alpha"]) if "alpha" in fields else alpha,
+    )
+
+
+def _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points, n) -> NeighborhoodGraph:
+    """The checked graph of parsed rows; ``lines[k]`` is row k's line."""
     if kind is None or r is None:
         raise ValueError(f"{path} is missing the kind/r header comment")
     if kind == "annulus" and alpha is None:
         raise ValueError("annulus graph file is missing alpha")
-    if points is not None:
-        n = len(points)
-    elif n is None:
-        n = max(max(ii, default=-1), max(jj, default=-1)) + 1
-    if n < 2:
-        raise ValueError("graph needs at least 2 nodes")
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     ww = np.asarray(ww, dtype=np.float64)
+    if points is not None:
+        n = len(points)
+    elif n is None:
+        n = int(max(ii.max(initial=-1), jj.max(initial=-1))) + 1
+    if n < 2:
+        raise ValueError("graph needs at least 2 nodes")
     _check_edges(path, lines, ii, jj, ww, n, points)
     indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
     return NeighborhoodGraph(

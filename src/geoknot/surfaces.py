@@ -7,6 +7,7 @@ Samplers produce deterministic grids or seeded uniform-random draws, and
 """
 
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -396,14 +397,30 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
 
 
 def surface_from_json(data: dict) -> SurfaceSpec:
-    kind = data["kind"]
+    """The spec of a surface dict; a field of the wrong type raises
+    ValueError naming it.  No boolean counts as a number, and a null
+    height is no height."""
+    kind = _surface_field(data, "kind", str)
     default_dim = 2 if kind in ("disk", "circle") else 3
+    height = data.get("height")
     return SurfaceSpec(
         kind=kind,
-        radius=float(data["radius"]),
-        height=float(data["height"]) if data.get("height") is not None else None,
-        ambient_dim=int(data.get("ambient_dim", default_dim)),
+        radius=float(_surface_field(data, "radius", (int, float))),
+        height=None if height is None else float(_surface_field(data, "height", (int, float))),
+        ambient_dim=_surface_field(data, "ambient_dim", int, default_dim),
     )
+
+
+def _surface_field(data: dict, name: str, kind, default=None):
+    value = data[name] if default is None else data.get(name, default)
+    if not _is_a(value, kind):
+        raise ValueError(f"surface field {name!r} has the wrong type: {value!r}")
+    return value
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance, with no boolean counted as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def sidecar_path(points_path: str) -> str:
@@ -435,31 +452,48 @@ def read_points_csv(path: str) -> np.ndarray:
     no numeric field is the header.  Every other row must hold as many
     finite coordinates as the first point; a violation raises ValueError
     naming the file and line.
+
+    A plain file (no ``#``, an optional header on the first line, rows
+    that ``np.loadtxt`` parses, all finite) is read in one numpy pass;
+    any other file goes through the line loop, which returns the same
+    array or raises the message.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    pts = None
+    if "#" not in text:
+        head, _, body = text.partition("\n")
+        pts = _loadtxt_rows(body if _is_header(head.split(",")) else text, np.float64, 2)
+    if pts is None or not np.isfinite(pts).all():
+        pts = _points_by_line(path, text)
+    return _frozen(pts)
+
+
+def _points_by_line(path: str, text: str) -> np.ndarray:
+    """:func:`read_points_csv` one line at a time, the error reporter."""
     rows, lines = [], []
     header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            try:
-                row = [float(v) for v in fields]
-            except ValueError:
-                if not (header_allowed and _is_header(fields)):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected numeric coordinates, got {line!r}"
-                    ) from None
-                header_allowed = False
-                continue
-            header_allowed = False
-            if rows and len(row) != len(rows[0]):
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        try:
+            row = [float(v) for v in fields]
+        except ValueError:
+            if not (header_allowed and _is_header(fields)):
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
-                )
-            rows.append(row)
-            lines.append(lineno)
+                    f"{path}:{lineno}: expected numeric coordinates, got {line!r}"
+                ) from None
+            header_allowed = False
+            continue
+        header_allowed = False
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
+            )
+        rows.append(row)
+        lines.append(lineno)
     if not rows:
         raise ValueError(f"no points in {path}")
     pts = np.array(rows, dtype=np.float64)
@@ -468,7 +502,25 @@ def read_points_csv(path: str) -> np.ndarray:
         raise ValueError(
             f"{path}:{lines[int(np.argmax(bad))]}: coordinate is not finite"
         )
-    return _frozen(pts)
+    return pts
+
+
+def _loadtxt_rows(text: str, dtype, ndmin: int):
+    """The comma-separated rows of ``text`` in one ``np.loadtxt`` pass,
+    or None if there are none or one does not parse.
+
+    Where it parses a field, numpy reads the same value as Python's
+    ``int``/``float``; it rejects some tokens they accept (``1_0``,
+    whitespace-only lines), which the readers' line loops then read.
+    """
+    if not text.strip():
+        return None
+    try:
+        return np.loadtxt(
+            io.StringIO(text), delimiter=",", comments=None, dtype=dtype, ndmin=ndmin
+        )
+    except ValueError:
+        return None
 
 
 def _is_header(fields) -> bool:

@@ -126,6 +126,12 @@ def _holds(lhs: float, rhs: float) -> bool:
 
 
 def _finish(report: BoundReport, t0: float, **extra):
+    if report.rows and all(row.passed is None for row in report.rows):
+        # A run that checks nothing must not pass.
+        raise GateError(
+            f"{report.experiment} at N={report.n}: all {len(report.rows)} "
+            "pairs are disconnected in the graph, nothing was checked"
+        )
     ratios = [
         row.ratio
         for row in report.rows

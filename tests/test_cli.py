@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from geoknot import read_points_csv
 from geoknot.cli import main
@@ -273,6 +276,54 @@ class TestGatedArguments:
             f"error: config field {key!r} has the wrong type: {value!r}"
         ]
 
+    @pytest.mark.parametrize("key, value", [
+        ("radius", [1]),
+        ("ambient_dim", 3.7),
+        ("radius", "1"),
+        ("radius", True),
+        ("radius", None),
+        ("height", "4"),
+        ("ambient_dim", "3"),
+        ("kind", 5),
+    ])
+    def test_mistyped_surface_field(self, tmp_path, capsys, key, value):
+        surface = {"kind": "cylinder", "radius": 1.0, "height": 4.0, key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "unconstrained-upper",
+                                   "surface": surface, "n": 66, "pairs": 3}))
+        assert run(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: surface field {key!r} has the wrong type: {value!r}"
+        ]
+
+    @pytest.mark.parametrize("surface, r", [
+        ({"kind": "sphere", "radius": 1.0}, 10**400),
+        ({"kind": "sphere", "radius": 10**400}, 0.3),
+    ])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, surface, r):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "unconstrained-lower",
+                                   "surface": surface, "n": 66, "r": r}))
+        assert run(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: int too large to convert to float"
+        ]
+
+    @pytest.mark.parametrize("experiment", ["unconstrained-lower", "constrained-lower"])
+    def test_all_pairs_disconnected_rejected(self, capsys, experiment):
+        # At N=66 and r=0.3 no selected pair is joined in the graph, so
+        # the run would check nothing.
+        assert run(["verify", "--experiment", experiment, "--surface", "sphere",
+                    "--n", 66, "--r", 0.3, "--pairs", 3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"gate error: {experiment} at N=66: all 3 pairs are disconnected "
+            "in the graph, nothing was checked"
+        ]
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("5\n")
@@ -329,6 +380,117 @@ class TestBadPointsFile:
             assert run(argv) == 2
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: {pts}:{message}"]
+
+
+def rejected(argv):
+    """Run the CLI on ``argv``; it must exit 2 with one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code == 2, (argv, err.getvalue())
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# A token that starts with "x": no reader, int() or float() accepts it.
+JUNK = st.text(max_size=6).map(lambda t: "x" + t)
+
+POINT_ROWS = ["x0,x1", "0,0", "1,0", "9,0"]
+POINT_FAULTS = st.sampled_from(
+    ["1", "1,2,3", "nan,0", "0,inf", "1e400,0", "1,0 # near", "1,"]
+) | JUNK.map(lambda t: f"1,{t}")
+GRAPH_ROWS = ["# kind=ball r=1", "0,1,1", "1,2,8"]
+GRAPH_FAULTS = st.sampled_from([
+    "0,3,1", "-1,1,1", "2,1,1", "1,1,1", "0,1,0", "0,1,-1", "0,1,nan",
+    "0,1,inf", "0,1,1", "0,1", "0,1,1,1", "0,2,1 # near",
+    "0,99999999999999999999,1", "# kind=annulus r=1", "# kind=ball r=wide",
+]) | JUNK.map(lambda t: f"0,{t},1")
+
+FLAGS = ["--n", "--r", "--alpha", "--kappa", "--kappa-prime", "--pairs", "--seed",
+         "--radius", "--height", "--ambient-dim", "--perturb-weights", "--c-emp",
+         "--experiment", "--surface", "--mode", "--curve"]
+INT_KEYS = ["n", "pairs", "seed"]
+FLOAT_KEYS = ["r", "alpha", "kappa", "kappa_prime", "perturb_weights", "c_emp"]
+STR_KEYS = ["experiment", "mode", "curve", "out_csv", "out_json"]
+NOT_A_NUMBER = JUNK | st.booleans() | st.lists(st.integers(0, 9), max_size=2) | st.just({})
+WRONG = {
+    **dict.fromkeys(INT_KEYS, NOT_A_NUMBER | st.floats()),
+    **dict.fromkeys(FLOAT_KEYS, NOT_A_NUMBER),
+    **dict.fromkeys(STR_KEYS, st.integers(-9, 9) | st.floats() | st.lists(JUNK, max_size=2)),
+    "surface": JUNK | st.integers() | st.lists(st.integers(), max_size=2),
+}
+SURFACE_WRONG = {
+    "kind": st.integers() | st.lists(JUNK, max_size=2),
+    "radius": NOT_A_NUMBER,
+    "height": NOT_A_NUMBER,
+    "ambient_dim": NOT_A_NUMBER | st.floats(),
+}
+
+
+@st.composite
+def with_fault(draw, rows, faults):
+    """``rows`` with one fault row inserted, as file text."""
+    rows = list(rows)
+    rows.insert(draw(st.integers(1, len(rows))), draw(faults))
+    return "\n".join(rows) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+class TestFuzz:
+    """Malformed files, arguments and configs fail with exit 2 and one
+    stderr line, never a traceback."""
+
+    @given(with_fault(POINT_ROWS, POINT_FAULTS))
+    def test_bad_points_file(self, tmp_path_factory, text):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        pts, g = tmp / "pts.csv", tmp / "g.csv"
+        pts.write_text(text)
+        g.write_text("# kind=ball r=1\n0,1,1\n")
+        rejected(["graph", "--points", pts, "--r", 1.5, "--out", tmp / "out.csv"])
+        rejected(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+
+    @given(with_fault(GRAPH_ROWS, GRAPH_FAULTS), st.sampled_from([[], ["--kappa", 4]]),
+           st.booleans())
+    def test_bad_graph_file(self, tmp_path_factory, text, kappa, headless):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        pts, g = tmp / "pts.csv", tmp / "g.csv"
+        write_line_points(pts)
+        g.write_text(text.split("\n", 1)[1] if headless else text)
+        rejected(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 2, *kappa])
+
+    def test_undecodable_files(self, tmp_path):
+        pts, g = tmp_path / "pts.csv", tmp_path / "g.csv"
+        pts.write_bytes(b"x0,x1\n0,\xff\n")
+        g.write_bytes(b"# kind=ball r=1\n0,1,\xfe\n")
+        rejected(["graph", "--points", pts, "--r", 1.5, "--out", tmp_path / "out.csv"])
+        write_line_points(pts)
+        rejected(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+
+    @given(st.sampled_from(FLAGS), JUNK)
+    def test_bad_verify_argument(self, flag, value):
+        rejected(["verify", "--experiment", "chord-bound", flag, value])
+
+    @given(st.data())
+    def test_bad_verify_config(self, tmp_path_factory, data):
+        cfg = {"experiment": "unconstrained-upper",
+               "surface": {"kind": "cylinder", "radius": 1.0, "height": 4.0},
+               "n": 66, "pairs": 3}
+        key = data.draw(st.sampled_from(sorted(WRONG) + ["surface field", "unknown"]))
+        if key == "surface field":
+            field = data.draw(st.sampled_from(sorted(SURFACE_WRONG)))
+            cfg["surface"][field] = data.draw(SURFACE_WRONG[field])
+        elif key == "unknown":
+            cfg[data.draw(JUNK)] = 1
+        else:
+            cfg[key] = data.draw(WRONG[key])
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rejected(["verify", "--config", path])
+
+    @given(st.text(max_size=20).filter(lambda t: not t.lstrip().startswith("{")))
+    def test_config_not_json_object(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        rejected(["verify", "--config", path])
 
 
 class TestNoThreadsOption:

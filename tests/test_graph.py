@@ -1,9 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.sparse import csgraph
 
 from geoknot import (
     build_graph,
@@ -14,6 +17,7 @@ from geoknot import (
     sphere,
     write_graph_csv,
 )
+from geoknot import graph
 from geoknot.graph import BRUTE_FORCE_LIMIT
 from conftest import bfs_components, graph_edge_set, split_graphs
 
@@ -131,6 +135,20 @@ class TestStatsAndComponents:
         assert labels.dtype == np.int64
         assert np.array_equal(labels, bfs_components(g))
         assert graph_stats(g).components == int(labels.max()) + 1 >= 2
+
+    @given(split_graphs())
+    def test_labels_renumbered_by_smallest_node(self, g):
+        # On a symmetric CSR scipy's strong labels already come in
+        # smallest-index order; reversed, they exercise the renumbering.
+        def reversed_labels(*args, **kwargs):
+            k, labels = csgraph.connected_components(*args, **kwargs)
+            assert k >= 2
+            return k, k - 1 - labels
+
+        fake = SimpleNamespace(connected_components=reversed_labels)
+        with mock.patch.object(graph, "csgraph", fake):
+            labels = connected_components(g)
+        assert np.array_equal(labels, bfs_components(g))
 
     def test_stats_mean(self, rng):
         pts, kw = random_config(rng)

@@ -38,3 +38,21 @@ def test_tracer_installs_and_uninstalls():
     assert geoknot.validation.EdgeStateEngine is engine
     for (module, attr), fn in originals.items():
         assert getattr(module, attr) is fn
+
+
+def test_dist_reads_each_file_inside_one_traced_span(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x0,x1\n0,0\n1,0\n2,0\n")
+    g = tmp_path / "g.csv"
+    g.write_text("# kind=ball r=1\n0,1,1\n1,2,1\n")
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = geoknot.cli.main(["dist", "--graph", str(g), "--points", str(pts),
+                                 "--src", "0", "--dst", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[3] for span in tracer.spans]
+    assert names.count("graph.csv_read") == 1
+    assert names.count("surfaces.points_io") == 1

@@ -37,18 +37,25 @@ def _dot(a, b):
 
 def _circumcurvature(x, y, z):
     """The curvature formula on coordinate lists; None if two of the
-    points coincide."""
+    points coincide.
+
+    Acute turns are sent to ``inf`` first, before the costlier terms; a
+    triple with x == z turns acutely too, and falls through to the
+    coincidence check.
+    """
     if x > z:
         x, z = z, x  # canonical endpoint order: bitwise symmetric in x, z
     a = [p - q for p, q in zip(x, y)]
     b = [p - q for p, q in zip(z, y)]
+    dot = _dot(a, b)
+    if dot > 0.0 and x != z:
+        return math.inf
     c = [p - q for p, q in zip(z, x)]
     na2 = _dot(a, a)
     nb = math.sqrt(_dot(b, b))
     nc = math.sqrt(_dot(c, c))
     if na2 == 0.0 or nb == 0.0 or nc == 0.0:
         return None
-    dot = _dot(a, b)
     if dot > 0.0:
         return math.inf
     # 2 * |a ^ b| / (|a| |b| |z - x|), with the wedge norm expanded through
@@ -124,10 +131,16 @@ def turn_curvatures(points, rank, u, v, w) -> np.ndarray:
     a = [p - q for p, q in zip(xs, ys)]
     b = [p - q for p, q in zip(zs, ys)]
     c = [p - q for p, q in zip(zs, xs)]
-    na2 = _dot(a, a)
-    nb = np.sqrt(_dot(b, b))
+    return _curvature_columns(a, b, c, _dot(a, a), np.sqrt(_dot(b, b)), _dot(a, b))
+
+
+def _curvature_columns(a, b, c, na2, nb, dot) -> np.ndarray:
+    """The arithmetic of :func:`turn_curvatures` on coordinate columns:
+    a = x - y, b = z - y and c = z - x per coordinate, with na2 = a.a,
+    nb = |b| and dot = a.b given, since the callers have them at hand.
+    Triples that repeat a point or turn acutely give ``inf``.
+    """
     nc = np.sqrt(_dot(c, c))
-    dot = _dot(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = dot / na2
         rej = [p - t * q for p, q in zip(b, a)]

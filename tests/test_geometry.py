@@ -38,6 +38,19 @@ class TestDiscreteCurvature:
         with pytest.raises(ValueError):
             discrete_curvature([1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 0.0], [0.0, 1.0]),
+        ([0.0, 0.0], [1.0, 0.0]),
+        ([0.5, -1.0, 2.0], [0.0, 0.0, 0.0]),
+    ])
+    def test_coincident_endpoints_rejected(self, x, y):
+        # x == z turns acutely; the acute test must not answer inf first.
+        with pytest.raises(ValueError, match="distinct"):
+            discrete_curvature(x, y, list(x))
+        z = [-0.0 if v == 0.0 else v for v in x]  # equal, not bitwise
+        with pytest.raises(ValueError, match="distinct"):
+            discrete_curvature(x, y, z)
+
     @given(vec(3), vec(3), vec(3))
     def test_symmetric_in_endpoints(self, x, y, z):
         pts = [x, y, z]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from geoknot import (
     EdgeStateEngine,
+    NeighborhoodGraph,
     brute_force_constrained,
     build_graph,
     constrained_shortest,
@@ -13,10 +15,13 @@ from geoknot import (
     discrete_curvature,
     path_from_predecessors,
     path_max_curvature,
+    sample_surface,
     shortest_distances,
+    sphere,
 )
-from geoknot.geometry import lexicographic_rank, turn_curvatures
+from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
 from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
+from geoknot.graph import _csr_from_edges
 from conftest import bellman_ford, graph_edge_set, split_graphs
 
 
@@ -146,6 +151,29 @@ class TestTurnCurvatures:
         right = np.einsum("ij,ij->i", pts[u] - pts[v], pts[w] - pts[v]) == 0.0
         assert right.sum() > 100
         self.check(pts, u, v, w)
+
+    @pytest.mark.parametrize("u, v, w, want", [
+        (0, 1, 0, math.inf),  # x == z, same index
+        (0, 1, 5, math.inf),  # x == z, coincident points
+        (0, 0, 1, math.inf),  # x == y
+        (5, 0, 1, math.inf),  # x == y, coincident points
+        (0, 1, 1, math.inf),  # y == z
+        (0, 1, 2, math.sqrt(2.0)),  # right angle at y
+        (2, 1, 0, math.sqrt(2.0)),
+        (1, 2, 3, math.sqrt(2.0)),
+        (1, 0, 3, math.sqrt(2.0)),
+        (0, 1, 4, 0.0),  # straight
+        (1, 4, 0, math.inf),  # endpoints on one side of y
+    ])
+    def test_degenerate_and_right_triples_in_both_twins(self, u, v, w, want):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                        [2.0, 0.0], [-0.0, 0.0]])
+        row = turn_curvatures(
+            pts, lexicographic_rank(pts), np.array([u]), np.array([v]), np.array([w])
+        )
+        scalar = turn_curvature(pts[u].tolist(), pts[v].tolist(), pts[w].tolist())
+        assert row.tolist() == [scalar]
+        assert scalar == pytest.approx(want, rel=1e-15)
 
     def test_coincident_points_are_infinite(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -429,6 +457,111 @@ class TestBulkEngines:
             assert engine._to.dtype == np.int32
             assert engine.states == len(g.indices)
             assert not hasattr(engine, "_from")
+
+
+def frozen_block_builder(g):
+    """The engine's transition table as an earlier, plainer builder made
+    it: every candidate turn of a block through ``turn_curvatures``, the
+    finite ones kept, the blocks concatenated.  Returns (indptr, to, curv).
+    """
+    pts = g.points
+    rank = lexicographic_rank(pts)
+    indptr, tails = g.indptr, g.indices
+    deg = np.diff(indptr)
+    heads = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    out_state = np.argsort(tails, kind="stable").astype(np.int32)
+    cand = deg[heads]
+    ends = np.zeros(len(tails) + 1, dtype=np.int64)
+    np.cumsum(cand, out=ends[1:])
+    kept = np.zeros(len(tails), dtype=np.int64)
+    to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    s0 = 0
+    while s0 < len(tails):
+        s1 = int(np.searchsorted(ends, ends[s0] + (1 << 14), "right")) - 1
+        s1 = max(s1, s0 + 1)
+        state = np.repeat(np.arange(s0, s1), cand[s0:s1])
+        slot = np.arange(ends[s0], ends[s1]) + np.repeat(
+            indptr[heads[s0:s1]] - ends[s0:s1], cand[s0:s1]
+        )
+        c = turn_curvatures(pts, rank, tails[state], heads[state], tails[slot])
+        finite = np.isfinite(c)
+        to.append(out_state[slot[finite]])
+        curv.append(c[finite])
+        kept[s0:s1] = np.bincount(state[finite] - s0, minlength=s1 - s0)
+        s0 = s1
+    out_indptr = np.zeros(len(tails) + 1, dtype=np.int64)
+    np.cumsum(kept, out=out_indptr[1:])
+    return out_indptr, np.concatenate(to), np.concatenate(curv)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def grid_annulus():
+    """The N=1026 grid annulus graph (r=0.4, alpha=0.25) of the sphere."""
+    sample = sample_surface(sphere(1.0), "grid", 1000, 0)
+    return build_graph(sample, kind="annulus", r=0.4, alpha=0.25)
+
+
+class TestEngineArrays:
+    """The engine's stored arrays, bit for bit against the frozen builder."""
+
+    def check(self, g):
+        engine = EdgeStateEngine(g)
+        for got, want in zip(
+            (engine._indptr, engine._to, engine._curv), frozen_block_builder(g)
+        ):
+            assert_same_array(got, want)
+        return engine
+
+    @given(split_graphs(points=True))
+    def test_split_graphs(self, g):
+        self.check(g)
+
+    def test_coincident_points_trim_the_table(self):
+        # Edge 0-1 joins coincident points: turns through it are obtuse
+        # (a.b = 0) but not finite, so the table is cut below its
+        # obtuse-candidate count.
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        ii, jj = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3])
+        indptr, indices, weights = _csr_from_edges(ii, jj, np.ones(5), 4)
+        g = NeighborhoodGraph(
+            n=4, kind="ball", r=2.0, alpha=None, indptr=indptr,
+            indices=indices, weights=weights, points=pts,
+        )
+        obtuse = sum(
+            float(np.dot(pts[u] - pts[v], pts[w] - pts[v])) <= 0.0
+            for v in range(g.n)
+            for u in g.neighbors(v)[0]
+            for w in g.neighbors(v)[0]
+        )
+        assert 0 < self.check(g).transitions < obtuse
+
+    def test_grid_annulus(self, grid_annulus):
+        assert self.check(grid_annulus).transitions == 787016
+
+
+class TestEngineMemory:
+    def test_build_and_query_transients(self, grid_annulus):
+        """Neither the build nor a query holds its output twice."""
+        tracemalloc.start()
+        try:
+            engine = EdgeStateEngine(grid_annulus)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine.distances(3.0, {0: 1.5, 7: 1.0})
+            query = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in (
+            engine._indptr, engine._to, engine._curv, engine._out_state
+        ))
+        assert build_peak <= 1.8 * stored
+        assert query <= 1.0 * stored
 
 
 class TestPayload:

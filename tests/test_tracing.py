@@ -56,3 +56,24 @@ def test_dist_reads_each_file_inside_one_traced_span(tmp_path, capsys):
     names = [span[3] for span in tracer.spans]
     assert names.count("graph.csv_read") == 1
     assert names.count("surfaces.points_io") == 1
+
+
+def test_engine_work_stays_inside_the_traced_methods(tmp_path, capsys):
+    """The tracer times the engine through a subclass that overrides
+    ``__init__`` and ``distances``; one constrained-upper run builds one
+    engine and queries it through ``distances`` only."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = geoknot.cli.main([
+            "verify", "--experiment", "constrained-upper", "--surface", "sphere",
+            "--mode", "grid", "--n", "250", "--r", "0.4", "--alpha", "0.25",
+            "--kappa", "1", "--pairs", "5", "--seed", "1",
+            "--out-csv", str(tmp_path / "r.csv"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[3] for span in tracer.spans]
+    assert names.count("paths.engine_init") == 1
+    assert names.count("paths.engine_query") >= 1

@@ -24,6 +24,8 @@ from .paths import (
     path_result_payload,
 )
 from .surfaces import (
+    MODES,
+    SURFACE_KINDS,
     _is_a,
     read_points_csv,
     sample_surface,
@@ -281,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample points from a surface")
     p.add_argument("--surface", required=True,
-                   choices=("sphere", "disk", "cylinder", "circle"))
+                   choices=SURFACE_KINDS)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--height", type=float, default=None,
                    help="cylinder height")
     p.add_argument("--ambient-dim", type=int, default=None,
                    help="embedding dimension (disk: 2 or 3)")
     p.add_argument("--mode", default="grid",
-                   choices=("grid", "uniform-random"))
+                   choices=MODES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--experiment", default=None, choices=EXPERIMENTS)
     p.add_argument("--surface", default=None,
-                   choices=("sphere", "disk", "cylinder", "circle"))
+                   choices=SURFACE_KINDS)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--height", type=float, default=None)
     p.add_argument("--ambient-dim", type=int, default=None)
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-prime", type=float, default=None)
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", default=None, choices=("grid", "uniform-random"))
+    p.add_argument("--mode", default=None, choices=MODES)
     p.add_argument("--perturb-weights", type=float, default=None,
                    help="self-test fault injection: divide weights by (1+p)")
     p.add_argument("--c-emp", type=float, default=None)

@@ -30,22 +30,27 @@ EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 @dataclass(frozen=True)
 class NeighborhoodGraph:
-    """Undirected weighted graph in compressed sparse row layout.
+    """Undirected weighted graph over a point sample, in compressed
+    sparse row layout.
 
+    Node i is ``points[i]``, so the graph has ``len(points)`` nodes and
+    curvature-aware searches can look at triples of them.
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node i in
-    increasing order, ``weights`` the matching edge lengths.  ``points``
-    carries the sample coordinates so curvature-aware searches can look
-    at triples of nodes.
+    increasing order, ``weights`` the matching edge lengths.  Make one
+    with :func:`graph_from_edges`, which checks its parameters.
     """
 
-    n: int
+    points: np.ndarray
     kind: str  # "ball" | "annulus"
     r: float
     alpha: float | None
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    points: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
 
     def neighbors(self, i: int):
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -108,10 +113,43 @@ def _csr_from_edges(ii, jj, ww, n):
 
 
 def _brute_edges(pts, r, alpha):
+    if len(pts) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute-force construction is limited to n <= {BRUTE_FORCE_LIMIT}")
     d = _pair_distance_matrix(pts, pts)
     mask = np.triu(_edge_mask(d, r, alpha), k=1)
     ii, jj = np.nonzero(mask)
     return ii.astype(np.int64), jj.astype(np.int64), d[ii, jj]
+
+
+def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) -> NeighborhoodGraph:
+    """The graph of kind ``kind`` over the points of ``sample``, with the
+    edges that ``edges(points, r, alpha)`` returns as arrays (ii, jj,
+    ww), one entry per undirected edge with i < j.
+
+    ``build_graph`` and ``read_graph_csv`` both end here.  The
+    parameters are checked first, so a bad r never reaches a neighbour
+    search: at least 2 points, r positive and finite, no alpha for a
+    ball graph, 0 <= alpha < 1 for an annulus graph.  A violation
+    raises ValueError.
+    """
+    pts = _points_of(sample)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 points to build a graph")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    if kind == "ball":
+        if alpha is not None:
+            raise ValueError("ball graphs take no alpha")
+    elif kind == "annulus":
+        if alpha is None or not (0.0 <= alpha < 1.0):
+            raise ValueError("annulus graphs need 0 <= alpha < 1")
+    else:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    ii, jj, ww = edges(pts, r, alpha)
+    return NeighborhoodGraph(
+        pts, kind, float(r), None if alpha is None else float(alpha),
+        *_csr_from_edges(ii, jj, ww, len(pts)),
+    )
 
 
 def build_graph(
@@ -129,41 +167,10 @@ def build_graph(
     Both lay out the same sorted adjacency, so the output does not
     depend on the order in which pairs are found.
     """
-    pts = _points_of(sample)
-    n = len(pts)
-    if n < 2:
-        raise ValueError("need at least 2 points to build a graph")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
-    if kind == "ball":
-        if alpha is not None:
-            raise ValueError("ball graphs take no alpha")
-    elif kind == "annulus":
-        if alpha is None or not (0.0 <= alpha < 1.0):
-            raise ValueError("annulus graphs need 0 <= alpha < 1")
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
-
-    if method == "brute":
-        if n > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute-force construction is limited to n <= {BRUTE_FORCE_LIMIT}")
-        ii, jj, ww = _brute_edges(pts, r, alpha)
-    elif method == "index":
-        ii, jj, ww = _kdtree_edges(pts, r, alpha)
-    else:
+    edges = {"index": _kdtree_edges, "brute": _brute_edges}.get(method)
+    if edges is None:
         raise ValueError(f"unknown construction method {method!r}")
-
-    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
-    return NeighborhoodGraph(
-        n=n,
-        kind=kind,
-        r=float(r),
-        alpha=None if alpha is None else float(alpha),
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        points=pts,
-    )
+    return graph_from_edges(sample, kind, r, alpha, edges)
 
 
 @dataclass(frozen=True)
@@ -198,10 +205,10 @@ def graph_stats(g: NeighborhoodGraph) -> GraphStats:
     return GraphStats(
         n=g.n,
         edge_count=g.edge_count,
-        min_degree=int(deg.min()) if g.n else 0,
-        max_degree=int(deg.max()) if g.n else 0,
-        mean_degree=float(deg.mean()) if g.n else 0.0,
-        components=int(connected_components(g).max()) + 1 if g.n else 0,
+        min_degree=int(deg.min()),
+        max_degree=int(deg.max()),
+        mean_degree=float(deg.mean()),
+        components=int(connected_components(g).max()) + 1,
     )
 
 
@@ -222,20 +229,23 @@ def write_graph_csv(path: str, g: NeighborhoodGraph):
                 fh.write(f"{i},{j},{_fmt(w)}\n")
 
 
-def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = None) -> NeighborhoodGraph:
-    """Read an edge list back; node count comes from ``points``, ``n``,
-    or the largest index seen, in that order of preference.
+def read_graph_csv(path: str, points) -> NeighborhoodGraph:
+    """Read an edge list back as a graph over ``points``, the (n, D)
+    sample array the file was built on; the graph has n nodes.
 
+    The header comment must give ``kind`` and ``r``, and ``alpha`` for an
+    annulus graph; they must pass :func:`graph_from_edges`'s checks.
     Every row must be ``i,j,weight`` with 0 <= i < j < n, a finite
-    positive weight, and an edge not listed before; with ``points``,
-    its two endpoints must also differ.  A violation raises ValueError
-    naming the file and line.
+    positive weight, two endpoints at different points, and an edge not
+    listed before.  A violation raises ValueError naming the file, and
+    the line for a bad row.
 
     A plain file (the header comment on the first line, no other ``#``,
     rows that ``np.loadtxt`` parses and that pass every check) is read
     in one numpy pass; any other file goes through the line loop, which
     returns the same graph or raises the message.
     """
+    points = _points_of(points)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     head, _, body = text.partition("\n")
@@ -247,13 +257,13 @@ def read_graph_csv(path: str, points: np.ndarray | None = None, n: int | None = 
             # only sends the file to the loop, which reports it.
             with contextlib.suppress(ValueError):
                 return _graph_of(
-                    path, *_header(head),
-                    rows["i"], rows["j"], rows["w"], range(len(rows)), points, n,
+                    path, *_header(path, head),
+                    rows["i"], rows["j"], rows["w"], range(len(rows)), points,
                 )
-    return _graph_by_line(path, text, points, n)
+    return _graph_by_line(path, text, points)
 
 
-def _graph_by_line(path, text, points, n) -> NeighborhoodGraph:
+def _graph_by_line(path, text, points) -> NeighborhoodGraph:
     """:func:`read_graph_csv` one line at a time, the error reporter."""
     kind = r = alpha = None
     ii, jj, ww, lines = [], [], [], []
@@ -262,7 +272,7 @@ def _graph_by_line(path, text, points, n) -> NeighborhoodGraph:
         if not line:
             continue
         if line.startswith("#"):
-            kind, r, alpha = _header(line, kind, r, alpha)
+            kind, r, alpha = _header(path, line, kind, r, alpha)
             continue
         try:
             a, b, w = line.split(",")
@@ -273,44 +283,39 @@ def _graph_by_line(path, text, points, n) -> NeighborhoodGraph:
         except (ValueError, OverflowError):
             raise ValueError(f"{path}:{lineno}: expected i,j,weight, got {line!r}") from None
         lines.append(lineno)
-    return _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points, n)
+    return _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points)
 
 
-def _header(line, kind=None, r=None, alpha=None):
+def _header(path, line, kind=None, r=None, alpha=None):
     """kind, r and alpha after the header comment ``line``."""
     fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
-    return (
-        fields.get("kind", kind),
-        float(fields["r"]) if "r" in fields else r,
-        float(fields["alpha"]) if "alpha" in fields else alpha,
-    )
+    try:
+        return (
+            fields.get("kind", kind),
+            float(fields["r"]) if "r" in fields else r,
+            float(fields["alpha"]) if "alpha" in fields else alpha,
+        )
+    except ValueError:
+        raise ValueError(f"{path}: header r and alpha must be numbers, got {line!r}") from None
 
 
-def _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points, n) -> NeighborhoodGraph:
+def _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points) -> NeighborhoodGraph:
     """The checked graph of parsed rows; ``lines[k]`` is row k's line."""
     if kind is None or r is None:
         raise ValueError(f"{path} is missing the kind/r header comment")
-    if kind == "annulus" and alpha is None:
-        raise ValueError("annulus graph file is missing alpha")
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     ww = np.asarray(ww, dtype=np.float64)
-    if points is not None:
-        n = len(points)
-    elif n is None:
-        n = int(max(ii.max(initial=-1), jj.max(initial=-1))) + 1
-    if n < 2:
-        raise ValueError("graph needs at least 2 nodes")
-    _check_edges(path, lines, ii, jj, ww, n, points)
-    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
-    return NeighborhoodGraph(
-        n=int(n), kind=kind, r=r, alpha=alpha,
-        indptr=indptr, indices=indices, weights=weights, points=points,
-    )
+    _check_edges(path, lines, ii, jj, ww, points)
+    try:
+        return graph_from_edges(points, kind, r, alpha, lambda *_: (ii, jj, ww))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_edges(path, lines, ii, jj, ww, n, points):
+def _check_edges(path, lines, ii, jj, ww, points):
     """Reject the first row of a bad edge list, by file line."""
+    n = len(points)
     for bad, what in (
         ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
         (ii >= jj, "edge must have i < j"),
@@ -318,14 +323,11 @@ def _check_edges(path, lines, ii, jj, ww, n, points):
     ):
         if bad.any():
             raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
-    if points is not None:
-        # A path through such an edge repeats a point, which no path
-        # curvature is defined for; build_graph never makes one.
-        bad = np.all(points[ii] == points[jj], axis=1)
-        if bad.any():
-            raise ValueError(
-                f"{path}:{lines[int(np.argmax(bad))]}: edge joins coincident points"
-            )
+    # A path through such an edge repeats a point, which no path
+    # curvature is defined for; build_graph never makes one.
+    bad = np.all(points[ii] == points[jj], axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: edge joins coincident points")
     keys = ii * n + jj
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():

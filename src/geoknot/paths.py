@@ -148,12 +148,6 @@ def _max_turn(coords: list) -> float:
     )
 
 
-def _graph_points(g: NeighborhoodGraph) -> np.ndarray:
-    if g.points is None:
-        raise ValueError("graph carries no point coordinates")
-    return g.points
-
-
 def constrained_shortest(
     g: NeighborhoodGraph, kappa: float, source: int, target: int
 ) -> PathResult:
@@ -171,8 +165,7 @@ def constrained_shortest(
         raise ValueError("endpoint out of range")
     if source == target:
         return PathResult([source], 0.0, 0.0, True)
-    pts = _graph_points(g)
-    coords = pts.tolist()
+    coords = g.points.tolist()
     cost = {}
     parent = {}
     heap = []
@@ -231,30 +224,26 @@ def brute_force_constrained(
     kappa: float,
     source: int,
     target: int,
-    max_hops: int | None = None,
 ) -> float:
     """Exhaustive minimum over constrained walks; the testing oracle.
 
-    Enumerates every walk up to ``max_hops`` edges depth-first, allowing
+    Enumerates every walk of up to n + 3 edges depth-first, allowing
     node revisits but never a repeated directed edge, and keeps walks
     whose interior triples all satisfy the cap (a triple that repeats
     a point never does).  Only viable for tiny graphs.
     """
     if g.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_NODES}")
-    if max_hops is None:
-        max_hops = g.n + 3
-    if max_hops > g.n + 3:
-        raise ValueError("max_hops limited to n + 3")
     if not (kappa > 0.0):
         raise ValueError("kappa must be positive (or math.inf)")
     if source == target:
         return 0.0
-    coords = _graph_points(g).tolist()
+    coords = g.points.tolist()
     adj = [
         list(zip(g.neighbors(i)[0].tolist(), g.neighbors(i)[1].tolist()))
         for i in range(g.n)
     ]
+    max_hops = g.n + 3
     best = math.inf
 
     def walk(prev, cur, length, hops, used):
@@ -346,7 +335,7 @@ class EdgeStateEngine:
 
     def __init__(self, g: NeighborhoodGraph):
         self.g = g
-        pts = _graph_points(g)
+        pts = g.points
         rank = lexicographic_rank(pts)
         indptr, tails = g.indptr, g.indices
         deg = np.diff(indptr)

@@ -43,8 +43,8 @@ class SurfaceSpec:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         if self.kind == "cylinder":
-            if self.height is None or not (self.height > 0.0):
-                raise ValueError("cylinder needs a positive height")
+            if self.height is None or not (self.height > 0.0 and math.isfinite(self.height)):
+                raise ValueError("cylinder needs a positive finite height")
         elif self.height is not None:
             raise ValueError(f"{self.kind} takes no height")
         expected = {"sphere": (3,), "disk": (2, 3), "cylinder": (3,), "circle": (2,)}

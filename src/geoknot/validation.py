@@ -59,6 +59,17 @@ SEARCH_REACH = 1.25
 # verify_constrained_upper bisects the cap down to this fraction of kappa.
 BISECT_TOL = 0.005
 
+# verify_constrained_lower's certified regime: eps <= alpha*kappa*r^2/C_GATE.
+C_GATE = 20.0
+
+# verify_chord_bound checks this many circle arcs and as many sphere arcs.
+ARC_COUNT = 50
+
+# verify_curvature_consistency samples each curve at gamma(S +- h), h in
+# the decreasing H_SEQUENCE.
+CONSISTENCY_S = 0.7
+H_SEQUENCE = (1e-1, 1e-2, 1e-3)
+
 
 class GateError(ValueError):
     """A precondition gate failed; the experiment never ran."""
@@ -490,7 +501,6 @@ def verify_constrained_lower(
     pairs: int = 50,
     seed: int = 0,
     mode: str = "grid",
-    c_gate: float = 20.0,
     perturb_weights: float = 0.0,
 ) -> list:
     """Check that unconstrained annulus shortest paths bend gently.
@@ -501,7 +511,7 @@ def verify_constrained_lower(
     the sample densifies, with q_hat * alpha*kappa^2*r^3 / eps
     reported as the fitted constant.  An infinite triple curvature
     (an acute interior angle) inside the certified density regime
-    eps <= alpha*kappa*r^2/c_gate is a hard failure.  The regime is
+    eps <= alpha*kappa*r^2/C_GATE is a hard failure.  The regime is
     decided on the padded density estimate, the reported eps and
     fitted constant on the raw one.  Returns one report per N.
     """
@@ -525,7 +535,7 @@ def verify_constrained_lower(
         row = {s: k for k, s in enumerate(sources)}
         # The padded estimate bounds eps from above, so the gate is
         # one-sided: an underestimate never claims the regime.
-        certified = cov.padded <= alpha * kappa * r**2 / c_gate
+        certified = cov.padded <= alpha * kappa * r**2 / C_GATE
         report = BoundReport(
             experiment="constrained-lower",
             surface=surface_label(surface),
@@ -571,7 +581,6 @@ def verify_constrained_lower(
 
 def verify_chord_bound(
     kappa: float = 1.0,
-    arc_count: int = 50,
     seed: int = 0,
 ) -> BoundReport:
     """Chord of a bounded-curvature curve vs the (2/k) sin(ks/2) bound.
@@ -589,11 +598,11 @@ def verify_chord_bound(
     report = BoundReport(
         experiment="chord-bound",
         surface=f"circle(R={R:g})",
-        n=arc_count,
+        n=ARC_COUNT,
         kappa=kappa,
     )
-    for k in range(arc_count):
-        s = math.pi / kappa * (k + 1) / arc_count
+    for k in range(ARC_COUNT):
+        s = math.pi / kappa * (k + 1) / ARC_COUNT
         p = np.array([R, 0.0])
         q = np.array([R * math.cos(s / R), R * math.sin(s / R)])
         chord = float(np.linalg.norm(q - p))
@@ -604,7 +613,7 @@ def verify_chord_bound(
         )
     rng = np.random.default_rng(seed)
     unit = sphere(1.0)
-    for k in range(arc_count):
+    for k in range(ARC_COUNT):
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
         u = rng.normal(size=3)
@@ -644,23 +653,19 @@ def _curve(curve_spec: str):
     raise GateError(f"unknown curve {curve_spec!r}")
 
 
-def verify_curvature_consistency(
-    curve_spec: str = "circle",
-    s: float = 0.7,
-    h_sequence=(1e-1, 1e-2, 1e-3),
-) -> BoundReport:
-    """Triple curvature of gamma(s-h), gamma(s), gamma(s+h) vs analytic.
+def verify_curvature_consistency(curve_spec: str = "circle") -> BoundReport:
+    """Triple curvature of gamma(S-h), gamma(S), gamma(S+h) vs analytic,
+    S = CONSISTENCY_S.
 
     Reports the error per h and the empirical convergence order between
     the last two steps.  The smallest h must land within 1e-3 for the
     unit circle (it lands at float noise: three circle points always
-    lie on the circle itself).  Row k corresponds to h_sequence[k];
+    lie on the circle itself).  Row k corresponds to H_SEQUENCE[k];
     oracle = analytic curvature, graph = discrete value.
     """
     t0 = time.perf_counter()
-    hs = list(h_sequence)
-    if any(hs[k] <= hs[k + 1] for k in range(len(hs) - 1)):
-        raise GateError("h_sequence must be strictly decreasing")
+    hs = list(H_SEQUENCE)
+    s = CONSISTENCY_S
     gamma, true_curv = _curve(curve_spec)
     report = BoundReport(
         experiment="curvature-consistency",
@@ -674,15 +679,12 @@ def verify_curvature_consistency(
         err = abs(est - true_curv)
         errors.append(err)
         tol = 1e-3 if k == len(hs) - 1 else math.inf
-        if est == true_curv:
-            ratio = 1.0
-        else:
-            ratio = _ratio(est, true_curv)
+        ratio = 1.0 if est == true_curv else _ratio(est, true_curv)
         report.rows.append(
             PairCheck(k, -1, true_curv, est, ratio, 1.0, err <= tol)
         )
     order = None
-    if len(errors) >= 2 and errors[-1] > 0.0 and errors[-2] > 0.0:
+    if errors[-1] > 0.0 and errors[-2] > 0.0:
         order = math.log(errors[-2] / errors[-1]) / math.log(hs[-2] / hs[-1])
     return _finish(
         report,

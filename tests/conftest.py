@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from geoknot import NeighborhoodGraph
-from geoknot.graph import _csr_from_edges
+from geoknot import graph_from_edges
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
 settings.load_profile("geoknot")
@@ -71,13 +70,13 @@ def bfs_components(g):
 
 
 @st.composite
-def split_graphs(draw, max_n=30, points=False):
+def split_graphs(draw, max_n=30):
     """Random weighted graph with at least two components: the last node
     is isolated and the others fall into blocks that share no edge.
 
-    With ``points``, every node also gets 2-D coordinates, often from a
-    small integer lattice, so coincident points and exact right angles
-    are common.  The weights stay independent of the coordinates."""
+    Node coordinates are 2-D, often from a small integer lattice, so
+    coincident points and exact right angles are common.  The weights
+    stay independent of the coordinates."""
     n = draw(st.integers(3, max_n))
     cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=4)))
     edges = {}
@@ -94,17 +93,9 @@ def split_graphs(draw, max_n=30, points=False):
     ii = np.array([i for i, _ in edges], dtype=np.int64)
     jj = np.array([j for _, j in edges], dtype=np.int64)
     ww = np.array(list(edges.values()), dtype=np.float64)
-    indptr, indices, weights = _csr_from_edges(ii, jj, ww, n)
-    coords = None
-    if points:
-        coord = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
-        coords = np.array(
-            draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
-        )
-    return NeighborhoodGraph(
-        n=n, kind="ball", r=10.0, alpha=None,
-        indptr=indptr, indices=indices, weights=weights, points=coords,
-    )
+    coord = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    return graph_from_edges(points, "ball", 10.0, None, lambda *_: (ii, jj, ww))
 
 
 def graph_edge_set(g):

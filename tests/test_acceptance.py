@@ -63,7 +63,7 @@ def test_criterion_02_unconstrained_lower():
 
 def test_criterion_03_chord_equality():
     t0 = time.perf_counter()
-    rep = verify_chord_bound(kappa=1.0, arc_count=50)
+    rep = verify_chord_bound(kappa=1.0)
     elapsed = time.perf_counter() - t0
     circle_rows = [row for row in rep.rows if row.pair_j == 0]
     assert len(circle_rows) == 50

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geoknot import read_points_csv
+from geoknot import read_graph_csv, read_points_csv
 from geoknot.cli import main
 from geoknot.validation import REPORT_HEADER
 
@@ -52,6 +53,16 @@ class TestSample:
         rc = run(["sample", "--surface", "sphere", "--n", 1,
                   "--out", tmp_path / "x.csv"])
         assert rc == 2
+
+    def test_infinite_cylinder_height(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["sample", "--surface", "cylinder", "--height", "inf", "--n", 10,
+                  "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cylinder needs a positive finite height"
+        ]
+        assert not out.exists()
 
 
 class TestGraph:
@@ -232,6 +243,21 @@ class TestGatedArguments:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gate error:")
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_infinite_cylinder_height(self, tmp_path, capsys, by_config):
+        surface = {"kind": "cylinder", "radius": 1.0, "height": math.inf}
+        argv = ["verify", "--experiment", "unconstrained-lower", "--n", 66, "--r", 0.3]
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"surface": surface}))
+            argv += ["--config", cfg]
+        else:
+            argv += ["--surface", "cylinder", "--height", "inf"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cylinder needs a positive finite height"
+        ]
+
     GRAPH_RUNS = {
         "unconstrained-upper": ["--n", 66],
         "unconstrained-lower": ["--n", 66, "--r", 0.3],
@@ -362,6 +388,40 @@ class TestBadGraphFile:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {g}:2: edge joins coincident points"]
 
+    @pytest.mark.parametrize("header, message", [
+        ("# kind=foo r=1", "unknown graph kind 'foo'"),
+        ("# kind=ball r=0.9 alpha=0.5", "ball graphs take no alpha"),
+        ("# kind=ball r=-3", "r must be positive and finite"),
+        ("# kind=ball r=inf", "r must be positive and finite"),
+        ("# kind=ball r=abc", "header r and alpha must be numbers, got '# kind=ball r=abc'"),
+        ("# kind=annulus r=1", "annulus graphs need 0 <= alpha < 1"),
+        ("# kind=annulus r=1 alpha=1", "annulus graphs need 0 <= alpha < 1"),
+    ])
+    def test_dist_rejects_bad_header(self, tmp_path, capsys, header, message):
+        # The header passes the checks build_graph puts its arguments to.
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        g = tmp_path / "g.csv"
+        g.write_text(f"{header}\n0,1,1\n")
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {g}: {message}"]
+
+    def test_graph_is_sized_by_its_points(self, tmp_path, capsys):
+        # A large index is out of range, never a reason to allocate a
+        # graph that large.
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        g = tmp_path / "g.csv"
+        g.write_text("# kind=ball r=1\n0,10000000,1\n")
+        message = f"{g}:2: node index outside [0, 3)"
+        with pytest.raises(ValueError) as exc:
+            read_graph_csv(str(g), read_points_csv(str(pts)))
+        assert str(exc.value) == message
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestBadPointsFile:
     @pytest.mark.parametrize("text, message", [
@@ -404,6 +464,7 @@ GRAPH_FAULTS = st.sampled_from([
     "0,3,1", "-1,1,1", "2,1,1", "1,1,1", "0,1,0", "0,1,-1", "0,1,nan",
     "0,1,inf", "0,1,1", "0,1", "0,1,1,1", "0,2,1 # near",
     "0,99999999999999999999,1", "# kind=annulus r=1", "# kind=ball r=wide",
+    "# kind=foo r=1", "# kind=ball r=1 alpha=0.5", "# kind=ball r=-3",
 ]) | JUNK.map(lambda t: f"0,{t},1")
 
 FLAGS = ["--n", "--r", "--alpha", "--kappa", "--kappa-prime", "--pairs", "--seed",

@@ -21,6 +21,9 @@ from geoknot import graph
 from geoknot.graph import BRUTE_FORCE_LIMIT
 from conftest import bfs_components, graph_edge_set, split_graphs
 
+# Three distinct points, for graph files on nodes 0..2.
+LINE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
 
 def random_config(rng, max_n=60):
     n = int(rng.integers(5, max_n))
@@ -184,7 +187,7 @@ class TestGraphIO:
         path = tmp_path / "g.csv"
         path.write_text("0,1,0.5\n")
         with pytest.raises(ValueError, match="header"):
-            read_graph_csv(str(path))
+            read_graph_csv(str(path), LINE)
 
     def write_edges(self, tmp_path, rows):
         path = tmp_path / "g.csv"
@@ -194,35 +197,34 @@ class TestGraphIO:
     def test_index_out_of_range_rejected(self, tmp_path):
         path = self.write_edges(tmp_path, ["0,1,0.5", "1,3,0.5"])
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: node index outside [0, 3)")):
-            read_graph_csv(path, n=3)
+            read_graph_csv(path, LINE)
 
     def test_unordered_pair_and_self_loop_rejected(self, tmp_path):
         for row in ("2,1,0.5", "1,1,0.5"):
             path = self.write_edges(tmp_path, ["0,1,0.5", row])
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: edge must have i < j")):
-                read_graph_csv(path, n=3)
+                read_graph_csv(path, LINE)
 
     def test_bad_weight_rejected(self, tmp_path):
         for w in ("-1.0", "0", "nan", "inf"):
             path = self.write_edges(tmp_path, ["0,1,0.5", f"1,2,{w}"])
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: weight must be finite and positive")):
-                read_graph_csv(path, n=3)
+                read_graph_csv(path, LINE)
 
     def test_duplicate_edge_rejected(self, tmp_path):
         # COO -> CSR would sum the two listings into one 1.0 edge.
         path = self.write_edges(tmp_path, ["0,1,0.5", "1,2,0.5", "0,1,0.5"])
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate edge 0,1 (first on line 2)")):
-            read_graph_csv(path, n=3)
+            read_graph_csv(path, LINE)
 
     def test_edge_between_coincident_points_rejected(self, tmp_path):
         path = self.write_edges(tmp_path, ["0,1,1", "1,2,1"])
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: edge joins coincident points")):
             read_graph_csv(path, points=pts)
-        # Without coordinates there is nothing to compare.
-        assert read_graph_csv(path, n=3).edge_count == 2
+        assert read_graph_csv(path, LINE).edge_count == 2
 
     def test_malformed_row_rejected(self, tmp_path):
         path = self.write_edges(tmp_path, ["0,1,0.5", "1,2"])
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected i,j,weight")):
-            read_graph_csv(path, n=3)
+            read_graph_csv(path, LINE)

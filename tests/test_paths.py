@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from geoknot import (
     EdgeStateEngine,
-    NeighborhoodGraph,
     brute_force_constrained,
     build_graph,
     constrained_shortest,
     dijkstra,
     discrete_curvature,
+    graph_from_edges,
     path_from_predecessors,
     path_max_curvature,
     sample_surface,
@@ -21,7 +21,6 @@ from geoknot import (
 )
 from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
 from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
-from geoknot.graph import _csr_from_edges
 from conftest import bellman_ford, graph_edge_set, split_graphs
 
 
@@ -312,12 +311,6 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_constrained(g, 1.0, 0, 1)
 
-    def test_hop_gate(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        g = build_graph(pts, kind="ball", r=1.0)
-        with pytest.raises(ValueError):
-            brute_force_constrained(g, 1.0, 0, 1, max_hops=g.n + 4)
-
 
 def draw_limits(data, full):
     """{source: limit} over a random subset of sources in random order.
@@ -392,7 +385,7 @@ class TestBulkEngines:
         field = dijkstra(g, 0)
         assert np.array_equal(dist[0], field.dist)
 
-    @given(split_graphs(max_n=12, points=True),
+    @given(split_graphs(max_n=12),
            st.floats(0.1, 20.0) | st.just(math.inf))
     def test_edge_state_engine_matches_constrained_on_split_graphs(self, g, kappa):
         dist = EdgeStateEngine(g).distances(kappa, list(range(g.n)))
@@ -425,7 +418,7 @@ class TestBulkEngines:
         bounded = shortest_distances(g, limits)
         assert_bounded(bounded, full[list(limits)], list(limits.values()))
 
-    @given(split_graphs(max_n=12, points=True),
+    @given(split_graphs(max_n=12),
            st.floats(0.1, 20.0) | st.just(math.inf), st.data())
     def test_bounded_engine_matches_unbounded(self, g, kappa, data):
         engine = EdgeStateEngine(g)
@@ -517,7 +510,7 @@ class TestEngineArrays:
             assert_same_array(got, want)
         return engine
 
-    @given(split_graphs(points=True))
+    @given(split_graphs())
     def test_split_graphs(self, g):
         self.check(g)
 
@@ -527,11 +520,7 @@ class TestEngineArrays:
         # obtuse-candidate count.
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         ii, jj = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3])
-        indptr, indices, weights = _csr_from_edges(ii, jj, np.ones(5), 4)
-        g = NeighborhoodGraph(
-            n=4, kind="ball", r=2.0, alpha=None, indptr=indptr,
-            indices=indices, weights=weights, points=pts,
-        )
+        g = graph_from_edges(pts, "ball", 2.0, None, lambda *_: (ii, jj, np.ones(5)))
         obtuse = sum(
             float(np.dot(pts[u] - pts[v], pts[w] - pts[v])) <= 0.0
             for v in range(g.n)

@@ -127,18 +127,22 @@ def outcome(read):
             result.indptr.tobytes(), result.indices.tobytes(), result.weights.tobytes())
 
 
+def line_points(n):
+    """n distinct points on a line, for graph files on nodes 0..n-1."""
+    return np.arange(2.0 * n).reshape(n, 2)
+
+
 class TestGraphReader:
-    @given(graph_files(), st.sampled_from(["points", "n", "neither"]))
-    def test_matches_line_loop(self, tmp_path_factory, case, size_from):
+    @given(graph_files(), st.booleans())
+    def test_matches_line_loop(self, tmp_path_factory, case, coincide):
         text, n = case
         path = write(tmp_path_factory, text)
-        points = None
-        if size_from == "points":
+        points = line_points(n)
+        if coincide:
             # Nodes 0 and 1 coincide, so edge 0,1 is rejected.
-            points = np.array([[0.0, 0.0]] + [[float(k), 0.0] for k in range(n - 1)])
-        kw = dict(points=points, n=n if size_from == "n" else None)
-        assert outcome(lambda: read_graph_csv(path, **kw)) == outcome(
-            lambda: graph._graph_by_line(path, read_text(path), **kw)
+            points[1] = points[0]
+        assert outcome(lambda: read_graph_csv(path, points)) == outcome(
+            lambda: graph._graph_by_line(path, read_text(path), points)
         )
 
     @given(st.lists(st.tuples(st.sampled_from(INT_FORMS), st.sampled_from(FLOAT_FORMS)),
@@ -150,9 +154,10 @@ class TestGraphReader:
             for k, (int_form, float_form) in enumerate(forms)
         ]
         path = write(tmp_path_factory, end.join(["# kind=ball r=1", *rows]) + end)
-        expected = outcome(lambda: graph._graph_by_line(path, read_text(path), None, None))
+        points = line_points(len(rows) + 1)
+        expected = outcome(lambda: graph._graph_by_line(path, read_text(path), points))
         with mock.patch.object(graph, "_graph_by_line", side_effect=AssertionError("loop")):
-            assert outcome(lambda: read_graph_csv(path)) == expected
+            assert outcome(lambda: read_graph_csv(path, points)) == expected
 
     @pytest.mark.parametrize("text, message", [
         ("# kind=ball r=1\n0,1,0.5 # near\n", ":2: expected i,j,weight, got '0,1,0.5 # near'"),
@@ -163,14 +168,14 @@ class TestGraphReader:
         path = tmp_path / "g.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
-            read_graph_csv(str(path))
+            read_graph_csv(str(path), line_points(3))
         assert str(exc.value).startswith(f"{path}{message}")
 
     def test_tokens_only_python_reads(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("# kind=ball r=1\n+0, 1_0 ,2_5.0\n")
-        g = read_graph_csv(str(path))
-        assert g.n == 11 and g.neighbors(0)[0].tolist() == [10]
+        g = read_graph_csv(str(path), line_points(11))
+        assert g.neighbors(0)[0].tolist() == [10]
         assert g.neighbors(0)[1].tolist() == [25.0]
 
 

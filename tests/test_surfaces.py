@@ -68,8 +68,9 @@ class TestSpecs:
         assert circle().ambient_dim == 2
 
     def test_cylinder_needs_height(self):
-        with pytest.raises(ValueError):
-            cylinder(1.0, -1.0)
+        for height in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite height"):
+                cylinder(1.0, height)
 
     def test_curvature_bounds(self):
         assert curvature_bound(sphere(2.0)) == 0.5

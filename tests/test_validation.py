@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,10 +200,10 @@ class TestConstrainedLower:
         scale = 0.25 * 1.0 * 0.3**2  # alpha * kappa * r^2
 
         def run(threshold):
-            (rep,) = verify_constrained_lower(
-                sphere(1.0), [900], r=0.3, alpha=0.25, kappa=1.0, pairs=10,
-                c_gate=scale / threshold,
-            )
+            with mock.patch.object(validation, "C_GATE", scale / threshold):
+                (rep,) = verify_constrained_lower(
+                    sphere(1.0), [900], r=0.3, alpha=0.25, kappa=1.0, pairs=10,
+                )
             return rep
 
         assert cov.radius < cov.padded
@@ -276,10 +277,10 @@ class TestBoundedSearches:
 
 class TestChordBound:
     def test_circle_rows_are_equalities(self):
-        rep = verify_chord_bound(kappa=2.0, arc_count=10)
+        rep = verify_chord_bound(kappa=2.0)
         circle_rows = [row for row in rep.rows if row.pair_j == 0]
         sphere_rows = [row for row in rep.rows if row.pair_j == 1]
-        assert len(circle_rows) == 10 and len(sphere_rows) == 10
+        assert len(circle_rows) == len(sphere_rows) == validation.ARC_COUNT
         assert rep.violations == 0
         for row in circle_rows:
             assert abs(row.oracle_delta - row.graph_delta) <= 1e-12
@@ -317,8 +318,6 @@ class TestCurvatureConsistency:
         assert rep.summary["convergence_order"] == pytest.approx(2.0, abs=0.3)
 
     def test_gates(self):
-        with pytest.raises(GateError, match="decreasing"):
-            verify_curvature_consistency("circle", h_sequence=(1e-2, 1e-1))
         with pytest.raises(GateError, match="curve"):
             verify_curvature_consistency("parabola")
 
@@ -414,7 +413,7 @@ class TestSerialization:
         assert float(rows[0]["r"]) == 0.25
 
     def test_csv_float_round_trip(self, tmp_path):
-        rep = verify_chord_bound(kappa=1.0, arc_count=5)
+        rep = verify_chord_bound(kappa=1.0)
         path = tmp_path / "rep.csv"
         write_report_csv(str(path), rep)
         rows = list(csv.DictReader(path.open()))

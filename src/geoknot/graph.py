@@ -37,7 +37,7 @@ class NeighborhoodGraph:
     curvature-aware searches can look at triples of them.
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node i in
     increasing order, ``weights`` the matching edge lengths.  Make one
-    with :func:`graph_from_edges`, which checks its parameters.
+    with :func:`graph_from_edges`, which checks its parameters and edges.
     """
 
     points: np.ndarray
@@ -62,6 +62,13 @@ class NeighborhoodGraph:
     @property
     def edge_count(self) -> int:
         return int(len(self.indices)) // 2
+
+    def edge_list(self):
+        """The edges i < j as arrays (ii, jj, ww), in row order: the
+        input :func:`graph_from_edges` takes."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        keep = self.indices > rows
+        return rows[keep], self.indices[keep], self.weights[keep]
 
     def to_csr(self) -> csr_matrix:
         return csr_matrix(
@@ -101,17 +108,6 @@ def _kdtree_edges(pts, r, alpha):
     return ii[keep], jj[keep], d[keep]
 
 
-def _csr_from_edges(ii, jj, ww, n):
-    """Symmetric CSR arrays (indptr, indices, weights) from the edges
-    i < j, each row's neighbors in increasing order."""
-    mat = coo_matrix(
-        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
-        shape=(n, n),
-    ).tocsr()
-    mat.sort_indices()
-    return mat.indptr.astype(np.int64), mat.indices.astype(np.int64), mat.data
-
-
 def _brute_edges(pts, r, alpha):
     if len(pts) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force construction is limited to n <= {BRUTE_FORCE_LIMIT}")
@@ -121,16 +117,30 @@ def _brute_edges(pts, r, alpha):
     return ii.astype(np.int64), jj.astype(np.int64), d[ii, jj]
 
 
+class EdgeError(ValueError):
+    """An edge list that breaks a rule of :func:`graph_from_edges`:
+    ``row`` is the position of the first bad row, ``what`` the rule, and
+    ``first`` the position of the earlier listing of a duplicate edge."""
+
+    def __init__(self, what: str, row: int, first: int | None = None):
+        self.what, self.row, self.first = what, row, first
+        again = "" if first is None else f" (first in row {first})"
+        super().__init__(f"row {row}: {what}{again}")
+
+
 def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) -> NeighborhoodGraph:
     """The graph of kind ``kind`` over the points of ``sample``, with the
     edges that ``edges(points, r, alpha)`` returns as arrays (ii, jj,
     ww), one entry per undirected edge with i < j.
 
-    ``build_graph`` and ``read_graph_csv`` both end here.  The
-    parameters are checked first, so a bad r never reaches a neighbour
-    search: at least 2 points, r positive and finite, no alpha for a
-    ball graph, 0 <= alpha < 1 for an annulus graph.  A violation
-    raises ValueError.
+    Every graph is made here: built, read from a file or perturbed.
+    The parameters are checked first, so a bad r never reaches a
+    neighbour search: at least 2 points, r positive and finite, no alpha
+    for a ball graph, 0 <= alpha < 1 for an annulus graph.  Then every
+    edge must have 0 <= i < j < n, a finite positive weight and two
+    endpoints at different points, and no edge may be listed twice.  A
+    violation raises ValueError; a bad edge raises :class:`EdgeError`
+    with the position of its row.
     """
     pts = _points_of(sample)
     if len(pts) < 2:
@@ -146,9 +156,40 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
     ii, jj, ww = edges(pts, r, alpha)
+    ii = np.asarray(ii, dtype=np.int64)
+    jj = np.asarray(jj, dtype=np.int64)
+    ww = np.asarray(ww, dtype=np.float64)
+    n = len(pts)
+    for bad, what in (
+        ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
+        (ii >= jj, "edge must have i < j"),
+        (~(np.isfinite(ww) & (ww > 0.0)), "weight must be finite and positive"),
+    ):
+        if bad.any():
+            raise EdgeError(what, int(np.argmax(bad)))
+    # A path through such an edge repeats a point, which no path
+    # curvature is defined for.  Only the rows that tie on column 0 are
+    # kept, so no E-long mask lives on into the layout's peak.
+    bad = np.flatnonzero(pts[ii, 0] == pts[jj, 0])
+    for c in range(1, pts.shape[1]):
+        bad = bad[pts[ii[bad], c] == pts[jj[bad], c]]
+    if len(bad):
+        raise EdgeError("edge joins coincident points", int(bad[0]))
+    # The symmetric CSR layout; tocsr() sums the listings of a repeated
+    # edge into one entry, so only a short layout needs the search.
+    mat = coo_matrix(
+        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+        shape=(n, n),
+    ).tocsr()
+    if mat.nnz != 2 * len(ii):
+        first = {}
+        for k, key in enumerate(zip(ii.tolist(), jj.tolist())):
+            if first.setdefault(key, k) != k:
+                raise EdgeError(f"duplicate edge {key[0]},{key[1]}", k, first[key])
+    mat.sort_indices()
     return NeighborhoodGraph(
         pts, kind, float(r), None if alpha is None else float(alpha),
-        *_csr_from_edges(ii, jj, ww, len(pts)),
+        mat.indptr.astype(np.int64), mat.indices.astype(np.int64), mat.data,
     )
 
 
@@ -213,8 +254,9 @@ def graph_stats(g: NeighborhoodGraph) -> GraphStats:
 
 
 # ---------------------------------------------------------------------------
-# Graph file format: `# kind=ball r=<r>` or `# kind=annulus r=<r> alpha=<a>`
-# comment, then one `i,j,weight` row per undirected edge with i < j.
+# Graph file format: one `# kind=ball r=<r>` or `# kind=annulus r=<r>
+# alpha=<a>` header on the first non-blank line, then one `i,j,weight`
+# row per undirected edge with i < j.
 
 def write_graph_csv(path: str, g: NeighborhoodGraph):
     with open(path, "w", encoding="utf-8") as fh:
@@ -222,28 +264,26 @@ def write_graph_csv(path: str, g: NeighborhoodGraph):
             fh.write(f"# kind=ball r={_fmt(g.r)}\n")
         else:
             fh.write(f"# kind=annulus r={_fmt(g.r)} alpha={_fmt(g.alpha)}\n")
-        for i in range(g.n):
-            nbrs, wts = g.neighbors(i)
-            keep = nbrs > i
-            for j, w in zip(nbrs[keep], wts[keep]):
-                fh.write(f"{i},{j},{_fmt(w)}\n")
+        for i, j, w in zip(*(a.tolist() for a in g.edge_list())):
+            fh.write(f"{i},{j},{_fmt(w)}\n")
 
 
 def read_graph_csv(path: str, points) -> NeighborhoodGraph:
     """Read an edge list back as a graph over ``points``, the (n, D)
     sample array the file was built on; the graph has n nodes.
 
-    The header comment must give ``kind`` and ``r``, and ``alpha`` for an
-    annulus graph; they must pass :func:`graph_from_edges`'s checks.
-    Every row must be ``i,j,weight`` with 0 <= i < j < n, a finite
-    positive weight, two endpoints at different points, and an edge not
-    listed before.  A violation raises ValueError naming the file, and
-    the line for a bad row.
+    The first non-blank line is the one header comment: ``kind`` and
+    ``r``, and ``alpha`` for an annulus graph, each once and no other
+    key.  No other line may start with ``#``.  Every row is
+    ``i,j,weight``.  The header and the rows must pass
+    :func:`graph_from_edges`'s checks, the same that every graph
+    passes.  A violation raises ValueError naming the file, and the line
+    for a bad row or a misplaced ``#`` line.
 
-    A plain file (the header comment on the first line, no other ``#``,
-    rows that ``np.loadtxt`` parses and that pass every check) is read
-    in one numpy pass; any other file goes through the line loop, which
-    returns the same graph or raises the message.
+    A plain file (the header on the first line, no other ``#``, rows
+    that ``np.loadtxt`` parses and that pass every check) is read in one
+    numpy pass; any other file goes through the line loop, which returns
+    the same graph or raises the message.
     """
     points = _points_of(points)
     with open(path, "r", encoding="utf-8") as fh:
@@ -253,27 +293,25 @@ def read_graph_csv(path: str, points) -> NeighborhoodGraph:
     if head.startswith("#") and "#" not in body:
         rows = _loadtxt_rows(body, EDGE_ROW, 1)
         if rows is not None:
-            # Row positions stand in for line numbers: a failed check
-            # only sends the file to the loop, which reports it.
+            # Row positions are not line numbers: a failed check only
+            # sends the file to the loop, which reports it.
             with contextlib.suppress(ValueError):
-                return _graph_of(
-                    path, *_header(path, head),
-                    rows["i"], rows["j"], rows["w"], range(len(rows)), points,
+                return graph_from_edges(
+                    points, *_header(path, head),
+                    lambda *_: (rows["i"], rows["j"], rows["w"]),
                 )
     return _graph_by_line(path, text, points)
 
 
 def _graph_by_line(path, text, points) -> NeighborhoodGraph:
     """:func:`read_graph_csv` one line at a time, the error reporter."""
-    kind = r = alpha = None
+    stripped = enumerate((line.strip() for line in text.split("\n")), 1)
+    numbered = [(k, line) for k, line in stripped if line]
+    kind, r, alpha = _header(path, numbered[0][1] if numbered else "")
     ii, jj, ww, lines = [], [], [], []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in numbered[1:]:
         if line.startswith("#"):
-            kind, r, alpha = _header(path, line, kind, r, alpha)
-            continue
+            raise ValueError(f"{path}:{lineno}: '#' line after the header, the first non-blank line")
         try:
             a, b, w = line.split(",")
             # An index beyond int64 overflows like a malformed token.
@@ -283,59 +321,30 @@ def _graph_by_line(path, text, points) -> NeighborhoodGraph:
         except (ValueError, OverflowError):
             raise ValueError(f"{path}:{lineno}: expected i,j,weight, got {line!r}") from None
         lines.append(lineno)
-    return _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points)
-
-
-def _header(path, line, kind=None, r=None, alpha=None):
-    """kind, r and alpha after the header comment ``line``."""
-    fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
-    try:
-        return (
-            fields.get("kind", kind),
-            float(fields["r"]) if "r" in fields else r,
-            float(fields["alpha"]) if "alpha" in fields else alpha,
-        )
-    except ValueError:
-        raise ValueError(f"{path}: header r and alpha must be numbers, got {line!r}") from None
-
-
-def _graph_of(path, kind, r, alpha, ii, jj, ww, lines, points) -> NeighborhoodGraph:
-    """The checked graph of parsed rows; ``lines[k]`` is row k's line."""
-    if kind is None or r is None:
-        raise ValueError(f"{path} is missing the kind/r header comment")
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
-    ww = np.asarray(ww, dtype=np.float64)
-    _check_edges(path, lines, ii, jj, ww, points)
     try:
         return graph_from_edges(points, kind, r, alpha, lambda *_: (ii, jj, ww))
+    except EdgeError as exc:
+        again = "" if exc.first is None else f" (first on line {lines[exc.first]})"
+        raise ValueError(f"{path}:{lines[exc.row]}: {exc.what}{again}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_edges(path, lines, ii, jj, ww, points):
-    """Reject the first row of a bad edge list, by file line."""
-    n = len(points)
-    for bad, what in (
-        ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
-        (ii >= jj, "edge must have i < j"),
-        (~(np.isfinite(ww) & (ww > 0.0)), "weight must be finite and positive"),
-    ):
-        if bad.any():
-            raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
-    # A path through such an edge repeats a point, which no path
-    # curvature is defined for; build_graph never makes one.
-    bad = np.all(points[ii] == points[jj], axis=1)
-    if bad.any():
-        raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: edge joins coincident points")
-    keys = ii * n + jj
-    ordered = np.sort(keys)
-    if (ordered[1:] == ordered[:-1]).any():
-        first = {}
-        for k, key in enumerate(keys.tolist()):
-            if key in first:
-                raise ValueError(
-                    f"{path}:{lines[k]}: duplicate edge {ii[k]},{jj[k]}"
-                    f" (first on line {lines[first[key]]})"
-                )
-            first[key] = k
+def _header(path, line):
+    """kind, r and alpha of the header comment ``line``; alpha may be
+    missing, kind and r may not."""
+    fields = {}
+    for token in line[1:].split() if line.startswith("#") else ():
+        key, eq, value = token.partition("=")
+        if not eq or key not in ("kind", "r", "alpha") or key in fields:
+            raise ValueError(
+                f"{path}: bad header token {token!r}: kind, r and alpha go once each, as key=value"
+            )
+        fields[key] = value
+    try:
+        r, alpha = (float(fields[k]) if k in fields else None for k in ("r", "alpha"))
+    except ValueError:
+        raise ValueError(f"{path}: header r and alpha must be numbers, got {line!r}") from None
+    if "kind" not in fields or r is None:
+        raise ValueError(f"{path} is missing the kind/r header comment")
+    return fields["kind"], r, alpha

@@ -533,11 +533,3 @@ def _is_header(fields) -> bool:
         return False
     return True
 
-
-def load_sample(path: str) -> SampleSet:
-    """Read points plus the JSON sidecar back into a SampleSet."""
-    pts = read_points_csv(path)
-    with open(sidecar_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    spec = surface_from_json(meta["surface"])
-    return SampleSet(pts, spec, meta["mode"], meta.get("seed"))

@@ -17,12 +17,12 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import chord_lower_bound, discrete_curvature
-from .graph import NeighborhoodGraph, build_graph
+from .graph import NeighborhoodGraph, build_graph, graph_from_edges
 from .paths import (
     EdgeStateEngine,
     path_from_predecessors,
@@ -161,17 +161,19 @@ def _finish(report: BoundReport, t0: float, **extra):
 
 
 def perturb_graph_weights(g: NeighborhoodGraph, p: float) -> NeighborhoodGraph:
-    """Self-test fault injection: divide all weights by (1 + p).
+    """Self-test fault injection: divide all weights by (1 + p), for
+    -1 < p < inf.
 
     Positive p shrinks weights, which breaks lower-bound checks;
     negative p inflates them and breaks upper-bound checks.  p = 0 is
     the identity.
     """
+    if not -1.0 < p < math.inf:
+        raise ValueError(f"weight perturbation must satisfy -1 < p < inf, got {p}")
     if p == 0.0:
         return g
-    if p <= -1.0:
-        raise ValueError("perturbation must keep weights positive")
-    return replace(g, weights=g.weights / (1.0 + p))
+    ii, jj, ww = g.edge_list()
+    return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww / (1.0 + p)))
 
 
 def select_pairs(
@@ -238,9 +240,8 @@ def _graph_and_pairs(
     """The runner's graph, ball for alpha None and annulus otherwise,
     with its weights perturbed, and its seeded pairs."""
     kind = "ball" if alpha is None else "annulus"
-    g = build_graph(sample, kind=kind, r=r, alpha=alpha)
-    pair_list = select_pairs(surface, sample, r, pairs, np.random.default_rng(seed))
-    return perturb_graph_weights(g, perturb_weights), pair_list
+    g = perturb_graph_weights(build_graph(sample, kind=kind, r=r, alpha=alpha), perturb_weights)
+    return g, select_pairs(surface, sample, r, pairs, np.random.default_rng(seed))
 
 
 def _upper_rows(pair_list: list, deltas: dict, factor: float) -> list:

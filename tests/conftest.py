@@ -75,8 +75,10 @@ def split_graphs(draw, max_n=30):
     is isolated and the others fall into blocks that share no edge.
 
     Node coordinates are 2-D, often from a small integer lattice, so
-    coincident points and exact right angles are common.  The weights
-    stay independent of the coordinates."""
+    coincident points and exact right angles are common.  An edge drawn
+    between two coincident points is dropped, as the graph rules ask,
+    so repeated points meet only across a turn.  The weights stay
+    independent of the coordinates."""
     n = draw(st.integers(3, max_n))
     cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=4)))
     edges = {}
@@ -90,11 +92,12 @@ def split_graphs(draw, max_n=30):
         ))
         for p in sorted(pairs):
             edges[p] = draw(st.floats(0.01, 10.0))
+    coord = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    edges = {(i, j): w for (i, j), w in edges.items() if (points[i] != points[j]).any()}
     ii = np.array([i for i, _ in edges], dtype=np.int64)
     jj = np.array([j for _, j in edges], dtype=np.int64)
     ww = np.array(list(edges.values()), dtype=np.float64)
-    coord = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
-    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
     return graph_from_edges(points, "ball", 10.0, None, lambda *_: (ii, jj, ww))
 
 

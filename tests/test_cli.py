@@ -359,6 +359,25 @@ class TestGatedArguments:
         ]
 
 
+class TestPerturbWeights:
+    @pytest.mark.parametrize("p", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_outside_open_interval_rejected(self, tmp_path, capsys, p, by_config):
+        # At inf every weight became 0 and the run certified the graph.
+        argv = ["verify", "--experiment", "unconstrained-upper", "--surface", "sphere",
+                "--n", 1000, "--pairs", 5]
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"perturb_weights": p}))
+            argv += ["--config", cfg]
+        else:
+            argv += ["--perturb-weights", p]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: weight perturbation must satisfy -1 < p < inf, got {float(p)}"
+        ]
+
+
 class TestBadGraphFile:
     @pytest.mark.parametrize("row, message", [
         ("1,3,0.5", "node index outside [0, 3)"),
@@ -406,6 +425,25 @@ class TestBadGraphFile:
         rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {g}: {message}"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# kind=ball r=1 alhpa=0.3\n0,1,1\n", ": bad header token 'alhpa=0.3'"),
+        ("# kind=ball r=1 r=2\n0,1,1\n", ": bad header token 'r=2'"),
+        ("# kind=ball r=1 wide\n0,1,1\n", ": bad header token 'wide'"),
+        ("# kind=ball r=1\n# kind=annulus r=5 alpha=0.1\n0,1,1\n", ":2: '#' line after"),
+        ("# kind=ball r=1\n0,1,1\n# kind=annulus r=5 alpha=0.1\n1,2,1\n", ":3: '#' line after"),
+        ("\n# kind=ball r=1\n\n0,1,1\n#\n", ":5: '#' line after"),
+        ("0,1,1\n# kind=ball r=1\n", " is missing the kind/r header comment"),
+    ])
+    def test_dist_rejects_all_but_one_header_line(self, tmp_path, capsys, text, message):
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        g = tmp_path / "g.csv"
+        g.write_text(text)
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {g}{message}")
 
     def test_graph_is_sized_by_its_points(self, tmp_path, capsys):
         # A large index is out of range, never a reason to allocate a

@@ -1,16 +1,19 @@
+import ast
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from scipy.sparse import csgraph
 
 from geoknot import (
     build_graph,
     connected_components,
+    graph_from_edges,
     graph_stats,
     read_graph_csv,
     sample_surface,
@@ -118,6 +121,115 @@ class TestBuildGraph:
         samp = sample_surface(sphere(1.0), "grid", 66)
         g = build_graph(samp, kind="ball", r=0.5)
         assert g.points is samp.points
+
+
+def first_bad_row(points, rows):
+    """(rule, row, first listing) that graph_from_edges must report for
+    the edge list ``rows``, or None: each rule is a pure-Python test of
+    one row, tried in the constructor's order."""
+    n = len(points)
+    rules = [
+        (f"node index outside [0, {n})", lambda i, j, w: i < 0 or j >= n),
+        ("edge must have i < j", lambda i, j, w: i >= j),
+        ("weight must be finite and positive", lambda i, j, w: not (math.isfinite(w) and w > 0.0)),
+        ("edge joins coincident points", lambda i, j, w: points[i].tolist() == points[j].tolist()),
+    ]
+    for what, bad in rules:
+        for k, (i, j, w) in enumerate(rows):
+            if bad(i, j, w):
+                return what, k, None
+    seen = {}
+    for k, (i, j, _) in enumerate(rows):
+        if (i, j) in seen:
+            return f"duplicate edge {i},{j}", k, seen[(i, j)]
+        seen[(i, j)] = k
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """Points on a small lattice, so that some coincide, and an edge
+    list mixing good rows with every kind of bad one."""
+    n = draw(st.integers(2, 6))
+    coords = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    points = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
+
+    @st.composite
+    def row(draw):
+        if draw(st.integers(0, 5)):
+            i = draw(st.integers(0, n - 2))
+            j = draw(st.integers(i + 1, n - 1))
+        else:
+            i, j = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+        good = st.sampled_from([0.5, 1.0, 2.5])
+        bad = st.sampled_from([0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+        return i, j, draw(good if draw(st.integers(0, 5)) else bad)
+
+    return points, draw(st.lists(row(), max_size=8))
+
+
+def edge_arrays(rows):
+    return (
+        np.array([i for i, _, _ in rows], dtype=np.int64),
+        np.array([j for _, j, _ in rows], dtype=np.int64),
+        np.array([w for _, _, w in rows], dtype=np.float64),
+    )
+
+
+# Nodes 0 and 3 coincide.
+FOURTH_AT_ORIGIN = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+
+
+class TestEdgeRules:
+    """Every edge list, whoever makes it, passes the constructor's rules."""
+
+    @given(edge_lists())
+    def test_matches_row_predicate(self, case):
+        points, rows = case
+        arrays = edge_arrays(rows)
+        expected = first_bad_row(points, rows)
+        try:
+            g = graph_from_edges(points, "ball", 1.0, None, lambda *_: arrays)
+        except graph.EdgeError as exc:
+            assert (exc.what, exc.row, exc.first) == expected
+        else:
+            assert expected is None
+            assert graph_edge_set(g) == {(i, j): w for i, j, w in rows}
+
+    @pytest.mark.parametrize("rows, what, row", [
+        ([(0, 1, 1.0), (1, 2, -1.0)], "weight must be finite and positive", 1),
+        ([(0, 1, 0.0)], "weight must be finite and positive", 0),
+        ([(0, 1, math.nan)], "weight must be finite and positive", 0),
+        ([(0, 1, math.inf)], "weight must be finite and positive", 0),
+        ([(0, 1, 1.0), (1, 1, 1.0)], "edge must have i < j", 1),
+        ([(2, 1, 1.0)], "edge must have i < j", 0),
+        ([(0, 4, 1.0)], "node index outside [0, 4)", 0),
+        ([(-1, 1, 1.0)], "node index outside [0, 4)", 0),
+        ([(0, 1, 1.0), (0, 3, 1.0)], "edge joins coincident points", 1),
+        ([(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)], "duplicate edge 0,1", 2),
+    ])
+    def test_build_path_is_checked(self, monkeypatch, rows, what, row):
+        # A faulty neighbour search is caught like a faulty file.
+        monkeypatch.setattr(graph, "_kdtree_edges", lambda *_: edge_arrays(rows))
+        with pytest.raises(graph.EdgeError) as exc:
+            build_graph(FOURTH_AT_ORIGIN, kind="ball", r=1.0)
+        assert (exc.value.what, exc.value.row) == (what, row)
+
+    def test_only_graph_from_edges_makes_graphs(self):
+        # A graph made any other way would skip the edge rules.
+        makers = []
+        for path in sorted(Path(graph.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = ast.unparse(node.func)
+                        if callee.endswith("NeighborhoodGraph") or callee in (
+                            "replace", "dataclasses.replace"
+                        ):
+                            makers.append((path.name, func.name, callee))
+        assert makers == [("graph.py", "graph_from_edges", "NeighborhoodGraph")]
 
 
 class TestStatsAndComponents:

@@ -515,10 +515,10 @@ class TestEngineArrays:
         self.check(g)
 
     def test_coincident_points_trim_the_table(self):
-        # Edge 0-1 joins coincident points: turns through it are obtuse
-        # (a.b = 0) but not finite, so the table is cut below its
-        # obtuse-candidate count.
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        # Edge 0-1 joins distinct points whose squared offset underflows
+        # to 0: turns through it are obtuse (a.b = 0) but not finite, so
+        # the table is cut below its obtuse-candidate count.
+        pts = np.array([[0.0, 0.0], [1e-170, 0.0], [1.0, 0.0], [1.0, 1.0]])
         ii, jj = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3])
         g = graph_from_edges(pts, "ball", 2.0, None, lambda *_: (ii, jj, np.ones(5)))
         obtuse = sum(

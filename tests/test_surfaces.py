@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from geoknot import (
     disk,
     geodesic_oracle,
     intrinsic_diameter,
-    load_sample,
     read_points_csv,
     sample_surface,
     sphere,
@@ -23,6 +23,8 @@ from geoknot import (
 from geoknot.surfaces import (
     _octahedron_grid,
     _reference,
+    sidecar_path,
+    surface_from_json,
     surface_residual,
 )
 
@@ -273,10 +275,11 @@ class TestPointsIO:
         samp = sample_surface(cylinder(1.5, 2.0), "grid", 30)
         path = str(tmp_path / "pts.csv")
         write_points_csv(path, samp)
-        loaded = load_sample(path)
-        assert loaded.surface == samp.surface
-        assert loaded.mode == "grid"
-        assert np.array_equal(loaded.points, samp.points)
+        with open(sidecar_path(path), encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert surface_from_json(meta["surface"]) == samp.surface
+        assert (meta["mode"], meta["n"], meta["seed"], meta["D"]) == ("grid", samp.n, samp.seed, 3)
+        assert np.array_equal(read_points_csv(path), samp.points)
 
     @pytest.mark.parametrize("text, message", [
         ("0,0\n1x,0\n1,0\n2,0\n", ":2: expected numeric coordinates, got '1x,0'"),

@@ -333,6 +333,18 @@ class TestHelpers:
         with pytest.raises(ValueError):
             perturb_graph_weights(g, -1.0)
 
+    @pytest.mark.parametrize("p", [0.5, -0.5])
+    def test_perturbed_graph_keeps_layout(self, p):
+        # The perturbed graph is rebuilt from its edge list and must
+        # equal a plain division of the stored weights, bit for bit.
+        g = build_graph(sample_surface(sphere(1.0), "grid", 200), kind="annulus", r=0.4, alpha=0.25)
+        g2 = perturb_graph_weights(g, p)
+        assert g2.points is g.points
+        assert (g2.kind, g2.r, g2.alpha) == (g.kind, g.r, g.alpha)
+        assert g2.indptr.tobytes() == g.indptr.tobytes()
+        assert g2.indices.tobytes() == g.indices.tobytes()
+        assert g2.weights.tobytes() == (g.weights / (1.0 + p)).tobytes()
+
     def test_select_pairs_window_and_determinism(self):
         spec = sphere(1.0)
         samp = sample_surface(spec, "grid", 200)

@@ -45,14 +45,18 @@ from .validation import (
     write_summary_json,
 )
 
-EXPERIMENTS = (
-    "unconstrained-upper",
-    "unconstrained-lower",
-    "constrained-upper",
-    "constrained-lower",
-    "chord-bound",
-    "curvature-consistency",
-)
+# The config fields each experiment reads, besides experiment, out_csv
+# and out_json.  Setting any other field, by flag or by config, is an error.
+_GRAPH_FIELDS = ("surface", "n", "r", "pairs", "seed", "mode", "perturb_weights")
+READS = {
+    "unconstrained-upper": _GRAPH_FIELDS,
+    "unconstrained-lower": _GRAPH_FIELDS,
+    "constrained-upper": (*_GRAPH_FIELDS, "alpha", "kappa", "kappa_prime"),
+    "constrained-lower": (*_GRAPH_FIELDS, "alpha", "kappa"),
+    "chord-bound": ("kappa", "seed"),
+    "curvature-consistency": ("curve",),
+}
+EXPERIMENTS = tuple(READS)
 
 
 @dataclass
@@ -68,14 +72,13 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "grid"
     perturb_weights: float = 0.0
-    c_emp: float = 8.0
     curve: str = "circle"
     out_csv: str | None = None
     out_json: str | None = None
 
 
 # The type of each config field that is not a string.
-FLOAT_FIELDS = ("r", "alpha", "kappa", "kappa_prime", "perturb_weights", "c_emp")
+FLOAT_FIELDS = ("r", "alpha", "kappa", "kappa_prime", "perturb_weights")
 FIELD_TYPES = {"surface": dict, "n": int, "pairs": int, "seed": int}
 FIELD_TYPES.update(dict.fromkeys(FLOAT_FIELDS, (int, float)))
 
@@ -114,6 +117,8 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     overrides = {name: getattr(args, name) for name in known if name != "surface"}
     if args.surface is not None:
         overrides["surface"] = _surface_args(args)
+    elif (args.radius, args.height, args.ambient_dim) != (None, None, None):
+        raise ValueError("--radius, --height and --ambient-dim need --surface")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -124,6 +129,11 @@ def load_config(path: str | None, args) -> ExperimentConfig:
         raise ValueError(
             f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}"
         )
+    unread = set(data) - {"experiment", "out_csv", "out_json", *READS[cfg.experiment]}
+    if unread:
+        raise ValueError(
+            f"experiment {cfg.experiment} does not read {', '.join(sorted(unread))}"
+        )
     if isinstance(cfg.n, list) and len(cfg.n) == 1:
         cfg.n = cfg.n[0]
     return cfg
@@ -132,7 +142,7 @@ def load_config(path: str | None, args) -> ExperimentConfig:
 def _surface_args(args) -> dict:
     """The surface dict of the --surface, --radius, --height and
     --ambient-dim flags, as a config file spells it."""
-    surf = {"kind": args.surface, "radius": args.radius}
+    surf = {"kind": args.surface, "radius": _or(args.radius, 1.0)}
     if args.height is not None:
         surf["height"] = args.height
     if args.ambient_dim is not None:
@@ -149,11 +159,6 @@ def _check_writable(path: str | None):
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    common = dict(
-        seed=cfg.seed,
-        mode=cfg.mode,
-        perturb_weights=cfg.perturb_weights,
-    )
     name = cfg.experiment
     if name == "chord-bound":
         return [verify_chord_bound(kappa=_or(cfg.kappa, 1.0), seed=cfg.seed)]
@@ -164,35 +169,21 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     spec = surface_from_json(cfg.surface)
     if cfg.n is None:
         raise GateError(f"experiment {name} needs n")
-    if name == "constrained-lower":
-        seq = cfg.n if isinstance(cfg.n, list) else [cfg.n]
-        return verify_constrained_lower(
-            spec, seq, cfg.r, alpha=_or(cfg.alpha, 0.25),
-            kappa=_or(cfg.kappa, 1.0), pairs=cfg.pairs, **common
-        )
-    if isinstance(cfg.n, list):
-        raise GateError(f"experiment {name} takes a single n")
     if cfg.r is None and name != "unconstrained-upper":
         raise GateError(f"experiment {name} needs r")
+    common = dict(pairs=cfg.pairs, seed=cfg.seed, mode=cfg.mode,
+                  perturb_weights=cfg.perturb_weights)
+    capped = dict(alpha=_or(cfg.alpha, 0.25), kappa=_or(cfg.kappa, 1.0), **common)
+    if name == "constrained-lower":
+        seq = cfg.n if isinstance(cfg.n, list) else [cfg.n]
+        return verify_constrained_lower(spec, seq, cfg.r, **capped)
+    if isinstance(cfg.n, list):
+        raise GateError(f"experiment {name} takes a single n")
     if name == "unconstrained-upper":
-        return [
-            verify_unconstrained_upper(
-                spec, cfg.n, r=cfg.r, pairs=cfg.pairs, **common
-            )
-        ]
+        return [verify_unconstrained_upper(spec, cfg.n, r=cfg.r, **common)]
     if name == "unconstrained-lower":
-        return [
-            verify_unconstrained_lower(
-                spec, cfg.n, cfg.r, pairs=cfg.pairs, **common
-            )
-        ]
-    return [
-        verify_constrained_upper(
-            spec, cfg.n, cfg.r, alpha=_or(cfg.alpha, 0.25),
-            kappa=_or(cfg.kappa, 1.0), kappa_prime=cfg.kappa_prime,
-            pairs=cfg.pairs, c_emp=cfg.c_emp, **common
-        )
-    ]
+        return [verify_unconstrained_lower(spec, cfg.n, cfg.r, **common)]
+    return [verify_constrained_upper(spec, cfg.n, cfg.r, kappa_prime=cfg.kappa_prime, **capped)]
 
 
 def _or(value, default):
@@ -318,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", default=None, choices=EXPERIMENTS)
     p.add_argument("--surface", default=None,
                    choices=SURFACE_KINDS)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=float, default=None)
     p.add_argument("--height", type=float, default=None)
     p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("--n", type=int, nargs="+", default=None)
@@ -331,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, choices=MODES)
     p.add_argument("--perturb-weights", type=float, default=None,
                    help="self-test fault injection: divide weights by (1+p)")
-    p.add_argument("--c-emp", type=float, default=None)
     p.add_argument("--curve", default=None,
                    choices=("circle", "line", "helix"))
     p.add_argument("--out-csv", default=None)

@@ -421,6 +421,11 @@ class EdgeStateEngine:
         """Finite-curvature transitions stored."""
         return len(self._to)
 
+    def distinct_curvatures(self) -> np.ndarray:
+        """Sorted distinct stored curvatures, the finite caps at which
+        distances can change; computed per call, never kept."""
+        return np.unique(self._curv)
+
     def distances(self, kappa: float, sources) -> np.ndarray:
         """Distance matrix (len(sources), n) at curvature cap kappa.
 

@@ -56,9 +56,6 @@ FLOAT_SLACK = 1e-12
 # without a limit: the constant trades speed only, never the answer.
 SEARCH_REACH = 1.25
 
-# verify_constrained_upper bisects the cap down to this fraction of kappa.
-BISECT_TOL = 0.005
-
 # verify_constrained_lower's certified regime: eps <= alpha*kappa*r^2/C_GATE.
 C_GATE = 20.0
 
@@ -392,17 +389,19 @@ def verify_constrained_upper(
     pairs: int = 40,
     seed: int = 0,
     mode: str = "grid",
-    c_emp: float = 8.0,
     perturb_weights: float = 0.0,
 ) -> BoundReport:
     """Check constrained graph distance <= (1 + 6 eps/r) * oracle.
 
-    Runs on the annulus graph.  With kappa_prime given, checks at that
-    cap.  Otherwise searches: starting from the slack
-    c_emp * (kappa^2 r + eps/r^2) above kappa (doubling it while any
-    pair fails), then bisects down to the smallest cap at which every
-    pair passes (to within BISECT_TOL * kappa), reported together with
-    the fitted slack multiple.
+    Runs on the annulus graph, at kappa_prime if given.  Otherwise finds
+    the smallest passing cap exactly.  A search at cap c keeps the turns
+    of curvature <= c, so the candidates are kappa and the engine's
+    distinct stored curvatures above it, and passing is monotone in c.
+    The largest candidate keeps every finite turn: if it fails, every
+    cap fails, and the report keeps its rows at that cap with
+    kappa_prime_min and C_emp None.  Else a bisection on the candidate
+    index ends at a cap that passes while the next lower candidate
+    fails, reported with C_emp = (kappa' - kappa)/(kappa^2 r + eps/r^2).
     """
     t0 = time.perf_counter()
     if not 0.0 <= alpha <= 0.25:
@@ -434,31 +433,23 @@ def verify_constrained_upper(
         return all(row.passed for row in _upper_rows(pair_list, deltas, factor))
 
     base_slack = kappa**2 * r + eps / r**2
+    found = None  # whether a searched cap passed
     if kappa_prime is not None:
-        final_cap = kappa_prime
-        final = deltas_at(final_cap)
+        final_cap, final = kappa_prime, deltas_at(kappa_prime)
     else:
-        slack = c_emp * base_slack
-        hi = kappa + slack
-        final = deltas_at(hi)
-        doublings = 0
-        while not all_pass(final) and doublings < 6:
-            slack *= 2.0
-            hi = kappa + slack
-            final = deltas_at(hi)
-            doublings += 1
-        if all_pass(final):
-            lo = kappa
-            while hi - lo > BISECT_TOL * kappa:
-                mid = 0.5 * (lo + hi)
-                trial = deltas_at(mid)
-                if all_pass(trial):
-                    hi, final = mid, trial
-                else:
-                    lo = mid
-            final_cap = hi
-        else:
-            final_cap = hi  # never passed; report the failure honestly
+        curv = engine.distinct_curvatures()
+        caps = [kappa, *curv[curv > kappa].tolist()]
+        lo, hi = -1, len(caps) - 1
+        final = deltas_at(caps[hi])
+        found = all_pass(final)
+        while found and hi - lo > 1:
+            mid = (lo + hi) // 2
+            trial = deltas_at(caps[mid])
+            if all_pass(trial):
+                hi, final = mid, trial
+            else:
+                lo = mid
+        final_cap = caps[hi]
     report = BoundReport(
         experiment="constrained-upper",
         surface=surface_label(surface),
@@ -471,7 +462,7 @@ def verify_constrained_upper(
         rows=_upper_rows(pair_list, final, factor),
     )
     fitted = None
-    if math.isfinite(final_cap) and base_slack > 0.0:
+    if found is not False and math.isfinite(final_cap) and base_slack > 0.0:
         fitted = (final_cap - kappa) / base_slack
     return _finish(
         report,
@@ -479,7 +470,6 @@ def verify_constrained_upper(
         epsilon_raw=cov.radius,
         epsilon_padded=cov.padded,
         evaluations=evaluations,
-        bisect_tol=BISECT_TOL,
         sizes={
             "states": engine.states,
             "transitions": engine.transitions,
@@ -487,7 +477,7 @@ def verify_constrained_upper(
         },
         fitted_constants={
             "bound_factor": factor,
-            "kappa_prime_min": final_cap if kappa_prime is None else None,
+            "kappa_prime_min": final_cap if found else None,
             "C_emp": fitted,
         },
     )

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from geoknot import graph_from_edges
+from geoknot.geometry import turn_curvature
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
 settings.load_profile("geoknot")
@@ -67,6 +68,20 @@ def bfs_components(g):
                     queue.append(int(v))
         current += 1
     return labels
+
+
+def finite_turn_curvatures(g):
+    """Sorted distinct finite curvatures over every non-backtracking
+    triple u - v - w of the graph, one ``turn_curvature`` call each."""
+    coords = g.points.tolist()
+    found = set()
+    for v in range(g.n):
+        nbrs = g.neighbors(v)[0].tolist()
+        for u in nbrs:
+            for w in nbrs:
+                if u != w:
+                    found.add(turn_curvature(coords[u], coords[v], coords[w]))
+    return sorted(c for c in found if math.isfinite(c))
 
 
 @st.composite

@@ -5,13 +5,14 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from geoknot import read_graph_csv, read_points_csv
-from geoknot.cli import main
+from geoknot.cli import build_parser, load_config, main
 from geoknot.validation import REPORT_HEADER
 
 
@@ -286,7 +287,7 @@ class TestGatedArguments:
         ("pairs", True),
         ("seed", "a"),
         ("r", "wide"),
-        ("c_emp", [8]),
+        ("perturb_weights", [8]),
         ("mode", 3),
     ])
     def test_mistyped_config_field(self, tmp_path, capsys, key, value):
@@ -506,10 +507,10 @@ GRAPH_FAULTS = st.sampled_from([
 ]) | JUNK.map(lambda t: f"0,{t},1")
 
 FLAGS = ["--n", "--r", "--alpha", "--kappa", "--kappa-prime", "--pairs", "--seed",
-         "--radius", "--height", "--ambient-dim", "--perturb-weights", "--c-emp",
+         "--radius", "--height", "--ambient-dim", "--perturb-weights",
          "--experiment", "--surface", "--mode", "--curve"]
 INT_KEYS = ["n", "pairs", "seed"]
-FLOAT_KEYS = ["r", "alpha", "kappa", "kappa_prime", "perturb_weights", "c_emp"]
+FLOAT_KEYS = ["r", "alpha", "kappa", "kappa_prime", "perturb_weights"]
 STR_KEYS = ["experiment", "mode", "curve", "out_csv", "out_json"]
 NOT_A_NUMBER = JUNK | st.booleans() | st.lists(st.integers(0, 9), max_size=2) | st.just({})
 WRONG = {
@@ -590,6 +591,90 @@ class TestFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
         path.write_text(text, encoding="utf-8")
         rejected(["verify", "--config", path])
+
+
+class TestUnreadOptions:
+    """An option that the experiment does not read exits 2 with one line
+    naming the experiment and the options; defaults never count."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--experiment", "chord-bound", "--n", 5, "--r", 0.3, "--pairs", 3,
+          "--alpha", 0.9, "--perturb-weights", "nan"],
+         "experiment chord-bound does not read alpha, n, pairs, perturb_weights, r"),
+        (["--experiment", "curvature-consistency", "--perturb-weights", "inf"],
+         "experiment curvature-consistency does not read perturb_weights"),
+        (["--experiment", "unconstrained-upper", "--surface", "sphere", "--n", 300,
+          "--pairs", 5, "--alpha", 0.9, "--kappa-prime", 3, "--curve", "helix"],
+         "experiment unconstrained-upper does not read alpha, curve, kappa_prime"),
+        (["--experiment", "curvature-consistency", "--seed", 1],
+         "experiment curvature-consistency does not read seed"),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_rejected(self, tmp_path, capsys, argv, line, by_config):
+        if by_config:
+            data = {argv[k][2:].replace("-", "_"): argv[k + 1]
+                    for k in range(0, len(argv), 2)}
+            if "surface" in data:
+                data["surface"] = {"kind": data["surface"], "radius": 1.0}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(data))
+            argv = ["--config", cfg]
+        assert run(["verify", *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+    def test_benchmark_runs_accepted(self):
+        spec = json.loads((Path(__file__).parents[1] / "perfbench" / "spec.json").read_text())
+        runs = [argv for workload in spec["workloads"].values()
+                for part in workload["parts"].values()
+                for inputs in part.values() if "runs" in inputs
+                for argv in inputs["runs"]]
+        assert len(runs) == 9
+        parser = build_parser()
+        for argv in runs:
+            args = parser.parse_args(["verify", *argv, "--seed", "7",
+                                      "--out-csv", "r.csv", "--out-json", "r.json"])
+            assert load_config(None, args).experiment == argv[1]
+
+    @pytest.mark.parametrize("flag", ["--radius", "--height", "--ambient-dim"])
+    def test_surface_flag_needs_surface(self, capsys, flag):
+        assert run(["verify", "--experiment", "chord-bound", flag, 3]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --radius, --height and --ambient-dim need --surface"
+        ]
+
+    def test_constrained_lower_needs_r(self, capsys):
+        argv = ["verify", "--experiment", "constrained-lower", "--surface", "sphere",
+                "--n", 100]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "gate error: experiment constrained-lower needs r"
+        ]
+
+
+class TestNoSlackKnob:
+    """The search for kappa' has no starting guess to set."""
+
+    def test_flag_rejected(self):
+        rejected(["verify", "--experiment", "chord-bound", "--c-emp", 1])
+
+    def test_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "chord-bound", "c_emp": 8}))
+        assert run(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config keys: ['c_emp']"
+        ]
+
+    def test_never_passing_search_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--experiment", "constrained-upper", "--surface", "sphere",
+                    "--n", 200, "--r", 0.4, "--kappa", 2, "--pairs", 8,
+                    "--perturb-weights", -0.8, "--out-json", out]) == 1
+        assert "violations=8" in capsys.readouterr().out
+        summary = json.loads(out.read_text())["reports"][0]["summary"]
+        assert summary["evaluations"] == 1
+        assert summary["fitted_constants"]["kappa_prime_min"] is None
+        assert summary["fitted_constants"]["C_emp"] is None
 
 
 class TestNoThreadsOption:

@@ -21,7 +21,7 @@ from geoknot import (
 )
 from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
 from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
-from conftest import bellman_ford, graph_edge_set, split_graphs
+from conftest import bellman_ford, finite_turn_curvatures, graph_edge_set, split_graphs
 
 
 def random_graph(rng, n_max=10, dim=2, r=1.2):
@@ -513,6 +513,11 @@ class TestEngineArrays:
     @given(split_graphs())
     def test_split_graphs(self, g):
         self.check(g)
+
+    @given(split_graphs())
+    def test_distinct_curvatures_match_every_triple(self, g):
+        got = EdgeStateEngine(g).distinct_curvatures()
+        assert got.tolist() == finite_turn_curvatures(g)
 
     def test_coincident_points_trim_the_table(self):
         # Edge 0-1 joins distinct points whose squared offset underflows

@@ -16,6 +16,7 @@ from geoknot import (
     PairCheck,
     REPORT_HEADER,
     build_graph,
+    constrained_shortest,
     covering_radius,
     disk,
     geodesic_oracle,
@@ -35,6 +36,7 @@ from geoknot import (
     write_report_csv,
     write_summary_json,
 )
+from conftest import finite_turn_curvatures
 
 
 class TestUnconstrainedUpper:
@@ -150,6 +152,22 @@ class TestConstrainedUpper:
         }
         assert 0 < engine.transitions < int(np.dot(g.degrees(), g.degrees()))
 
+    def test_never_passing_run_reports_the_top_cap(self):
+        # Weights five times too long fail the bound factor of 4.4 at
+        # every cap: one evaluation, at the largest stored curvature, and
+        # no minimum or fitted constant.
+        rep = verify_constrained_upper(
+            sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0, pairs=8,
+            perturb_weights=-0.8,
+        )
+        g = build_graph(sample_surface(sphere(1.0), "grid", 200),
+                        kind="annulus", r=0.4, alpha=0.25)
+        assert rep.violations == 8
+        assert rep.summary["evaluations"] == 1
+        assert rep.kappa_prime == EdgeStateEngine(g).distinct_curvatures()[-1]
+        fc = rep.summary["fitted_constants"]
+        assert fc["kappa_prime_min"] is None and fc["C_emp"] is None
+
     def test_fixed_infinite_cap(self):
         rep = verify_constrained_upper(
             sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0,
@@ -165,6 +183,58 @@ class TestConstrainedUpper:
             verify_constrained_upper(sphere(1.0), 100, r=0.4, alpha=0.3)
         with pytest.raises(GateError, match="curvature bound"):
             verify_constrained_upper(sphere(1.0), 100, r=0.4, kappa=0.5)
+
+
+class TestExactCap:
+    """kappa_prime_min against a pure-Python twin: the candidate caps
+    from every triple of the graph, and each pair's critical cap from
+    ``constrained_shortest``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return build_graph(sample_surface(sphere(1.0), "grid", 200),
+                           kind="annulus", r=0.4, alpha=0.25)
+
+    @pytest.fixture(scope="class")
+    def stored(self, graph):
+        stored = finite_turn_curvatures(graph)
+        assert stored == EdgeStateEngine(graph).distinct_curvatures().tolist()
+        return stored
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force_twin(self, graph, stored, seed):
+        rep = verify_constrained_upper(
+            sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0, pairs=8, seed=seed
+        )
+        caps = [rep.kappa] + [c for c in stored if c > rep.kappa]
+        factor = rep.summary["fitted_constants"]["bound_factor"]
+
+        def passes(cap, row):
+            length = constrained_shortest(graph, cap, row.pair_i, row.pair_j).length
+            return validation._holds(length, factor * row.oracle_delta)
+
+        def critical(row):
+            lo, hi = -1, len(caps) - 1
+            assert passes(caps[hi], row)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if passes(caps[mid], row):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        k = max(critical(row) for row in rep.rows)
+        fc = rep.summary["fitted_constants"]
+        assert rep.kappa_prime == fc["kappa_prime_min"] == caps[k]
+        assert fc["C_emp"] > 0.0
+        # One-sided: the reported cap passes, the next lower one fails.
+        assert all(passes(caps[k], row) for row in rep.rows)
+        assert k > 0 and not all(passes(caps[k - 1], row) for row in rep.rows)
+        for row in rep.rows:
+            assert row.graph_delta == constrained_shortest(
+                graph, rep.kappa_prime, row.pair_i, row.pair_j
+            ).length
 
 
 class TestConstrainedLower:

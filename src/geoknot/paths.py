@@ -104,9 +104,8 @@ def dijkstra(g: NeighborhoodGraph, source: int) -> DistanceField:
 
 
 def path_from_predecessors(pred, source: int, target: int) -> list | None:
-    """Node path from source to target along a predecessor array (a
-    scipy predecessor row or a :class:`DistanceField`'s), or None if
-    target is unreachable.
+    """Node path from source to target along a :class:`DistanceField`'s
+    predecessor array, or None if target is unreachable.
 
     A path has at most len(pred) nodes, so the walk stops there: a
     predecessor array with a cycle or a broken chain raises ValueError.
@@ -122,6 +121,35 @@ def path_from_predecessors(pred, source: int, target: int) -> list | None:
             raise ValueError(f"predecessor chain breaks at node {nodes[-1]}")
         nodes.append(prev)
     raise ValueError(f"predecessors of node {target} form a cycle")
+
+
+def shortest_path_turns(g: NeighborhoodGraph, dist, target: int) -> list | None:
+    """Every turn (u, v, w) that lies on some shortest path to target,
+    read from one distance row of its source alone; None if target is
+    unreachable.
+
+    Edge u -> v is tight when ``dist[u] + w(u, v) == dist[v]``, and a
+    node lies on a shortest path to target when it reaches target along
+    tight edges.  The turns are the pairs of consecutive tight edges
+    (u, v), (v, w) with w on such a path.  Weights are positive, so the
+    tight edges form a DAG, and every node of finite distance has a
+    tight in-edge unless it is the source.  The walk backward from
+    target only compares sums the search itself formed, so the rows of
+    :func:`dijkstra` and :func:`shortest_distances` give the same turns,
+    whichever of several tied paths either search recorded.
+    """
+    if not math.isfinite(dist[target]):
+        return None
+    into = {}  # node on a shortest path -> its tight in-neighbours
+    stack = [int(target)]
+    while stack:
+        v = stack.pop()
+        if v in into:
+            continue
+        nbrs, wts = g.neighbors(v)
+        into[v] = nbrs[dist[nbrs] + wts == dist[v]].tolist()
+        stack.extend(into[v])
+    return [(u, v, w) for w, vs in into.items() for v in vs for u in into[v]]
 
 
 def path_max_curvature(points) -> float:
@@ -275,9 +303,7 @@ def brute_force_constrained(
 # millions of edges; these wrap the compiled searches while the pure
 # implementations above stay as the tested reference.
 
-def shortest_distances(
-    g: NeighborhoodGraph, sources, return_predecessors: bool = False
-):
+def shortest_distances(g: NeighborhoodGraph, sources) -> np.ndarray:
     """Unconstrained distances from many sources at once, one row per
     source.
 
@@ -285,22 +311,24 @@ def shortest_distances(
     search runs on it as a directed graph and skips scipy's
     symmetrisation.  A list of sources is searched in one batched call.
     A mapping {source: limit} runs one search per source, stopped at
-    its limit (see the module docstring); it returns no predecessors.
+    its limit (see the module docstring).
     """
     mat = g.to_csr()
     if not isinstance(sources, Mapping):
-        return _csgraph_dijkstra(
-            mat,
-            directed=True,
-            indices=list(sources),
-            return_predecessors=return_predecessors,
-        )
-    if return_predecessors:
-        raise ValueError("bounded searches return no predecessors")
+        return _csgraph_dijkstra(mat, directed=True, indices=list(sources))
     out = np.empty((len(sources), g.n))
-    for k, (s, limit) in enumerate(sources.items()):
-        out[k] = _csgraph_dijkstra(mat, directed=True, indices=int(s), limit=limit)
+    for k, (_, dist) in enumerate(_searches(mat, sources)):
+        out[k] = dist
     return out
+
+
+def _searches(mat, sources, offset: int = 0):
+    """(source, row) of one compiled search per source, from node
+    ``offset + source`` of ``mat``: up to its limit for a mapping
+    {source: limit}, unbounded for a list of sources."""
+    items = sources.items() if isinstance(sources, Mapping) else [(s, math.inf) for s in sources]
+    for s, limit in items:
+        yield int(s), _csgraph_dijkstra(mat, directed=True, indices=offset + int(s), limit=limit)
 
 
 class EdgeStateEngine:
@@ -459,20 +487,13 @@ class EdgeStateEngine:
         # One search per source, each reduced at once to its node minima
         # (the distance to node t is the smallest distance of a state
         # that ends at t): no (sources, states) matrix is ever built.
-        if isinstance(sources, Mapping):
-            items = list(sources.items())
-        else:
-            items = [(s, math.inf) for s in sources]
         has_in = np.diff(g.indptr) > 0
         starts = g.indptr[:-1][has_in]
-        out = np.full((len(items), g.n), np.inf)
-        for k, (s, limit) in enumerate(items):
-            dist = _csgraph_dijkstra(
-                mat, directed=True, indices=m + int(s), limit=limit
-            )
+        out = np.full((len(sources), g.n), np.inf)
+        for k, (s, dist) in enumerate(_searches(mat, sources, offset=m)):
             if has_in.any():
                 out[k, has_in] = np.minimum.reduceat(dist[:m], starts)
-            out[k, int(s)] = 0.0
+            out[k, s] = 0.0
         return out
 
 

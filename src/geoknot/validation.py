@@ -25,9 +25,9 @@ from .geometry import chord_lower_bound, discrete_curvature
 from .graph import NeighborhoodGraph, build_graph, graph_from_edges
 from .paths import (
     EdgeStateEngine,
-    path_from_predecessors,
     path_max_curvature,
     shortest_distances,
+    shortest_path_turns,
 )
 from .surfaces import (
     SampleSet,
@@ -201,11 +201,15 @@ def select_pairs(
         eligible = np.arange(len(pts))
     if len(eligible) < 2:
         raise GateError("too few interior points for pair selection")
+    most = len(eligible) * (len(eligible) - 1) // 2
+    if count > most:
+        raise GateError(f"pairs must be at most {most}, the distinct pairs of "
+                        f"{len(eligible)} eligible points, got {count}")
     out = []
     seen = set()
     attempts = 0
     max_attempts = 500 * count + 1000
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < max_attempts and len(seen) < most:
         attempts += 1
         a, b = rng.integers(0, len(eligible), size=2)
         if a == b:
@@ -241,11 +245,11 @@ def _graph_and_pairs(
     return g, select_pairs(surface, sample, r, pairs, np.random.default_rng(seed))
 
 
-def _upper_rows(pair_list: list, deltas: dict, factor: float) -> list:
+def _upper_rows(pair_list: list, dist: dict, factor: float) -> list:
     """One row per pair checking graph distance <= factor * oracle."""
     rows = []
     for i, j, oracle in pair_list:
-        graph = deltas[(i, j)]
+        graph = float(dist[i][j])
         rows.append(
             PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
                       _holds(graph, factor * oracle))
@@ -253,8 +257,8 @@ def _upper_rows(pair_list: list, deltas: dict, factor: float) -> list:
     return rows
 
 
-def _graph_deltas(search, pair_list: list, counts: Counter) -> dict:
-    """Exact graph distance for each (i, j, oracle) pair.
+def _graph_rows(search, pair_list: list, counts: Counter) -> dict:
+    """{i: distance row} for the (i, j, oracle) pairs, exact up to j.
 
     ``search`` maps sources to distance rows: a list to unbounded
     searches, a mapping {source: limit} to bounded ones.  Every source
@@ -272,7 +276,7 @@ def _graph_deltas(search, pair_list: list, counts: Counter) -> dict:
         rows.update(zip(missed, search(missed)))
     counts["searched_sources"] += len(sources)
     counts["re_searched_sources"] += len(missed)
-    return {(i, j): float(rows[i][j]) for i, j, _ in pair_list}
+    return rows
 
 
 def verify_unconstrained_upper(
@@ -304,7 +308,7 @@ def verify_unconstrained_upper(
         surface, sample, r, pairs, seed, perturb_weights
     )
     searches = Counter()
-    deltas = _graph_deltas(lambda s: shortest_distances(g, s), pair_list, searches)
+    rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
     report = BoundReport(
         experiment="unconstrained-upper",
@@ -312,7 +316,7 @@ def verify_unconstrained_upper(
         n=sample.n,
         r=r,
         epsilon=eps,
-        rows=_upper_rows(pair_list, deltas, factor),
+        rows=_upper_rows(pair_list, rows, factor),
     )
     return _finish(
         report,
@@ -354,7 +358,7 @@ def verify_unconstrained_lower(
         surface, sample, r, pairs, seed, perturb_weights
     )
     searches = Counter()
-    deltas = _graph_deltas(lambda s: shortest_distances(g, s), pair_list, searches)
+    rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
     report = BoundReport(
         experiment="unconstrained-lower",
@@ -364,7 +368,7 @@ def verify_unconstrained_lower(
         epsilon=cov.radius,
     )
     for i, j, oracle in pair_list:
-        graph = deltas[(i, j)]
+        graph = float(rows[i][j])
         passed = None if math.isinf(graph) else _holds(oracle, factor * graph)
         report.rows.append(
             PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor, passed)
@@ -412,6 +416,8 @@ def verify_constrained_upper(
             "constrained oracle unavailable: kappa "
             f"{kappa:.6g} below the surface curvature bound {kappa_s:.6g}"
         )
+    if kappa_prime is not None and not kappa <= kappa_prime:  # nan included
+        raise GateError(f"kappa_prime must be at least kappa = {kappa:.6g}, got {kappa_prime:.6g}")
     sample, cov = _sample(surface, n, seed, mode)
     eps = cov.padded
     g, pair_list = _graph_and_pairs(
@@ -422,29 +428,29 @@ def verify_constrained_upper(
     evaluations = 0
     searches = Counter()
 
-    def deltas_at(cap: float) -> dict:
+    def rows_at(cap: float) -> dict:
         nonlocal evaluations
         evaluations += 1
-        return _graph_deltas(
+        return _graph_rows(
             lambda s: engine.distances(cap, s), pair_list, searches
         )
 
-    def all_pass(deltas: dict) -> bool:
-        return all(row.passed for row in _upper_rows(pair_list, deltas, factor))
+    def all_pass(rows: dict) -> bool:
+        return all(row.passed for row in _upper_rows(pair_list, rows, factor))
 
     base_slack = kappa**2 * r + eps / r**2
     found = None  # whether a searched cap passed
     if kappa_prime is not None:
-        final_cap, final = kappa_prime, deltas_at(kappa_prime)
+        final_cap, final = kappa_prime, rows_at(kappa_prime)
     else:
         curv = engine.distinct_curvatures()
         caps = [kappa, *curv[curv > kappa].tolist()]
         lo, hi = -1, len(caps) - 1
-        final = deltas_at(caps[hi])
+        final = rows_at(caps[hi])
         found = all_pass(final)
         while found and hi - lo > 1:
             mid = (lo + hi) // 2
-            trial = deltas_at(caps[mid])
+            trial = rows_at(caps[mid])
             if all_pass(trial):
                 hi, final = mid, trial
             else:
@@ -496,11 +502,11 @@ def verify_constrained_lower(
 ) -> list:
     """Check that unconstrained annulus shortest paths bend gently.
 
-    For each density N the runner records, per pair, the shortest
-    annulus-graph path and its largest interior triple curvature; the
-    per-N excess q_hat = max(path curvature)/kappa - 1 should fall as
-    the sample densifies, with q_hat * alpha*kappa^2*r^3 / eps
-    reported as the fitted constant.  An infinite triple curvature
+    For each density N the runner records, per pair, the largest
+    curvature of a turn on any shortest annulus-graph path; the per-N
+    excess q_hat = max(path curvature)/kappa - 1 should fall as the
+    sample densifies, with q_hat * alpha*kappa^2*r^3 / eps reported
+    as the fitted constant.  An infinite triple curvature
     (an acute interior angle) inside the certified density regime
     eps <= alpha*kappa*r^2/C_GATE is a hard failure.  The regime is
     decided on the padded density estimate, the reported eps and
@@ -521,9 +527,8 @@ def verify_constrained_lower(
         g, pair_list = _graph_and_pairs(
             surface, sample, r, pairs, seed, perturb_weights, alpha
         )
-        sources = sorted({i for i, _, _ in pair_list})
-        dist, pred = shortest_distances(g, sources, return_predecessors=True)
-        row = {s: k for k, s in enumerate(sources)}
+        searches = Counter()
+        rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
         # The padded estimate bounds eps from above, so the gate is
         # one-sided: an underestimate never claims the regime.
         certified = cov.padded <= alpha * kappa * r**2 / C_GATE
@@ -538,14 +543,15 @@ def verify_constrained_lower(
         )
         worst = 0.0
         for i, j, oracle in pair_list:
-            graph = float(dist[row[i], j])
-            nodes = path_from_predecessors(pred[row[i]], i, j)
-            if nodes is None:
+            graph = float(rows[i][j])
+            turns = shortest_path_turns(g, rows[i], j)
+            if turns is None:
                 report.rows.append(
                     PairCheck(i, j, oracle, graph, math.inf, math.inf, None)
                 )
                 continue
-            curv = path_max_curvature(sample.points[nodes])
+            curves = [path_max_curvature(sample.points[list(t)]) for t in turns]
+            curv = max(curves, default=0.0)
             if math.isinf(curv) and certified:
                 raise HardFailure(
                     f"acute interior angle on a shortest path at N={sample.n} "
@@ -564,6 +570,7 @@ def verify_constrained_lower(
                 t0,
                 certified_regime=certified,
                 max_path_curvature=worst,
+                sizes=dict(searches),
                 fitted_constants={"q_hat": q_hat, "C_emp": fitted},
             )
         )

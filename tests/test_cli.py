@@ -359,6 +359,25 @@ class TestGatedArguments:
             f"error: {cfg}: config must be a JSON object"
         ]
 
+    @pytest.mark.parametrize("kappa_prime", ["0.5", "nan"])
+    def test_kappa_prime_below_kappa(self, capsys, kappa_prime):
+        argv = ["verify", "--experiment", "constrained-upper", "--surface", "sphere",
+                "--n", 200, "--r", 0.4, "--kappa", 2, "--kappa-prime", kappa_prime,
+                "--pairs", 8]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"gate error: kappa_prime must be at least kappa = 2, got {kappa_prime}"
+        ]
+
+    def test_more_pairs_than_the_sample_has(self, capsys):
+        argv = ["verify", "--experiment", "unconstrained-lower", "--surface", "sphere",
+                "--n", 66, "--r", 0.3, "--pairs", 100000]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "gate error: pairs must be at most 2145, the distinct pairs of "
+            "66 eligible points, got 100000"
+        ]
+
 
 class TestPerturbWeights:
     @pytest.mark.parametrize("p", ["nan", "inf", "-1"])

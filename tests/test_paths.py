@@ -20,7 +20,12 @@ from geoknot import (
     sphere,
 )
 from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
-from geoknot.paths import BRUTE_FORCE_MAX_NODES, DistanceField, path_result_payload
+from geoknot.paths import (
+    BRUTE_FORCE_MAX_NODES,
+    DistanceField,
+    path_result_payload,
+    shortest_path_turns,
+)
 from conftest import bellman_ford, finite_turn_curvatures, graph_edge_set, split_graphs
 
 
@@ -350,21 +355,6 @@ class TestBulkEngines:
             assert np.array_equal(dist[s], dijkstra(g, s).dist)
         assert np.isinf(dist[: g.n - 1, g.n - 1]).all()
 
-    def test_predecessor_paths_agree(self, rng):
-        g = random_graph(rng, n_max=12)
-        dist, pred = shortest_distances(g, [0], return_predecessors=True)
-        field = dijkstra(g, 0)
-        for t in range(g.n):
-            path = path_from_predecessors(pred[0], 0, t)
-            if math.isinf(dist[0, t]):
-                assert path is None
-            else:
-                length = sum(
-                    float(np.linalg.norm(g.points[a] - g.points[b]))
-                    for a, b in zip(path, path[1:])
-                )
-                assert length == pytest.approx(field.dist[t], rel=1e-12, abs=1e-15)
-
     def test_edge_state_engine_matches_constrained(self, rng):
         for _ in range(15):
             g = random_graph(rng, n_max=9)
@@ -427,11 +417,6 @@ class TestBulkEngines:
         bounded = engine.distances(kappa, limits)
         assert_bounded(bounded, full[list(limits)], list(limits.values()))
 
-    def test_bounded_search_has_no_predecessors(self, rng):
-        g = random_graph(rng, n_max=6)
-        with pytest.raises(ValueError, match="no predecessors"):
-            shortest_distances(g, {0: 1.0}, return_predecessors=True)
-
     def test_edge_state_engine_stores_finite_transitions_only(self, rng):
         for _ in range(10):
             g = random_graph(rng, n_max=12)
@@ -450,6 +435,72 @@ class TestBulkEngines:
             assert engine._to.dtype == np.int32
             assert engine.states == len(g.indices)
             assert not hasattr(engine, "_from")
+
+
+@st.composite
+def tied_graphs(draw, max_n=10):
+    """Small graph on distinct lattice points with edge weights 1 or 2,
+    so equally short paths are common and every sum is exact."""
+    n = draw(st.integers(2, max_n))
+    node = st.integers(0, n - 1)
+    pairs = sorted(draw(st.sets(
+        st.tuples(node, node).filter(lambda p: p[0] < p[1]), max_size=2 * n
+    )))
+    ii = np.array([i for i, _ in pairs], dtype=np.int64)
+    jj = np.array([j for _, j in pairs], dtype=np.int64)
+    ww = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in pairs])
+    coord = st.integers(-3, 3)
+    points = np.array(draw(st.lists(st.tuples(coord, coord), unique=True,
+                                    min_size=n, max_size=n)), dtype=np.float64)
+    return graph_from_edges(points, "ball", 10.0, None, lambda *_: (ii, jj, ww))
+
+
+def all_shortest_turns(g, source, target):
+    """Union of the turns (u, v, w) of every shortest source -> target
+    path, enumerated depth first under the Bellman-Ford distance; None
+    if target is unreachable."""
+    edges = [(i, j, w) for (i, j), w in graph_edge_set(g).items()]
+    best = bellman_ford(g.n, edges, source)[target]
+    if math.isinf(best):
+        return None
+    turns = set()
+
+    def walk(path, length):
+        if length > best:
+            return
+        if path[-1] == target:
+            if length == best:
+                turns.update(zip(path, path[1:], path[2:]))
+            return
+        nbrs, wts = g.neighbors(path[-1])
+        for v, w in zip(nbrs.tolist(), wts.tolist()):
+            if v not in path:
+                walk(path + [v], length + w)
+
+    walk([source], 0.0)
+    return turns
+
+
+class TestShortestPathTurns:
+    """The tight turns read from a distance row against every shortest
+    path, enumerated by brute force."""
+
+    @given(tied_graphs())
+    def test_turns_of_every_shortest_path(self, g):
+        rows = shortest_distances(g, list(range(g.n)))
+        for s in range(g.n):
+            slow = dijkstra(g, s).dist
+            for t in range(g.n):
+                want = all_shortest_turns(g, s, t)
+                # A search stopped at the target's distance is exact
+                # on every shortest path to it.
+                bounded = shortest_distances(g, {s: rows[s, t]})[0]
+                for dist in (rows[s], slow, bounded):
+                    got = shortest_path_turns(g, dist, t)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert len(got) == len(set(got)) and set(got) == want
 
 
 def frozen_block_builder(g):

@@ -77,3 +77,23 @@ def test_engine_work_stays_inside_the_traced_methods(tmp_path, capsys):
     names = [span[3] for span in tracer.spans]
     assert names.count("paths.engine_init") == 1
     assert names.count("paths.engine_query") >= 1
+
+
+def test_constrained_lower_search_and_curvature_stay_traced(tmp_path, capsys):
+    """A constrained-lower run searches through ``shortest_distances``
+    and measures its turns through ``path_max_curvature``, the two names
+    the tracer times for it."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = geoknot.cli.main([
+            "verify", "--experiment", "constrained-lower", "--surface", "sphere",
+            "--n", "258", "--r", "0.3", "--pairs", "5",
+            "--out-csv", str(tmp_path / "r.csv"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[3] for span in tracer.spans]
+    assert names.count("paths.bulk_search") >= 1
+    assert names.count("paths.path_curvature") >= 1

@@ -18,8 +18,10 @@ from geoknot import (
     build_graph,
     constrained_shortest,
     covering_radius,
+    dijkstra,
     disk,
     geodesic_oracle,
+    path_max_curvature,
     perturb_graph_weights,
     sample_surface,
     select_pairs,
@@ -36,6 +38,7 @@ from geoknot import (
     write_report_csv,
     write_summary_json,
 )
+from geoknot.paths import shortest_path_turns
 from conftest import finite_turn_curvatures
 
 
@@ -184,6 +187,14 @@ class TestConstrainedUpper:
         with pytest.raises(GateError, match="curvature bound"):
             verify_constrained_upper(sphere(1.0), 100, r=0.4, kappa=0.5)
 
+    @pytest.mark.parametrize("kappa_prime", [0.5, math.nan])
+    def test_fixed_cap_below_kappa_is_a_gate(self, kappa_prime):
+        # The bound holds for kappa' >= kappa only; a lower cap's misses
+        # are no violations of it.
+        with pytest.raises(GateError, match="kappa_prime must be at least kappa = 2"):
+            verify_constrained_upper(sphere(1.0), 200, r=0.4, kappa=2.0,
+                                     kappa_prime=kappa_prime, pairs=8)
+
 
 class TestExactCap:
     """kappa_prime_min against a pure-Python twin: the candidate caps
@@ -260,6 +271,37 @@ class TestConstrainedLower:
             verify_constrained_lower(sphere(1.0), [100], r=0.5)
         with pytest.raises(GateError, match="kappa"):
             verify_constrained_lower(sphere(1.0), [100], r=0.3, kappa=math.inf)
+
+    def test_worst_turn_matches_dijkstra_rows(self, monkeypatch):
+        # Criterion 8's N=1026 input, where csgraph and the hand-written
+        # dijkstra record different tied paths for some pairs: the
+        # runner's worst turn per pair is the one dijkstra's rows give.
+        seen = []
+
+        def recording(g, dist, target, turns_of=validation.shortest_path_turns):
+            seen.append((g, turns_of(g, dist, target)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(validation, "shortest_path_turns", recording)
+        (rep,) = verify_constrained_lower(
+            sphere(1.0), [1000], r=0.25, alpha=0.25, kappa=1.0, pairs=50, seed=0,
+        )
+        assert rep.n == 1026 and len(seen) == len(rep.rows) == 50
+        g = seen[0][0]
+
+        def worst(turns):
+            return max((path_max_curvature(g.points[list(t)]) for t in turns),
+                       default=0.0)
+
+        worsts = []
+        for (_, turns), row in zip(seen, rep.rows):
+            slow = shortest_path_turns(g, dijkstra(g, row.pair_i).dist, row.pair_j)
+            assert worst(turns) == worst(slow)
+            worsts.append(worst(turns))
+        assert max(worsts) == rep.summary["max_path_curvature"]
+        assert rep.summary["sizes"]["searched_sources"] == len(
+            {row.pair_i for row in rep.rows}
+        )
 
 
     def test_certified_regime_reads_padded_eps(self):
@@ -437,6 +479,23 @@ class TestHelpers:
         for i, j, _ in select_pairs(spec, samp, r, 20, np.random.default_rng(3)):
             assert np.linalg.norm(samp.points[i]) <= 1.0 - r + 1e-12
             assert np.linalg.norm(samp.points[j]) <= 1.0 - r + 1e-12
+
+    def test_select_pairs_more_than_distinct_pairs(self):
+        spec = sphere(1.0)
+        samp = sample_surface(spec, "uniform-random", 6, seed=0)
+        with pytest.raises(GateError, match="pairs must be at most 15, the "
+                           "distinct pairs of 6 eligible points, got 16"):
+            select_pairs(spec, samp, 0.1, 16, np.random.default_rng(0))
+
+    def test_select_pairs_stops_once_every_pair_is_drawn(self):
+        # 6 points have 15 distinct pairs, some outside the window; once
+        # all are drawn, no further draw can admit one.
+        spec = sphere(1.0)
+        samp = sample_surface(spec, "uniform-random", 6, seed=0)
+        rng = mock.Mock(wraps=np.random.default_rng(0))
+        with pytest.raises(GateError, match="found only"):
+            select_pairs(spec, samp, 0.1, 15, rng)
+        assert rng.integers.call_count < 500
 
     def test_select_pairs_empty_window(self):
         spec = sphere(1.0)

@@ -24,6 +24,13 @@ from .surfaces import SampleSet, _fmt, _loadtxt_rows
 
 BRUTE_FORCE_LIMIT = 2000
 
+# _kdtree_edges measures candidate pairs in blocks of this many, so its
+# scratch differences stay small next to the edge list it returns.
+EDGE_BLOCK = 1 << 16
+
+# csgraph indexes nodes and directed edges in int32.
+INDEX_LIMIT = 2**31
+
 # One edge-list row of a graph file.
 EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
@@ -38,6 +45,13 @@ class NeighborhoodGraph:
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node i in
     increasing order, ``weights`` the matching edge lengths.  Make one
     with :func:`graph_from_edges`, which checks its parameters and edges.
+
+    ``indptr`` and ``indices`` are int32 and ``weights`` float64: 12
+    bytes per directed edge, 24 per undirected one, plus 4 per node.
+    These are the arrays csgraph searches, so :meth:`to_csr` shares
+    them rather than copying.  int32 limits a graph to fewer than 2**31
+    nodes and 2**31 directed edges; :func:`graph_from_edges` rejects
+    larger ones.
     """
 
     points: np.ndarray
@@ -66,7 +80,7 @@ class NeighborhoodGraph:
     def edge_list(self):
         """The edges i < j as arrays (ii, jj, ww), in row order: the
         input :func:`graph_from_edges` takes."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
         keep = self.indices > rows
         return rows[keep], self.indices[keep], self.weights[keep]
 
@@ -101,9 +115,12 @@ def _kdtree_edges(pts, r, alpha):
     # The tree's own distance test is padded so that it never drops a
     # pair the exact mask below would keep.
     pairs = cKDTree(pts).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
-    ii, jj = pairs.astype(np.int64, copy=False).T
-    diff = pts[ii] - pts[jj]
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    ii, jj = (np.array(col, dtype=np.int32) for col in pairs.T)
+    del pairs
+    d = np.empty(len(ii))
+    for k in range(0, len(ii), EDGE_BLOCK):
+        diff = pts[ii[k:k + EDGE_BLOCK]] - pts[jj[k:k + EDGE_BLOCK]]
+        d[k:k + EDGE_BLOCK] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     keep = _edge_mask(d, r, alpha)
     return ii[keep], jj[keep], d[keep]
 
@@ -114,7 +131,7 @@ def _brute_edges(pts, r, alpha):
     d = _pair_distance_matrix(pts, pts)
     mask = np.triu(_edge_mask(d, r, alpha), k=1)
     ii, jj = np.nonzero(mask)
-    return ii.astype(np.int64), jj.astype(np.int64), d[ii, jj]
+    return ii, jj, d[ii, jj]
 
 
 class EdgeError(ValueError):
@@ -135,16 +152,24 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
 
     Every graph is made here: built, read from a file or perturbed.
     The parameters are checked first, so a bad r never reaches a
-    neighbour search: at least 2 points, r positive and finite, no alpha
-    for a ball graph, 0 <= alpha < 1 for an annulus graph.  Then every
-    edge must have 0 <= i < j < n, a finite positive weight and two
-    endpoints at different points, and no edge may be listed twice.  A
-    violation raises ValueError; a bad edge raises :class:`EdgeError`
-    with the position of its row.
+    neighbour search: at least 2 and fewer than 2**31 points, r positive
+    and finite, no alpha for a ball graph, 0 <= alpha < 1 for an annulus
+    graph.  An edge list of 2**30 rows or more is rejected before any
+    row is read.  Then every edge must have 0 <= i < j < n, a finite
+    positive weight and two endpoints at different points, and no edge
+    may be listed twice.  A violation raises ValueError; a bad edge
+    raises :class:`EdgeError` with the position of its row.
+
+    The layout never doubles the edge list: the upper triangle goes to
+    CSR on its own, and the symmetric graph is that triangle plus its
+    transpose, so the peak is about twice what the graph stores.
     """
     pts = _points_of(sample)
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise ValueError("need at least 2 points to build a graph")
+    if n >= INDEX_LIMIT:
+        raise ValueError(f"a graph holds fewer than 2**31 nodes, got {n}")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
     if kind == "ball":
@@ -156,10 +181,10 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
     ii, jj, ww = edges(pts, r, alpha)
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
+    if 2 * len(ii) >= INDEX_LIMIT:
+        raise ValueError(f"a graph holds fewer than 2**30 edges, got {len(ii)}")
+    ii, jj = np.asarray(ii), np.asarray(jj)
     ww = np.asarray(ww, dtype=np.float64)
-    n = len(pts)
     for bad, what in (
         ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
         (ii >= jj, "edge must have i < j"),
@@ -167,6 +192,9 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     ):
         if bad.any():
             raise EdgeError(what, int(np.argmax(bad)))
+    # Every index is now in [0, n), so int32 holds it exactly.
+    ii = ii.astype(np.int32, copy=False)
+    jj = jj.astype(np.int32, copy=False)
     # A path through such an edge repeats a point, which no path
     # curvature is defined for.  Only the rows that tie on column 0 are
     # kept, so no E-long mask lives on into the layout's peak.
@@ -175,21 +203,25 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
         bad = bad[pts[ii[bad], c] == pts[jj[bad], c]]
     if len(bad):
         raise EdgeError("edge joins coincident points", int(bad[0]))
-    # The symmetric CSR layout; tocsr() sums the listings of a repeated
-    # edge into one entry, so only a short layout needs the search.
-    mat = coo_matrix(
-        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
-        shape=(n, n),
-    ).tocsr()
-    if mat.nnz != 2 * len(ii):
+    # The upper triangle in CSR layout; tocsr() sums the listings of a
+    # repeated edge into one entry, so only a short layout needs the
+    # search.
+    up = coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
+    if up.nnz != len(ii):
         first = {}
         for k, key in enumerate(zip(ii.tolist(), jj.tolist())):
             if first.setdefault(key, k) != k:
                 raise EdgeError(f"duplicate edge {key[0]},{key[1]}", k, first[key])
+    # The sum sets the build's peak, so the edge list goes first.  Upper
+    # and lower triangles share no entry, so the sum only merges each
+    # row's two sorted runs: the symmetric layout, rows sorted.
+    del ii, jj, ww
+    mat = up + up.T.tocsr()
     mat.sort_indices()
     return NeighborhoodGraph(
         pts, kind, float(r), None if alpha is None else float(alpha),
-        mat.indptr.astype(np.int64), mat.indices.astype(np.int64), mat.data,
+        mat.indptr.astype(np.int32, copy=False),
+        mat.indices.astype(np.int32, copy=False), mat.data,
     )
 
 

@@ -365,7 +365,9 @@ class EdgeStateEngine:
         self.g = g
         pts = g.points
         rank = lexicographic_rank(pts)
-        indptr, tails = g.indptr, g.indices
+        # Fancy indexing by int32 converts the index on every use, so
+        # the tails, which index most of the arrays below, are cast once.
+        indptr, tails = g.indptr, g.indices.astype(np.int64)
         deg = np.diff(indptr)
         heads = np.repeat(np.arange(g.n, dtype=np.int64), deg)
         # The state of out-edge slot e = (v, w) is the slot of (w, v): in

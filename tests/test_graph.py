@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import csgraph
+from scipy.sparse import coo_matrix, csgraph
 
 from geoknot import (
     build_graph,
@@ -17,6 +18,7 @@ from geoknot import (
     graph_stats,
     read_graph_csv,
     sample_surface,
+    shortest_distances,
     sphere,
     write_graph_csv,
 )
@@ -230,6 +232,144 @@ class TestEdgeRules:
                         ):
                             makers.append((path.name, func.name, callee))
         assert makers == [("graph.py", "graph_from_edges", "NeighborhoodGraph")]
+
+
+def coo_layout(n, ii, jj, ww):
+    """The symmetric CSR as the graph layer once laid it out, the slow
+    twin of graph_from_edges': both directions of every edge in one
+    concatenated COO matrix, summed to CSR and sorted.  A repeated edge
+    shows as fewer than 2E entries."""
+    mat = coo_matrix(
+        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+        shape=(n, n),
+    ).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def assert_twin_layout(g, twin):
+    assert g.indptr.dtype == g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, twin.indptr)
+    assert np.array_equal(g.indices, twin.indices)
+    assert g.weights.tobytes() == twin.data.tobytes()
+    for i in range(g.n):
+        assert np.all(np.diff(g.neighbors(i)[0]) > 0)
+
+
+@st.composite
+def listings(draw):
+    """Good edge rows on distinct points, often listing an edge twice."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda p: p[0] < p[1])
+    weight = st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.01, 10.0)
+    rows = draw(st.lists(st.tuples(pair, weight), max_size=12))
+    points = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
+    return points, [(i, j, w) for (i, j), w in rows]
+
+
+class TestLayoutTwin:
+    """The upper-triangle layout against the concatenated-COO twin."""
+
+    @given(split_graphs())
+    def test_split_graphs(self, g):
+        ii, jj, ww = g.edge_list()
+        assert ii.dtype == jj.dtype == np.int32
+        assert_twin_layout(g, coo_layout(g.n, ii, jj, ww))
+
+    @given(listings())
+    def test_edge_lists_with_duplicates(self, case):
+        points, rows = case
+        ii, jj, ww = edge_arrays(rows)
+        twin = coo_layout(len(points), ii, jj, ww)
+        if twin.nnz == 2 * len(rows):
+            g = graph_from_edges(points, "ball", 1.0, None, lambda *_: (ii, jj, ww))
+            assert_twin_layout(g, twin)
+            return
+        first = {}
+        for k, (i, j, _) in enumerate(rows):
+            if first.setdefault((i, j), k) != k:
+                break
+        with pytest.raises(graph.EdgeError) as exc:
+            graph_from_edges(points, "ball", 1.0, None, lambda *_: (ii, jj, ww))
+        assert (exc.value.what, exc.value.row, exc.value.first) == (
+            f"duplicate edge {i},{j}", k, first[(i, j)]
+        )
+
+
+class TestSizeGate:
+    """Graphs csgraph cannot index in int32 fail before any row is read.
+    The inputs are zero-stride views, so nothing large is allocated."""
+
+    def gate(self, points, edges, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match) as exc:
+                graph_from_edges(points, "ball", 1.0, None, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "\n" not in str(exc.value)
+        assert peak < 1 << 20
+
+    def test_too_many_nodes(self):
+        points = np.broadcast_to(np.zeros(2), (graph.INDEX_LIMIT, 2))
+
+        def edges(*_):
+            raise AssertionError("the node gate comes before the neighbour search")
+
+        self.gate(points, edges, re.escape("fewer than 2**31 nodes, got 2147483648"))
+
+    def test_too_many_edges(self):
+        rows = graph.INDEX_LIMIT // 2
+        ii = np.broadcast_to(np.int32(0), (rows,))
+        jj = np.broadcast_to(np.int32(1), (rows,))
+        ww = np.broadcast_to(1.0, (rows,))
+        self.gate(LINE, lambda *_: (ii, jj, ww), re.escape("fewer than 2**30 edges, got 1073741824"))
+
+
+@pytest.fixture(scope="module")
+def dense_sphere():
+    """A seeded r-ball graph of mean degree about 190, so per-node
+    overheads stay small next to what the edges store."""
+    sample = sample_surface(sphere(1.0), "uniform-random", 3000, 14)
+    return sample, build_graph(sample, kind="ball", r=0.5)
+
+
+def stored_bytes(g):
+    return g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes
+
+
+class TestGraphMemory:
+    def test_build_peak(self, dense_sphere):
+        """The build holds its output about twice at most: the upper
+        triangle and its transpose while the symmetric sum is made."""
+        sample, _ = dense_sphere
+        tracemalloc.start()
+        try:
+            built = build_graph(sample, kind="ball", r=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * stored_bytes(built)
+
+    def test_csr_shares_the_stored_arrays(self, dense_sphere):
+        _, g = dense_sphere
+        mat = g.to_csr()
+        assert np.shares_memory(mat.indptr, g.indptr)
+        assert np.shares_memory(mat.indices, g.indices)
+        assert np.shares_memory(mat.data, g.weights)
+
+    def test_bounded_search_transient(self, dense_sphere):
+        """A bounded search copies no graph array; csgraph's own checks
+        add about one byte per directed edge."""
+        _, g = dense_sphere
+        tracemalloc.start()
+        try:
+            rows = shortest_distances(g, {0: 0.5, 7: 1.0})
+            transient = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transient <= rows.nbytes + 0.1 * stored_bytes(g)
 
 
 class TestStatsAndComponents:

@@ -26,7 +26,7 @@ from geoknot import (
 
 def worst_ratio(spec, n, pairs=120, seed=0):
     sample = sample_surface(spec, "grid", n)
-    cov = covering_radius(sample, 10 * sample.n)
+    cov = covering_radius(sample)
     r = 4.0 * cov.padded
     g = build_graph(sample, kind="ball", r=r)
     rng = np.random.default_rng(seed)

@@ -58,6 +58,10 @@ READS = {
 }
 EXPERIMENTS = tuple(READS)
 
+# The flags besides --surface that set a key of the surface dict; each
+# flag's dest is its key.
+SURFACE_FLAGS = ("radius", "height")
+
 
 @dataclass
 class ExperimentConfig:
@@ -117,8 +121,8 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     overrides = {name: getattr(args, name) for name in known if name != "surface"}
     if args.surface is not None:
         overrides["surface"] = _surface_args(args)
-    elif (args.radius, args.height, args.ambient_dim) != (None, None, None):
-        raise ValueError("--radius, --height and --ambient-dim need --surface")
+    elif any(getattr(args, k) is not None for k in SURFACE_FLAGS):
+        raise ValueError("--radius and --height need --surface")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -140,13 +144,10 @@ def load_config(path: str | None, args) -> ExperimentConfig:
 
 
 def _surface_args(args) -> dict:
-    """The surface dict of the --surface, --radius, --height and
-    --ambient-dim flags, as a config file spells it."""
-    surf = {"kind": args.surface, "radius": _or(args.radius, 1.0)}
-    if args.height is not None:
-        surf["height"] = args.height
-    if args.ambient_dim is not None:
-        surf["ambient_dim"] = args.ambient_dim
+    """The surface dict of the --surface, --radius and --height flags,
+    as a config file spells it."""
+    surf = {"kind": args.surface, "radius": 1.0}
+    surf.update((k, getattr(args, k)) for k in SURFACE_FLAGS if getattr(args, k) is not None)
     return surf
 
 
@@ -278,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--height", type=float, default=None,
                    help="cylinder height")
-    p.add_argument("--ambient-dim", type=int, default=None,
-                   help="embedding dimension (disk: 2 or 3)")
     p.add_argument("--mode", default="grid",
                    choices=MODES)
     p.add_argument("--n", type=int, required=True)
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=SURFACE_KINDS)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--height", type=float, default=None)
-    p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("--n", type=int, nargs="+", default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)

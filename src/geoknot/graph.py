@@ -145,6 +145,21 @@ class EdgeError(ValueError):
         super().__init__(f"row {row}: {what}{again}")
 
 
+def check_graph_params(kind: str, r: float, alpha: float | None):
+    """Raise ValueError unless r is positive and finite and alpha suits
+    the kind: none for a ball graph, 0 <= alpha < 1 for an annulus graph."""
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    if kind == "ball":
+        if alpha is not None:
+            raise ValueError("ball graphs take no alpha")
+    elif kind == "annulus":
+        if alpha is None or not (0.0 <= alpha < 1.0):
+            raise ValueError("annulus graphs need 0 <= alpha < 1")
+    else:
+        raise ValueError(f"unknown graph kind {kind!r}")
+
+
 def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) -> NeighborhoodGraph:
     """The graph of kind ``kind`` over the points of ``sample``, with the
     edges that ``edges(points, r, alpha)`` returns as arrays (ii, jj,
@@ -152,12 +167,11 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
 
     Every graph is made here: built, read from a file or perturbed.
     The parameters are checked first, so a bad r never reaches a
-    neighbour search: at least 2 and fewer than 2**31 points, r positive
-    and finite, no alpha for a ball graph, 0 <= alpha < 1 for an annulus
-    graph.  An edge list of 2**30 rows or more is rejected before any
-    row is read.  Then every edge must have 0 <= i < j < n, a finite
-    positive weight and two endpoints at different points, and no edge
-    may be listed twice.  A violation raises ValueError; a bad edge
+    neighbour search: at least 2 and fewer than 2**31 points, then
+    :func:`check_graph_params`.  An edge list of 2**30 rows or more is
+    rejected before any row is read.  Then every edge must have
+    0 <= i < j < n, a finite positive weight and two endpoints at
+    different points, and no edge may be listed twice.  A violation raises ValueError; a bad edge
     raises :class:`EdgeError` with the position of its row.
 
     The layout never doubles the edge list: the upper triangle goes to
@@ -170,16 +184,7 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
         raise ValueError("need at least 2 points to build a graph")
     if n >= INDEX_LIMIT:
         raise ValueError(f"a graph holds fewer than 2**31 nodes, got {n}")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
-    if kind == "ball":
-        if alpha is not None:
-            raise ValueError("ball graphs take no alpha")
-    elif kind == "annulus":
-        if alpha is None or not (0.0 <= alpha < 1.0):
-            raise ValueError("annulus graphs need 0 <= alpha < 1")
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
+    check_graph_params(kind, r, alpha)
     ii, jj, ww = edges(pts, r, alpha)
     if 2 * len(ii) >= INDEX_LIMIT:
         raise ValueError(f"a graph holds fewer than 2**30 edges, got {len(ii)}")
@@ -256,23 +261,6 @@ class GraphStats:
     components: int
 
 
-def connected_components(g: NeighborhoodGraph) -> np.ndarray:
-    """Component label per node; components are numbered in the order of
-    their smallest node index."""
-    # The CSR is symmetric, so its strong components are the undirected
-    # ones, found without the transpose that directed=False builds.
-    k, labels = csgraph.connected_components(
-        g.to_csr(), directed=True, connection="strong"
-    )
-    # Renumber in O(n): a component's label is the number of components
-    # whose smallest node comes before its own.
-    first = np.full(k, g.n, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(g.n))
-    starts = np.zeros(g.n, dtype=np.int64)
-    starts[first] = 1
-    return (np.cumsum(starts) - 1)[first][labels]
-
-
 def graph_stats(g: NeighborhoodGraph) -> GraphStats:
     deg = g.degrees()
     return GraphStats(
@@ -281,7 +269,10 @@ def graph_stats(g: NeighborhoodGraph) -> GraphStats:
         min_degree=int(deg.min()),
         max_degree=int(deg.max()),
         mean_degree=float(deg.mean()),
-        components=int(connected_components(g).max()) + 1,
+        # The CSR is symmetric, so its strong components are the undirected
+        # ones, found without the transpose that directed=False builds.
+        components=int(csgraph.connected_components(g.to_csr(), connection="strong",
+                                                    return_labels=False)),
     )
 
 

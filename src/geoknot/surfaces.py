@@ -21,21 +21,25 @@ MODES = ("grid", "uniform-random")
 # Residual tolerance for "is this point on the surface" checks in oracles.
 ON_SURFACE_TOL = 1e-9
 
+# covering_radius measures against a reference grid of this many points
+# per sample point.
+REFERENCE_FACTOR = 10
+
+# The keys of a surface dict, as surface_to_json writes them.
+SURFACE_KEYS = ("kind", "radius", "height")
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
     """One of the supported analytic surfaces.
 
     ``radius`` is the sphere/cylinder/circle radius or the disk radius;
-    ``height`` applies to cylinders only.  ``ambient_dim`` is the
-    dimension the points live in (disks may be embedded in the z=0 plane
-    of R^3).
+    ``height`` applies to cylinders only.
     """
 
     kind: str
     radius: float
     height: float | None = None
-    ambient_dim: int = 3
 
     def __post_init__(self):
         if self.kind not in SURFACE_KINDS:
@@ -47,27 +51,28 @@ class SurfaceSpec:
                 raise ValueError("cylinder needs a positive finite height")
         elif self.height is not None:
             raise ValueError(f"{self.kind} takes no height")
-        expected = {"sphere": (3,), "disk": (2, 3), "cylinder": (3,), "circle": (2,)}
-        if self.ambient_dim not in expected[self.kind]:
-            raise ValueError(
-                f"{self.kind} supports ambient_dim {expected[self.kind]}, got {self.ambient_dim}"
-            )
+
+    @property
+    def ambient_dim(self) -> int:
+        """The dimension the points live in: 2 for the disk and the
+        circle, 3 for the sphere and the cylinder."""
+        return 2 if self.kind in ("disk", "circle") else 3
 
 
 def sphere(radius: float = 1.0) -> SurfaceSpec:
-    return SurfaceSpec("sphere", radius, ambient_dim=3)
+    return SurfaceSpec("sphere", radius)
 
 
-def disk(radius: float = 1.0, ambient_dim: int = 2) -> SurfaceSpec:
-    return SurfaceSpec("disk", radius, ambient_dim=ambient_dim)
+def disk(radius: float = 1.0) -> SurfaceSpec:
+    return SurfaceSpec("disk", radius)
 
 
 def cylinder(radius: float = 1.0, height: float = 4.0) -> SurfaceSpec:
-    return SurfaceSpec("cylinder", radius, height=height, ambient_dim=3)
+    return SurfaceSpec("cylinder", radius, height=height)
 
 
 def circle(radius: float = 1.0) -> SurfaceSpec:
-    return SurfaceSpec("circle", radius, ambient_dim=2)
+    return SurfaceSpec("circle", radius)
 
 
 def curvature_bound(spec: SurfaceSpec) -> float:
@@ -98,11 +103,7 @@ def surface_residual(spec: SurfaceSpec, points) -> np.ndarray:
     if spec.kind == "sphere" or spec.kind == "circle":
         return np.abs(np.linalg.norm(pts, axis=1) - spec.radius)
     if spec.kind == "disk":
-        planar = np.linalg.norm(pts[:, :2], axis=1)
-        res = np.maximum(planar - spec.radius, 0.0)
-        if spec.ambient_dim == 3:
-            res = np.maximum(res, np.abs(pts[:, 2]))
-        return res
+        return np.maximum(np.linalg.norm(pts, axis=1) - spec.radius, 0.0)
     rho = np.linalg.norm(pts[:, :2], axis=1)
     res = np.abs(rho - spec.radius)
     res = np.maximum(res, np.maximum(-pts[:, 2], 0.0))
@@ -209,10 +210,7 @@ def _grid_of_shape(spec: SurfaceSpec, shape) -> np.ndarray:
         axis = np.linspace(-spec.radius, spec.radius, shape)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) <= spec.radius]
-        if spec.ambient_dim == 3:
-            pts = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
-        return pts
+        return pts[np.linalg.norm(pts, axis=1) <= spec.radius]
     if spec.kind == "circle":
         theta = 2.0 * math.pi * np.arange(shape) / shape
         return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -235,10 +233,7 @@ def _random_points(spec: SurfaceSpec, n: int, seed: int) -> np.ndarray:
     if spec.kind == "disk":
         radii = spec.radius * np.sqrt(rng.random(n))
         theta = 2.0 * math.pi * rng.random(n)
-        pts = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
-        if spec.ambient_dim == 3:
-            pts = np.concatenate([pts, np.zeros((n, 1))], axis=1)
-        return pts
+        return np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
     if spec.kind == "circle":
         theta = 2.0 * math.pi * rng.random(n)
         return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -343,25 +338,18 @@ def _reference(spec: SurfaceSpec, shape) -> tuple:
     return ref, float(np.max(spacing_d[:, 1]))
 
 
-def covering_radius(sample: SampleSet, reference_n: int) -> CoveringEstimate:
+def covering_radius(sample: SampleSet) -> CoveringEstimate:
     """Estimate how far surface points can be from the sample.
 
     Evaluates the nearest-sample distance over a dense deterministic
-    reference grid of the same surface.  The reference must outnumber
-    the sample at least tenfold so that the grid, not the sample,
-    limits the resolution.  Each distinct grid and its spacing are
-    computed once per process.
+    reference grid of the same surface, built for REFERENCE_FACTOR times
+    the sample's points so that the grid, not the sample, limits the
+    resolution.  An empty sample covers nothing: its radius is inf.
+    Each distinct grid and its spacing are computed once per process.
     """
-    n = sample.n
-    if n > 0 and reference_n < 10 * n:
-        raise ValueError("reference_n must be at least 10x the sample size")
-    ref, spacing = _reference(
-        sample.surface, _grid_shape(sample.surface, reference_n)
-    )
-    if n == 0:
-        return CoveringEstimate(math.inf, len(ref), spacing)
-    eps = directed_hausdorff(ref, sample.points)
-    return CoveringEstimate(eps, len(ref), spacing)
+    spec = sample.surface
+    ref, spacing = _reference(spec, _grid_shape(spec, REFERENCE_FACTOR * max(sample.n, 1)))
+    return CoveringEstimate(directed_hausdorff(ref, sample.points), len(ref), spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +378,31 @@ def _jsonable(value):
 
 
 def surface_to_json(spec: SurfaceSpec) -> dict:
-    out = {"kind": spec.kind, "radius": spec.radius, "ambient_dim": spec.ambient_dim}
+    out = {"kind": spec.kind, "radius": spec.radius}
     if spec.height is not None:
         out["height"] = spec.height
     return out
 
 
 def surface_from_json(data: dict) -> SurfaceSpec:
-    """The spec of a surface dict; a field of the wrong type raises
-    ValueError naming it.  No boolean counts as a number, and a null
-    height is no height."""
-    kind = _surface_field(data, "kind", str)
-    default_dim = 2 if kind in ("disk", "circle") else 3
+    """The spec of a surface dict; a key other than SURFACE_KEYS, or a
+    field of the wrong type, raises ValueError naming it.  No boolean
+    counts as a number, and a null height is no height."""
+    unknown = set(data) - set(SURFACE_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown surface keys: {sorted(unknown)}; a surface takes kind, radius and height"
+        )
     height = data.get("height")
     return SurfaceSpec(
-        kind=kind,
+        kind=_surface_field(data, "kind", str),
         radius=float(_surface_field(data, "radius", (int, float))),
         height=None if height is None else float(_surface_field(data, "height", (int, float))),
-        ambient_dim=_surface_field(data, "ambient_dim", int, default_dim),
     )
 
 
-def _surface_field(data: dict, name: str, kind, default=None):
-    value = data[name] if default is None else data.get(name, default)
+def _surface_field(data: dict, name: str, kind):
+    value = data[name]
     if not _is_a(value, kind):
         raise ValueError(f"surface field {name!r} has the wrong type: {value!r}")
     return value

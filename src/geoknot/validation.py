@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import chord_lower_bound, discrete_curvature
-from .graph import NeighborhoodGraph, build_graph, graph_from_edges
+from .graph import NeighborhoodGraph, build_graph, check_graph_params, graph_from_edges
 from .paths import (
     EdgeStateEngine,
     path_max_curvature,
@@ -157,6 +157,11 @@ def _finish(report: BoundReport, t0: float, **extra):
     return report
 
 
+def _check_perturbation(p: float):
+    if not -1.0 < p < math.inf:
+        raise ValueError(f"weight perturbation must satisfy -1 < p < inf, got {p}")
+
+
 def perturb_graph_weights(g: NeighborhoodGraph, p: float) -> NeighborhoodGraph:
     """Self-test fault injection: divide all weights by (1 + p), for
     -1 < p < inf.
@@ -165,12 +170,16 @@ def perturb_graph_weights(g: NeighborhoodGraph, p: float) -> NeighborhoodGraph:
     negative p inflates them and breaks upper-bound checks.  p = 0 is
     the identity.
     """
-    if not -1.0 < p < math.inf:
-        raise ValueError(f"weight perturbation must satisfy -1 < p < inf, got {p}")
+    _check_perturbation(p)
     if p == 0.0:
         return g
     ii, jj, ww = g.edge_list()
     return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww / (1.0 + p)))
+
+
+def _check_pair_count(count: int):
+    if count < 1:
+        raise GateError(f"pairs must be at least 1, got {count}")
 
 
 def select_pairs(
@@ -185,8 +194,7 @@ def select_pairs(
     from the boundary so graph paths are not clipped.
     Returns (i, j, oracle_delta) triples.
     """
-    if count < 1:
-        raise GateError(f"pairs must be at least 1, got {count}")
+    _check_pair_count(count)
     pts = sample.points
     lo, hi = 3.0 * r, intrinsic_diameter(spec) / 2.0
     if lo > hi:
@@ -229,20 +237,43 @@ def select_pairs(
     return out
 
 
+def _gate_alpha(alpha: float):
+    if not 0.0 <= alpha <= 0.25:
+        raise GateError(f"gate alpha <= 1/4 failed: alpha = {alpha:.6g}")
+
+
+def _gate_curvature_radius(kappa_s: float, r: float):
+    if kappa_s * r > 1.0 / 3.0:
+        raise GateError(f"gate kappa_S*r <= 1/3 failed: {kappa_s * r:.6g}")
+
+
+def _gate_finite_kappa(kappa: float):
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise GateError("kappa must be finite and positive")
+
+
+def _check_graph_run(r, pairs, perturb_weights, alpha=None):
+    """The checks of a runner's graph build (unless r is None, set from
+    the sample), weight perturbation and pair selection, in that order,
+    made before it samples so that a bad parameter costs no work."""
+    if r is not None:
+        check_graph_params("ball" if alpha is None else "annulus", r, alpha)
+    _check_perturbation(perturb_weights)
+    _check_pair_count(pairs)
+
+
 def _sample(surface: SurfaceSpec, n: int, seed: int, mode: str):
     """The sample of a runner and its covering-radius estimate."""
     sample = sample_surface(surface, mode, n, seed)
-    return sample, covering_radius(sample, 10 * sample.n)
+    return sample, covering_radius(sample)
 
 
-def _graph_and_pairs(
-    surface, sample, r, pairs, seed, perturb_weights, alpha=None
-) -> tuple:
+def _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha=None) -> tuple:
     """The runner's graph, ball for alpha None and annulus otherwise,
     with its weights perturbed, and its seeded pairs."""
     kind = "ball" if alpha is None else "annulus"
     g = perturb_graph_weights(build_graph(sample, kind=kind, r=r, alpha=alpha), perturb_weights)
-    return g, select_pairs(surface, sample, r, pairs, np.random.default_rng(seed))
+    return g, select_pairs(sample.surface, sample, r, pairs, np.random.default_rng(seed))
 
 
 def _upper_rows(pair_list: list, dist: dict, factor: float) -> list:
@@ -296,6 +327,7 @@ def verify_unconstrained_upper(
     estimate) form so the certificate stays one-sided.
     """
     t0 = time.perf_counter()
+    _check_graph_run(r, pairs, perturb_weights)
     sample, cov = _sample(surface, n, seed, mode)
     eps = cov.padded
     if r is None:
@@ -304,9 +336,7 @@ def verify_unconstrained_upper(
         raise GateError(
             f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}"
         )
-    g, pair_list = _graph_and_pairs(
-        surface, sample, r, pairs, seed, perturb_weights
-    )
+    g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
     rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
@@ -349,14 +379,10 @@ def verify_unconstrained_lower(
     """
     t0 = time.perf_counter()
     kappa_s = curvature_bound(surface)
-    if kappa_s * r > 1.0 / 3.0:
-        raise GateError(
-            f"gate kappa_S*r <= 1/3 failed: {kappa_s * r:.6g}"
-        )
+    _gate_curvature_radius(kappa_s, r)
+    _check_graph_run(r, pairs, perturb_weights)
     sample, cov = _sample(surface, n, seed, mode)
-    g, pair_list = _graph_and_pairs(
-        surface, sample, r, pairs, seed, perturb_weights
-    )
+    g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
     rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
@@ -408,21 +434,21 @@ def verify_constrained_upper(
     fails, reported with C_emp = (kappa' - kappa)/(kappa^2 r + eps/r^2).
     """
     t0 = time.perf_counter()
-    if not 0.0 <= alpha <= 0.25:
-        raise GateError(f"gate alpha <= 1/4 failed: alpha = {alpha:.6g}")
+    _gate_alpha(alpha)
     kappa_s = curvature_bound(surface)
     if kappa < kappa_s:
         raise GateError(
             "constrained oracle unavailable: kappa "
             f"{kappa:.6g} below the surface curvature bound {kappa_s:.6g}"
         )
+    if not kappa > 0.0:  # nan included; inf is no constraint
+        raise GateError(f"kappa must be positive, got {kappa:.6g}")
     if kappa_prime is not None and not kappa <= kappa_prime:  # nan included
         raise GateError(f"kappa_prime must be at least kappa = {kappa:.6g}, got {kappa_prime:.6g}")
+    _check_graph_run(r, pairs, perturb_weights, alpha)
     sample, cov = _sample(surface, n, seed, mode)
     eps = cov.padded
-    g, pair_list = _graph_and_pairs(
-        surface, sample, r, pairs, seed, perturb_weights, alpha
-    )
+    g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha)
     engine = EdgeStateEngine(g)
     factor = 1.0 + 6.0 * eps / r
     evaluations = 0
@@ -512,21 +538,16 @@ def verify_constrained_lower(
     decided on the padded density estimate, the reported eps and
     fitted constant on the raw one.  Returns one report per N.
     """
-    if not 0.0 <= alpha <= 0.25:
-        raise GateError(f"gate alpha <= 1/4 failed: alpha = {alpha:.6g}")
-    kappa_s = curvature_bound(surface)
-    if kappa_s * r > 1.0 / 3.0:
-        raise GateError(f"gate kappa_S*r <= 1/3 failed: {kappa_s * r:.6g}")
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise GateError("kappa must be finite and positive")
+    _gate_alpha(alpha)
+    _gate_curvature_radius(curvature_bound(surface), r)
+    _gate_finite_kappa(kappa)
+    _check_graph_run(r, pairs, perturb_weights, alpha)
     reports = []
     for n in n_sequence:
         t0 = time.perf_counter()
         sample, cov = _sample(surface, n, seed, mode)
         eps = cov.radius
-        g, pair_list = _graph_and_pairs(
-            surface, sample, r, pairs, seed, perturb_weights, alpha
-        )
+        g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha)
         searches = Counter()
         rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
         # The padded estimate bounds eps from above, so the gate is
@@ -590,8 +611,7 @@ def verify_chord_bound(
     oracle = measured chord, graph = bound value.
     """
     t0 = time.perf_counter()
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise GateError("kappa must be finite and positive")
+    _gate_finite_kappa(kappa)
     R = 1.0 / kappa
     report = BoundReport(
         experiment="chord-bound",

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geoknot import read_graph_csv, read_points_csv
-from geoknot.cli import build_parser, load_config, main
+from geoknot import validation
+from geoknot.cli import (
+    READS,
+    SURFACE_FLAGS,
+    ExperimentConfig,
+    _surface_args,
+    build_parser,
+    load_config,
+    main,
+)
+from geoknot.surfaces import SURFACE_KEYS, surface_from_json
 from geoknot.validation import REPORT_HEADER
 
 
@@ -305,12 +317,10 @@ class TestGatedArguments:
 
     @pytest.mark.parametrize("key, value", [
         ("radius", [1]),
-        ("ambient_dim", 3.7),
         ("radius", "1"),
         ("radius", True),
         ("radius", None),
         ("height", "4"),
-        ("ambient_dim", "3"),
         ("kind", 5),
     ])
     def test_mistyped_surface_field(self, tmp_path, capsys, key, value):
@@ -323,6 +333,20 @@ class TestGatedArguments:
         assert "Traceback" not in err
         assert err.splitlines() == [
             f"error: surface field {key!r} has the wrong type: {value!r}"
+        ]
+
+    @pytest.mark.parametrize("key, value", [("hieght", 4), ("ambient_dim", 3)])
+    def test_unknown_surface_key(self, tmp_path, capsys, key, value):
+        # A misspelt key must stop the run, not be dropped.
+        surface = {"kind": "cylinder", "radius": 1.0, "height": 4.0, key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "unconstrained-upper",
+                                   "surface": surface, "n": 66, "pairs": 3}))
+        assert run(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: unknown surface keys: [{key!r}]; a surface takes kind, radius and height"
         ]
 
     @pytest.mark.parametrize("surface, r", [
@@ -376,6 +400,43 @@ class TestGatedArguments:
         assert capsys.readouterr().err.splitlines() == [
             "gate error: pairs must be at most 2145, the distinct pairs of "
             "66 eligible points, got 100000"
+        ]
+
+
+class TestChecksBeforeSampling:
+    """A bad runner parameter exits 2 before the sample is drawn, with the
+    line its check gave when it ran after the sample."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the runner sampled before checking its parameters")
+        monkeypatch.setattr(validation, "sample_surface", refuse)
+
+    @pytest.mark.parametrize("experiment", ["unconstrained-upper", "unconstrained-lower",
+                                            "constrained-upper", "constrained-lower"])
+    @pytest.mark.parametrize("extra, line", [
+        (["--pairs", 0], "gate error: pairs must be at least 1, got 0"),
+        (["--perturb-weights", "nan"],
+         "error: weight perturbation must satisfy -1 < p < inf, got nan"),
+        (["--r", "nan"], "error: r must be positive and finite"),
+    ])
+    def test_large_run_rejected_at_once(self, capsys, experiment, extra, line):
+        assert run(["verify", "--experiment", experiment, "--surface", "sphere",
+                    "--mode", "uniform-random", "--n", 200000, "--r", 0.05, *extra]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("surface, n, r, kappa", [
+        ("sphere", 4098, 0.2, "nan"),
+        ("disk", 3096, 0.1, "0"),
+    ])
+    def test_constrained_upper_kappa_must_be_positive(self, capsys, surface, n, r, kappa):
+        # A disk's surface curvature bound is 0, so only the kappa > 0
+        # gate stops kappa 0.
+        assert run(["verify", "--experiment", "constrained-upper", "--surface", surface,
+                    "--n", n, "--r", r, "--kappa", kappa, "--pairs", 30]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"gate error: kappa must be positive, got {float(kappa):.6g}"
         ]
 
 
@@ -526,7 +587,7 @@ GRAPH_FAULTS = st.sampled_from([
 ]) | JUNK.map(lambda t: f"0,{t},1")
 
 FLAGS = ["--n", "--r", "--alpha", "--kappa", "--kappa-prime", "--pairs", "--seed",
-         "--radius", "--height", "--ambient-dim", "--perturb-weights",
+         "--radius", "--height", "--perturb-weights",
          "--experiment", "--surface", "--mode", "--curve"]
 INT_KEYS = ["n", "pairs", "seed"]
 FLOAT_KEYS = ["r", "alpha", "kappa", "kappa_prime", "perturb_weights"]
@@ -542,7 +603,6 @@ SURFACE_WRONG = {
     "kind": st.integers() | st.lists(JUNK, max_size=2),
     "radius": NOT_A_NUMBER,
     "height": NOT_A_NUMBER,
-    "ambient_dim": NOT_A_NUMBER | st.floats(),
 }
 
 
@@ -654,11 +714,19 @@ class TestUnreadOptions:
                                       "--out-csv", "r.csv", "--out-json", "r.json"])
             assert load_config(None, args).experiment == argv[1]
 
-    @pytest.mark.parametrize("flag", ["--radius", "--height", "--ambient-dim"])
+    @pytest.mark.parametrize("flag", ["--radius", "--height"])
     def test_surface_flag_needs_surface(self, capsys, flag):
         assert run(["verify", "--experiment", "chord-bound", flag, 3]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: --radius, --height and --ambient-dim need --surface"
+            "error: --radius and --height need --surface"
+        ]
+
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    def test_no_ambient_dim_flag(self, tmp_path, capsys, command):
+        argv = [command, "--surface", "disk", "--n", 50, "--ambient-dim", 3]
+        assert run([*argv, "--out", tmp_path / "x.csv"] if command == "sample" else argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "geoknot: error: unrecognized arguments: --ambient-dim 3"
         ]
 
     def test_constrained_lower_needs_r(self, capsys):
@@ -668,6 +736,33 @@ class TestUnreadOptions:
         assert capsys.readouterr().err.splitlines() == [
             "gate error: experiment constrained-lower needs r"
         ]
+
+
+class TestNoDeadKnobs:
+    """Every verify flag sets a config field or a surface key, and every
+    config field is read by some experiment."""
+
+    FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+    def test_every_verify_flag_sets_a_field(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["verify"]._actions} - {"help", "config"}
+        assert dests - set(SURFACE_FLAGS) <= self.FIELDS
+        assert set(SURFACE_FLAGS) <= dests
+
+    def test_every_field_is_read(self):
+        read = {name for names in READS.values() for name in names}
+        assert self.FIELDS - {"experiment", "out_csv", "out_json"} <= read
+
+    @pytest.mark.parametrize("command", [["sample", "--out", "x.csv"], ["verify"]])
+    def test_every_surface_flag_is_read(self, command):
+        assert set(SURFACE_FLAGS) <= set(SURFACE_KEYS)
+        values = {k: 2.0 + i for i, k in enumerate(SURFACE_FLAGS)}
+        flags = [x for k, v in values.items() for x in (f"--{k}", str(v))]
+        args = build_parser().parse_args([*command, "--surface", "cylinder", "--n", "10", *flags])
+        spec = surface_from_json(_surface_args(args))
+        assert {k: getattr(spec, k) for k in SURFACE_FLAGS} == values
 
 
 class TestNoSlackKnob:

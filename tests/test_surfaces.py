@@ -26,6 +26,7 @@ from geoknot.surfaces import (
     sidecar_path,
     surface_from_json,
     surface_residual,
+    surface_to_json,
 )
 
 
@@ -68,6 +69,7 @@ class TestSpecs:
         assert disk().ambient_dim == 2
         assert cylinder(1.0, 3.0).height == 3.0
         assert circle().ambient_dim == 2
+        assert sphere().ambient_dim == cylinder().ambient_dim == 3
 
     def test_cylinder_needs_height(self):
         for height in (-1.0, 0.0, math.inf, math.nan):
@@ -200,17 +202,12 @@ class TestGeodesicOracle:
 
 
 class TestCoveringRadius:
-    def test_reference_must_dominate(self):
-        samp = sample_surface(sphere(1.0), "grid", 66)
-        with pytest.raises(ValueError):
-            covering_radius(samp, 100)
-
     def test_two_antipodal_points(self):
         samp = SampleSet(
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
             sphere(1.0), "grid", None,
         )
-        est = covering_radius(samp, 66)
+        est = covering_radius(samp)
         # Worst gap is the equator, a chord of sqrt(2); the reference
         # grid contains exact equator points.
         assert est.radius == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -218,28 +215,29 @@ class TestCoveringRadius:
 
     def test_single_point_circle(self):
         samp = SampleSet(np.array([[1.0, 0.0]]), circle(1.0), "grid", None)
-        est = covering_radius(samp, 10)
+        est = covering_radius(samp)
         assert est.radius == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_sample_is_uncovered(self):
         samp = SampleSet(np.empty((0, 2)), circle(1.0), "grid", None)
-        assert covering_radius(samp, 10).radius == math.inf
+        assert covering_radius(samp).radius == math.inf
 
     def test_identical_sets_have_zero_gap(self):
         pts = sample_surface(sphere(1.0), "grid", 66).points
         assert directed_hausdorff(pts, pts) == 0.0
 
     def test_denser_sample_is_tighter(self):
-        coarse = covering_radius(sample_surface(sphere(1.0), "grid", 66), 1000)
-        fine = covering_radius(sample_surface(sphere(1.0), "grid", 258), 10000)
+        coarse = covering_radius(sample_surface(sphere(1.0), "grid", 66))
+        fine = covering_radius(sample_surface(sphere(1.0), "grid", 258))
         assert fine.radius < coarse.radius
 
     def test_reference_grid_built_once_per_shape(self):
-        # 2580 and 2500 requested points build the same 4098-point grid.
+        # 10 x 258 and 10 x 250 requested points build the same
+        # 4098-point grid.
         _reference.cache_clear()
         grid = sample_surface(sphere(1.0), "grid", 258)
         random = sample_surface(sphere(1.0), "uniform-random", 250, 3)
-        ests = [covering_radius(grid, 2580), covering_radius(random, 2500)]
+        ests = [covering_radius(grid), covering_radius(random)]
         info = _reference.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         ref, spacing = _reference(sphere(1.0), 5)
@@ -253,6 +251,20 @@ class TestCoveringRadius:
             assert est.reference_spacing == spacing
             assert est.radius == directed_hausdorff(fresh, samp.points)
 
+    @pytest.mark.parametrize("spec", [sphere(1.0), disk(1.5), cylinder(1.0, 2.0), circle(0.5)])
+    @pytest.mark.parametrize("mode, n", [("grid", 30), ("grid", 70), ("uniform-random", 40)])
+    def test_matches_dense_twin(self, spec, mode, n):
+        # The reference is the grid of ten times the sample's points;
+        # the twin measures every reference point against every sample
+        # point.
+        samp = sample_surface(spec, mode, n, seed=11)
+        ref = sample_surface(spec, "grid", 10 * samp.n).points
+        diff = ref[:, None, :] - samp.points[None, :, :]
+        twin = np.sqrt((diff**2).sum(axis=2)).min(axis=1).max()
+        est = covering_radius(samp)
+        assert est.reference_size == len(ref)
+        assert est.radius == pytest.approx(twin, rel=1e-12)
+
     def test_directed_hausdorff_empty_target(self):
         assert directed_hausdorff(np.ones((3, 2)), np.empty((0, 2))) == math.inf
 
@@ -261,6 +273,23 @@ class TestCoveringRadius:
         b = np.array([[0.0, 0.0], [5.0, 0.0]])
         assert directed_hausdorff(a, b) == 0.0
         assert directed_hausdorff(b, a) == 5.0
+
+
+class TestSurfaceDicts:
+    @pytest.mark.parametrize("spec", [sphere(2.0), disk(1.5), cylinder(1.0, 3.0), circle(0.5)])
+    def test_round_trip(self, spec):
+        data = surface_to_json(spec)
+        assert set(data) <= {"kind", "radius", "height"}
+        assert surface_from_json(data) == spec
+        assert surface_from_json(json.loads(json.dumps(data))) == spec
+
+    @pytest.mark.parametrize("key", ["hieght", "ambient_dim"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError) as exc:
+            surface_from_json({"kind": "cylinder", "radius": 1.0, "height": 4.0, key: 3})
+        assert str(exc.value) == (
+            f"unknown surface keys: [{key!r}]; a surface takes kind, radius and height"
+        )
 
 
 class TestPointsIO:
@@ -277,6 +306,7 @@ class TestPointsIO:
         write_points_csv(path, samp)
         with open(sidecar_path(path), encoding="utf-8") as fh:
             meta = json.load(fh)
+        assert meta["surface"] == {"kind": "cylinder", "radius": 1.5, "height": 2.0}
         assert surface_from_json(meta["surface"]) == samp.surface
         assert (meta["mode"], meta["n"], meta["seed"], meta["D"]) == ("grid", samp.n, samp.seed, 3)
         assert np.array_equal(read_points_csv(path), samp.points)

@@ -195,6 +195,60 @@ class TestConstrainedUpper:
             verify_constrained_upper(sphere(1.0), 200, r=0.4, kappa=2.0,
                                      kappa_prime=kappa_prime, pairs=8)
 
+    def test_infinite_kappa_runs(self):
+        # The kappa > 0 gate lets inf, no constraint, through.
+        rep = verify_constrained_upper(sphere(1.0), 200, r=0.4, kappa=math.inf, pairs=5)
+        assert rep.kappa == rep.kappa_prime == math.inf
+
+
+class TestChecksBeforeSampling:
+    """Each graph runner makes the checks of its graph build, weight
+    perturbation and pair selection before it samples, with the same
+    exception and message."""
+
+    RUNNERS = {
+        "unconstrained-upper": lambda **kw: verify_unconstrained_upper(
+            sphere(1.0), 200000, **{"r": 0.05, **kw}),
+        "unconstrained-lower": lambda **kw: verify_unconstrained_lower(
+            sphere(1.0), 200000, **{"r": 0.05, **kw}),
+        "constrained-upper": lambda **kw: verify_constrained_upper(
+            sphere(1.0), 200000, **{"r": 0.05, **kw}),
+        "constrained-lower": lambda **kw: verify_constrained_lower(
+            sphere(1.0), [200000], **{"r": 0.05, **kw}),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the runner sampled before checking its parameters")
+        monkeypatch.setattr(validation, "sample_surface", refuse)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(pairs=0), GateError, "pairs must be at least 1, got 0"),
+        (dict(perturb_weights=math.nan), ValueError,
+         "weight perturbation must satisfy -1 < p < inf, got nan"),
+        (dict(r=math.nan), ValueError, "r must be positive and finite"),
+    ])
+    def test_rejected_before_sampling(self, runner, kwargs, error, message):
+        with pytest.raises(error) as exc:
+            self.RUNNERS[runner](**kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_upper_radius_checked_before_the_density_gate(self, r):
+        # r is checked before the sample, so before the density gate.
+        with pytest.raises(ValueError) as exc:
+            self.RUNNERS["unconstrained-upper"](r=r)
+        assert not isinstance(exc.value, GateError)
+        assert str(exc.value) == "r must be positive and finite"
+
+    @pytest.mark.parametrize("spec, kappa", [(sphere(1.0), math.nan), (disk(1.0), 0.0)])
+    def test_constrained_upper_kappa_must_be_positive(self, spec, kappa):
+        with pytest.raises(GateError) as exc:
+            verify_constrained_upper(spec, 3096, r=0.1, kappa=kappa, pairs=30)
+        assert str(exc.value) == f"kappa must be positive, got {kappa:.6g}"
+
 
 class TestExactCap:
     """kappa_prime_min against a pure-Python twin: the candidate caps
@@ -308,7 +362,7 @@ class TestConstrainedLower:
         # A threshold between the raw estimate and the padded one: only
         # the raw underestimate would claim the certified regime.
         sample = sample_surface(sphere(1.0), "grid", 900)
-        cov = covering_radius(sample, 10 * sample.n)
+        cov = covering_radius(sample)
         scale = 0.25 * 1.0 * 0.3**2  # alpha * kappa * r^2
 
         def run(threshold):

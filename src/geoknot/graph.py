@@ -112,7 +112,7 @@ def _edge_mask(d: np.ndarray, r: float, alpha: float | None) -> np.ndarray:
 
 
 def _kdtree_edges(pts, r, alpha):
-    # The tree's own distance test is padded so that it never drops a
+    # The tree's own distance test is widened so that it never drops a
     # pair the exact mask below would keep.
     pairs = cKDTree(pts).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
     ii, jj = (np.array(col, dtype=np.int32) for col in pairs.T)

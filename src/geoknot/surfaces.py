@@ -3,17 +3,18 @@
 Four surface families are supported, each simple enough that geodesic
 distances have closed forms: spheres, flat disks, cylinders, and circles.
 Samplers produce deterministic grids or seeded uniform-random draws, and
-``covering_radius`` estimates how densely a sample covers its surface.
+``covering_radius`` measures how densely a sample covers its surface:
+the exact largest distance from a surface point to the sample, found
+from the sample's own Voronoi geometry.
 """
 
-import functools
 import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, Voronoi, cKDTree
 
 SURFACE_KINDS = ("sphere", "disk", "cylinder", "circle")
 MODES = ("grid", "uniform-random")
@@ -21,9 +22,8 @@ MODES = ("grid", "uniform-random")
 # Residual tolerance for "is this point on the surface" checks in oracles.
 ON_SURFACE_TOL = 1e-9
 
-# covering_radius measures against a reference grid of this many points
-# per sample point.
-REFERENCE_FACTOR = 10
+# Relative slack on float comparisons and on the covering radius.
+FLOAT_SLACK = 1e-12
 
 # The keys of a surface dict, as surface_to_json writes them.
 SURFACE_KEYS = ("kind", "radius", "height")
@@ -175,9 +175,8 @@ def _octahedron_grid(level: int) -> np.ndarray:
     return verts
 
 
-def _grid_shape(spec: SurfaceSpec, n: int):
-    """Construction parameters of the grid for n points; grids of equal
-    shape are equal.
+def _grid(spec: SurfaceSpec, n: int) -> np.ndarray:
+    """The deterministic grid for n points.
 
     Sphere, cylinder, and circle grids contain at least n points (the
     smallest constructible grid of that size); the disk grid is the
@@ -188,40 +187,23 @@ def _grid_shape(spec: SurfaceSpec, n: int):
         level = 0
         while 2 + 4 ** (level + 1) < n:
             level += 1
-        return level
+        return spec.radius * _octahedron_grid(level)
     if spec.kind == "disk":
-        return max(2, math.isqrt(n - 1) + 1)  # ceil(sqrt(n))
-    if spec.kind == "circle":
-        return n
-    # Cylinder: balance angular and vertical spacing, then bump the row
-    # count until the lattice reaches n points.
-    circ = 2.0 * math.pi * spec.radius
-    n_theta = max(3, round(math.sqrt(n * circ / spec.height)))
-    n_z = max(2, math.ceil(n / n_theta))
-    while n_theta * n_z < n:
-        n_z += 1
-    return n_theta, n_z
-
-
-def _grid_of_shape(spec: SurfaceSpec, shape) -> np.ndarray:
-    if spec.kind == "sphere":
-        return spec.radius * _octahedron_grid(shape)
-    if spec.kind == "disk":
-        axis = np.linspace(-spec.radius, spec.radius, shape)
+        axis = np.linspace(-spec.radius, spec.radius, max(2, math.isqrt(n - 1) + 1))
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
         return pts[np.linalg.norm(pts, axis=1) <= spec.radius]
     if spec.kind == "circle":
-        theta = 2.0 * math.pi * np.arange(shape) / shape
+        theta = 2.0 * math.pi * np.arange(n) / n
         return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    n_theta, n_z = shape
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    zs = np.linspace(0.0, spec.height, n_z)
-    tt, zz = np.meshgrid(theta, zs, indexing="ij")
-    return np.stack(
-        [spec.radius * np.cos(tt.ravel()), spec.radius * np.sin(tt.ravel()), zz.ravel()],
-        axis=1,
-    )
+    # Cylinder: balance angular and vertical spacing, then bump the row
+    # count until the lattice reaches n points.
+    n_theta = max(3, round(math.sqrt(n * (2.0 * math.pi * spec.radius) / spec.height)))
+    n_z = max(2, math.ceil(n / n_theta))
+    while n_theta * n_z < n:
+        n_z += 1
+    ring, zs = _grid(circle(spec.radius), n_theta), np.linspace(0.0, spec.height, n_z)
+    return np.column_stack([ring.repeat(n_z, axis=0), np.tile(zs, n_theta)])
 
 
 def _random_points(spec: SurfaceSpec, n: int, seed: int) -> np.ndarray:
@@ -248,7 +230,7 @@ def sample_surface(spec: SurfaceSpec, mode: str, n: int, seed: int | None = None
     """Sample n points from the surface.
 
     Grid mode is fully deterministic and ignores the seed; its actual
-    point count follows the grid construction (see ``_grid_shape``).
+    point count follows the grid construction (see ``_grid``).
     Random mode draws exactly n points, uniform in surface area,
     reproducible from the 64-bit seed.
     """
@@ -257,8 +239,7 @@ def sample_surface(spec: SurfaceSpec, mode: str, n: int, seed: int | None = None
     if mode not in MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if mode == "grid":
-        pts = _grid_of_shape(spec, _grid_shape(spec, n))
-        return SampleSet(_frozen(pts), spec, mode, None)
+        return SampleSet(_frozen(_grid(spec, n)), spec, mode, None)
     pts = _random_points(spec, n, 0 if seed is None else seed)
     return SampleSet(_frozen(pts), spec, mode, 0 if seed is None else seed)
 
@@ -293,63 +274,93 @@ def geodesic_oracle(spec: SurfaceSpec, x, y) -> float:
 
 @dataclass(frozen=True)
 class CoveringEstimate:
-    """One-sided Hausdorff estimate of sample density.
-
-    ``radius`` is measured against a finite reference grid and therefore
-    underestimates the true covering radius, converging from below as
-    the reference grows.  ``padded`` adds the reference grid's own
-    spacing, giving a practical upper bound for gate checks.
-    """
+    """A covering radius and its count of candidates (0: the diameter)."""
 
     radius: float
     reference_size: int
-    reference_spacing: float
-
-    @property
-    def padded(self) -> float:
-        return self.radius + self.reference_spacing
-
-
-def directed_hausdorff(from_points, to_points) -> float:
-    """sup over ``from_points`` of the distance to the nearest ``to_point``.
-
-    An empty target set has no nearest point anywhere, so the result is
-    infinite by convention.
-    """
-    from_points = np.atleast_2d(np.asarray(from_points, dtype=np.float64))
-    to_points = np.atleast_2d(np.asarray(to_points, dtype=np.float64))
-    if to_points.shape[0] == 0 or to_points.size == 0:
-        return math.inf
-    if from_points.shape[0] == 0 or from_points.size == 0:
-        return 0.0
-    dists, _ = cKDTree(to_points).query(from_points, k=1)
-    return float(np.max(dists))
-
-
-@functools.lru_cache(maxsize=8)
-def _reference(spec: SurfaceSpec, shape) -> tuple:
-    """Reference grid (read-only) and its nearest-neighbour spacing.
-
-    Keyed by the grid's shape, not the requested count, so every count
-    that builds the same grid shares one entry.
-    """
-    ref = _frozen(_grid_of_shape(spec, shape))
-    spacing_d, _ = cKDTree(ref).query(ref, k=2)
-    return ref, float(np.max(spacing_d[:, 1]))
 
 
 def covering_radius(sample: SampleSet) -> CoveringEstimate:
-    """Estimate how far surface points can be from the sample.
+    """The largest intrinsic distance from a surface point to the
+    sample, raised by the relative FLOAT_SLACK so that rounding never
+    puts it below the true value.
 
-    Evaluates the nearest-sample distance over a dense deterministic
-    reference grid of the same surface, built for REFERENCE_FACTOR times
-    the sample's points so that the grid, not the sample, limits the
-    resolution.  An empty sample covers nothing: its radius is inf.
-    Each distinct grid and its spacing are computed once per process.
+    The farthest point is a Voronoi vertex of the sample, a point where
+    a Voronoi edge leaves the surface, or on the disk's rim the point
+    opposite a site.  Each kind lists such candidates (a superset is
+    harmless, as all lie on the surface); one KD-tree query measures
+    them.  A sample with no Voronoi diagram (too few points, or all on
+    one plane or line) gets the diameter, an upper bound; none, inf.
     """
-    spec = sample.surface
-    ref, spacing = _reference(spec, _grid_shape(spec, REFERENCE_FACTOR * max(sample.n, 1)))
-    return CoveringEstimate(directed_hausdorff(ref, sample.points), len(ref), spacing)
+    if sample.n == 0:
+        return CoveringEstimate(math.inf, 0)
+    try:
+        dist = _DISTANCES[sample.surface.kind](sample.surface, sample.points)
+    except QhullError:
+        return CoveringEstimate(intrinsic_diameter(sample.surface), 0)
+    return CoveringEstimate(float(np.max(dist)) * (1.0 + FLOAT_SLACK), len(dist))
+
+
+def _round_distances(spec: SurfaceSpec, pts: np.ndarray) -> np.ndarray:
+    """Sphere or circle: the convex hull's facet normals are the Voronoi
+    vertices (on the circle, the gap midpoints).  A sample inside an
+    open hemisphere can also peak at -(p + q) for a hull edge pq."""
+    hull = ConvexHull(pts)
+    ends = np.stack([hull.simplices, np.roll(hull.simplices, 1, axis=1)], axis=2).reshape(-1, 2)
+    cands = np.concatenate([hull.equations[:, :-1], -pts[ends[:, 0]] - pts[ends[:, 1]]])
+    cands = cands[np.linalg.norm(cands, axis=1) > 0.0]
+    cands *= spec.radius / np.linalg.norm(cands, axis=1, keepdims=True)
+    chord = cKDTree(pts).query(cands)[0]
+    return 2.0 * spec.radius * np.arcsin(np.minimum(chord / (2.0 * spec.radius), 1.0))
+
+
+def _plane_candidates(sites, crossings) -> np.ndarray:
+    """The Voronoi vertices of planar ``sites`` and the points
+    ``crossings(m, u)`` where the bisector m + t u of each ridge meets
+    the region's boundary; the caller moves them onto the surface."""
+    vor = Voronoi(sites)
+    p, q = np.moveaxis(sites[vor.ridge_points], 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = crossings(0.5 * (p + q), np.stack([p[:, 1] - q[:, 1], q[:, 0] - p[:, 0]], axis=1))
+    return np.concatenate([vor.vertices, hits[np.isfinite(hits).all(axis=1)]])
+
+
+def _disk_distances(spec: SurfaceSpec, pts: np.ndarray) -> np.ndarray:
+    """Voronoi vertices moved onto the rim if outside, bisector crossings
+    of the rim, and the rim point opposite each site off the centre,
+    where the distance to that site along the rim peaks."""
+    rho = spec.radius
+
+    def rim(m, u):  # |m + t u| = rho has real roots t, as m lies in the disk
+        mu, uu = (m * u).sum(axis=1), (u * u).sum(axis=1)
+        root = np.sqrt(np.maximum(mu**2 - uu * ((m * m).sum(axis=1) - rho**2), 0.0))
+        return np.concatenate([m + ((s * root - mu) / uu)[:, None] * u for s in (-1.0, 1.0)])
+
+    norm = np.linalg.norm(pts, axis=1, keepdims=True)
+    cands = np.concatenate([_plane_candidates(pts, rim), -rho * pts / np.maximum(norm, 1e-300)])
+    cands /= np.maximum(np.linalg.norm(cands, axis=1, keepdims=True) / rho, 1.0)
+    return cKDTree(pts).query(cands)[0]
+
+
+def _cylinder_distances(spec: SurfaceSpec, pts: np.ndarray) -> np.ndarray:
+    """Unrolled to the strip [0, L] x [0, h], L = 2 pi R, beside the
+    sites at u < 0.6 L shifted by +L and those at u > 0.4 L by -L: within
+    0.1 L of the strip, the plane distance to the nearest site is the
+    intrinsic one.  Voronoi vertices and bisector crossings of z = 0 and
+    z = h, clipped to the strip, are the candidates."""
+    L, h = 2.0 * math.pi * spec.radius, spec.height
+    u = spec.radius * np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+    flat = np.stack([u, pts[:, 2]], axis=1)
+    sites = np.concatenate([flat, flat[u < 0.6 * L] + [L, 0.0], flat[u > 0.4 * L] - [L, 0.0]])
+
+    def rims(m, d):
+        return np.concatenate([m + ((c - m[:, 1]) / d[:, 1])[:, None] * d for c in (0.0, h)])
+
+    return cKDTree(sites).query(np.clip(_plane_candidates(sites, rims), 0.0, [L, h]))[0]
+
+
+_DISTANCES = {"sphere": _round_distances, "circle": _round_distances,
+              "disk": _disk_distances, "cylinder": _cylinder_distances}
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +396,10 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
 
 
 def surface_from_json(data: dict) -> SurfaceSpec:
-    """The spec of a surface dict; a key other than SURFACE_KEYS, or a
-    field of the wrong type, raises ValueError naming it.  No boolean
-    counts as a number, and a null height is no height."""
+    """The spec of a surface dict; a missing kind or radius, a key other
+    than SURFACE_KEYS, or a field of the wrong type raises ValueError
+    naming it.  No boolean counts as a number, and a null height is no
+    height."""
     unknown = set(data) - set(SURFACE_KEYS)
     if unknown:
         raise ValueError(
@@ -402,6 +414,8 @@ def surface_from_json(data: dict) -> SurfaceSpec:
 
 
 def _surface_field(data: dict, name: str, kind):
+    if name not in data:
+        raise ValueError(f"missing surface key {name!r}; a surface takes kind, radius and height")
     value = data[name]
     if not _is_a(value, kind):
         raise ValueError(f"surface field {name!r} has the wrong type: {value!r}")

@@ -8,7 +8,8 @@ at an implementation bug; the runners exist to catch exactly that.
 Empirical constants that the theory leaves unspecified are fitted and
 reported, never asserted.
 
-Comparisons carry a 1e-12 relative slack so that float roundoff on
+Every bound is stated in eps, the sample's exact covering radius.
+Comparisons carry the relative FLOAT_SLACK so that float roundoff on
 paths that achieve an inequality exactly (collinear chains, direct
 grid lines) cannot produce spurious violations.
 """
@@ -30,6 +31,7 @@ from .paths import (
     shortest_path_turns,
 )
 from .surfaces import (
+    FLOAT_SLACK,
     SampleSet,
     SurfaceSpec,
     _fmt,
@@ -44,8 +46,6 @@ from .surfaces import (
 
 # Constant in the local chord-vs-intrinsic comparison factor.
 COMPARISON_CONSTANT = math.pi**2 / 50
-
-FLOAT_SLACK = 1e-12
 
 # The graph searches of a runner stop at SEARCH_REACH times the largest
 # oracle distance among a source's pairs.  The certificates keep graph
@@ -182,9 +182,16 @@ def _check_pair_count(count: int):
         raise GateError(f"pairs must be at least 1, got {count}")
 
 
-def select_pairs(
-    spec: SurfaceSpec, sample: SampleSet, r: float, count: int, rng
-) -> list:
+def _pair_window(surface: SurfaceSpec, r: float) -> tuple:
+    """The oracle distances [3r, diameter/2] that select_pairs admits;
+    an empty window is a GateError."""
+    lo, hi = 3.0 * r, intrinsic_diameter(surface) / 2.0
+    if lo > hi:
+        raise GateError(f"pair window empty: 3r = {lo:.6g} exceeds half diameter {hi:.6g}")
+    return lo, hi
+
+
+def select_pairs(sample: SampleSet, r: float, count: int, rng) -> list:
     """Seeded pairs with oracle distance in [3r, diameter/2].
 
     The lower cut keeps multi-edge paths (single-edge ratios are
@@ -195,18 +202,11 @@ def select_pairs(
     Returns (i, j, oracle_delta) triples.
     """
     _check_pair_count(count)
-    pts = sample.points
-    lo, hi = 3.0 * r, intrinsic_diameter(spec) / 2.0
-    if lo > hi:
-        raise GateError(
-            f"pair window empty: 3r = {lo:.6g} exceeds half diameter {hi:.6g}"
-        )
+    spec, pts = sample.surface, sample.points
+    lo, hi = _pair_window(spec, r)
+    eligible = np.arange(len(pts))
     if spec.kind == "disk":
-        eligible = np.nonzero(
-            np.linalg.norm(pts, axis=1) <= spec.radius - r
-        )[0]
-    else:
-        eligible = np.arange(len(pts))
+        eligible = eligible[np.linalg.norm(pts, axis=1) <= spec.radius - r]
     if len(eligible) < 2:
         raise GateError("too few interior points for pair selection")
     most = len(eligible) * (len(eligible) - 1) // 2
@@ -252,20 +252,22 @@ def _gate_finite_kappa(kappa: float):
         raise GateError("kappa must be finite and positive")
 
 
-def _check_graph_run(r, pairs, perturb_weights, alpha=None):
-    """The checks of a runner's graph build (unless r is None, set from
-    the sample), weight perturbation and pair selection, in that order,
-    made before it samples so that a bad parameter costs no work."""
+def _check_graph_run(surface, r, pairs, perturb_weights, alpha=None):
+    """The checks of a runner's graph build and pair window (unless r
+    is None, set from the sample), weight perturbation and pair count,
+    in that order, made before it samples so that a bad parameter
+    costs no work."""
     if r is not None:
         check_graph_params("ball" if alpha is None else "annulus", r, alpha)
+        _pair_window(surface, r)
     _check_perturbation(perturb_weights)
     _check_pair_count(pairs)
 
 
 def _sample(surface: SurfaceSpec, n: int, seed: int, mode: str):
-    """The sample of a runner and its covering-radius estimate."""
+    """The sample of a runner and its covering radius."""
     sample = sample_surface(surface, mode, n, seed)
-    return sample, covering_radius(sample)
+    return sample, covering_radius(sample).radius
 
 
 def _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha=None) -> tuple:
@@ -273,7 +275,7 @@ def _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha=None) -> tup
     with its weights perturbed, and its seeded pairs."""
     kind = "ball" if alpha is None else "annulus"
     g = perturb_graph_weights(build_graph(sample, kind=kind, r=r, alpha=alpha), perturb_weights)
-    return g, select_pairs(sample.surface, sample, r, pairs, np.random.default_rng(seed))
+    return g, select_pairs(sample, r, pairs, np.random.default_rng(seed))
 
 
 def _upper_rows(pair_list: list, dist: dict, factor: float) -> list:
@@ -322,20 +324,17 @@ def verify_unconstrained_upper(
     """Check graph distance <= (1 + 4 eps/r) * intrinsic distance.
 
     Requires the density gate eps <= r/4.  With r omitted it is set to
-    4x the padded density estimate, the smallest radius the gate
-    certifies.  eps enters bound and gate in its padded (upper
-    estimate) form so the certificate stays one-sided.
+    4 eps, the smallest radius the gate certifies, and its pair window
+    is checked before the graph is built.
     """
     t0 = time.perf_counter()
-    _check_graph_run(r, pairs, perturb_weights)
-    sample, cov = _sample(surface, n, seed, mode)
-    eps = cov.padded
+    _check_graph_run(surface, r, pairs, perturb_weights)
+    sample, eps = _sample(surface, n, seed, mode)
     if r is None:
         r = 4.0 * eps
+        _pair_window(surface, r)
     if eps > r / 4.0:
-        raise GateError(
-            f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}"
-        )
+        raise GateError(f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}")
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
     rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
@@ -351,10 +350,6 @@ def verify_unconstrained_upper(
     return _finish(
         report,
         t0,
-        epsilon_raw=cov.radius,
-        epsilon_padded=cov.padded,
-        reference_size=cov.reference_size,
-        reference_spacing=cov.reference_spacing,
         sizes=dict(searches),
         fitted_constants={"bound_factor": factor},
     )
@@ -380,8 +375,8 @@ def verify_unconstrained_lower(
     t0 = time.perf_counter()
     kappa_s = curvature_bound(surface)
     _gate_curvature_radius(kappa_s, r)
-    _check_graph_run(r, pairs, perturb_weights)
-    sample, cov = _sample(surface, n, seed, mode)
+    _check_graph_run(surface, r, pairs, perturb_weights)
+    sample, eps = _sample(surface, n, seed, mode)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
     rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
@@ -391,7 +386,7 @@ def verify_unconstrained_lower(
         surface=surface_label(surface),
         n=sample.n,
         r=r,
-        epsilon=cov.radius,
+        epsilon=eps,
     )
     for i, j, oracle in pair_list:
         graph = float(rows[i][j])
@@ -445,9 +440,8 @@ def verify_constrained_upper(
         raise GateError(f"kappa must be positive, got {kappa:.6g}")
     if kappa_prime is not None and not kappa <= kappa_prime:  # nan included
         raise GateError(f"kappa_prime must be at least kappa = {kappa:.6g}, got {kappa_prime:.6g}")
-    _check_graph_run(r, pairs, perturb_weights, alpha)
-    sample, cov = _sample(surface, n, seed, mode)
-    eps = cov.padded
+    _check_graph_run(surface, r, pairs, perturb_weights, alpha)
+    sample, eps = _sample(surface, n, seed, mode)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha)
     engine = EdgeStateEngine(g)
     factor = 1.0 + 6.0 * eps / r
@@ -499,8 +493,6 @@ def verify_constrained_upper(
     return _finish(
         report,
         t0,
-        epsilon_raw=cov.radius,
-        epsilon_padded=cov.padded,
         evaluations=evaluations,
         sizes={
             "states": engine.states,
@@ -534,25 +526,21 @@ def verify_constrained_lower(
     sample densifies, with q_hat * alpha*kappa^2*r^3 / eps reported
     as the fitted constant.  An infinite triple curvature
     (an acute interior angle) inside the certified density regime
-    eps <= alpha*kappa*r^2/C_GATE is a hard failure.  The regime is
-    decided on the padded density estimate, the reported eps and
-    fitted constant on the raw one.  Returns one report per N.
+    eps <= alpha*kappa*r^2/C_GATE is a hard failure.  Returns one
+    report per N.
     """
     _gate_alpha(alpha)
     _gate_curvature_radius(curvature_bound(surface), r)
     _gate_finite_kappa(kappa)
-    _check_graph_run(r, pairs, perturb_weights, alpha)
+    _check_graph_run(surface, r, pairs, perturb_weights, alpha)
     reports = []
     for n in n_sequence:
         t0 = time.perf_counter()
-        sample, cov = _sample(surface, n, seed, mode)
-        eps = cov.radius
+        sample, eps = _sample(surface, n, seed, mode)
         g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha)
         searches = Counter()
         rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
-        # The padded estimate bounds eps from above, so the gate is
-        # one-sided: an underestimate never claims the regime.
-        certified = cov.padded <= alpha * kappa * r**2 / C_GATE
+        certified = eps <= alpha * kappa * r**2 / C_GATE
         report = BoundReport(
             experiment="constrained-lower",
             surface=surface_label(surface),
@@ -576,7 +564,7 @@ def verify_constrained_lower(
             if math.isinf(curv) and certified:
                 raise HardFailure(
                     f"acute interior angle on a shortest path at N={sample.n} "
-                    f"inside the certified regime (padded eps = {cov.padded:.6g})"
+                    f"inside the certified regime (eps = {eps:.6g})"
                 )
             worst = max(worst, curv)
             report.rows.append(

@@ -2,8 +2,8 @@
 
 The oracles deliberately use different algorithms than the library
 (Heron's formula for circumradius, Bellman-Ford for shortest paths,
-breadth-first search for components) so agreement is evidence, not
-tautology.
+breadth-first search for components, a dense reference grid for the
+covering radius) so agreement is evidence, not tautology.
 """
 
 import math
@@ -12,8 +12,9 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
+from scipy.spatial import cKDTree
 
-from geoknot import graph_from_edges
+from geoknot import graph_from_edges, sample_surface
 from geoknot.geometry import turn_curvature
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
@@ -49,6 +50,55 @@ def bellman_ford(n, edges, source):
         if not changed:
             break
     return dist
+
+
+def directed_hausdorff(from_points, to_points) -> float:
+    """sup over ``from_points`` of the distance to the nearest ``to_point``.
+
+    An empty target set has no nearest point anywhere, so the result is
+    infinite by convention.
+    """
+    from_points = np.atleast_2d(np.asarray(from_points, dtype=np.float64))
+    to_points = np.atleast_2d(np.asarray(to_points, dtype=np.float64))
+    if to_points.shape[0] == 0 or to_points.size == 0:
+        return math.inf
+    if from_points.shape[0] == 0 or from_points.size == 0:
+        return 0.0
+    dists, _ = cKDTree(to_points).query(from_points, k=1)
+    return float(np.max(dists))
+
+
+def grid_covering_bracket(sample) -> tuple:
+    """The slow twin of ``covering_radius``: (low, high) around the
+    sample's covering radius, measured on the surface's grid of ten
+    times the sample's points.
+
+    ``low`` is the largest chordal nearest-sample distance over the
+    grid, below the true (intrinsic) radius since the grid is a subset
+    of the surface and a chord never exceeds its geodesic.  ``high``
+    adds the grid's own spacing, the largest distance from a grid point
+    to its nearest neighbour in the grid, which puts it above.
+    """
+    ref = sample_surface(sample.surface, "grid", 10 * max(sample.n, 1)).points
+    spacing = float(np.max(cKDTree(ref).query(ref, k=2)[0][:, 1]))
+    low = directed_hausdorff(ref, sample.points)
+    return low, low + spacing
+
+
+def intrinsic_nearest(spec, sample_points, query) -> np.ndarray:
+    """The intrinsic distance from each query point to its nearest
+    sample point, over every pair and from the closed forms of
+    ``geodesic_oracle``."""
+    q, p = np.asarray(query, dtype=np.float64), np.asarray(sample_points, dtype=np.float64)
+    if spec.kind in ("sphere", "circle"):
+        d = spec.radius * np.arccos(np.clip(q @ p.T / spec.radius**2, -1.0, 1.0))
+    elif spec.kind == "disk":
+        d = np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2)
+    else:
+        turn = np.arctan2(q[:, 1], q[:, 0])[:, None] - np.arctan2(p[:, 1], p[:, 0])[None, :]
+        turn = np.remainder(turn + math.pi, 2.0 * math.pi) - math.pi
+        d = np.hypot(spec.radius * turn, q[:, 2, None] - p[None, :, 2])
+    return d.min(axis=1)
 
 
 def bfs_components(g):

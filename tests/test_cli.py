@@ -349,6 +349,21 @@ class TestGatedArguments:
             f"error: unknown surface keys: [{key!r}]; a surface takes kind, radius and height"
         ]
 
+    @pytest.mark.parametrize("surface, key", [
+        ({"radius": 1}, "kind"),
+        ({"kind": "sphere"}, "radius"),
+    ])
+    def test_missing_surface_key(self, tmp_path, capsys, surface, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "unconstrained-upper",
+                                   "surface": surface, "n": 66, "pairs": 3}))
+        assert run(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: missing surface key {key!r}; a surface takes kind, radius and height"
+        ]
+
     @pytest.mark.parametrize("surface, r", [
         ({"kind": "sphere", "radius": 1.0}, 10**400),
         ({"kind": "sphere", "radius": 10**400}, 0.3),
@@ -425,6 +440,14 @@ class TestChecksBeforeSampling:
         assert run(["verify", "--experiment", experiment, "--surface", "sphere",
                     "--mode", "uniform-random", "--n", 200000, "--r", 0.05, *extra]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("experiment", ["unconstrained-upper", "constrained-upper"])
+    def test_empty_pair_window_rejected_at_once(self, capsys, experiment):
+        assert run(["verify", "--experiment", experiment, "--surface", "sphere",
+                    "--n", 4098, "--r", 0.6, "--pairs", 5]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "gate error: pair window empty: 3r = 1.8 exceeds half diameter 1.5708"
+        ]
 
     @pytest.mark.parametrize("surface, n, r, kappa", [
         ("sphere", 4098, 0.2, "nan"),

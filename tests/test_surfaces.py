@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from hypothesis import given, settings, strategies as st
 
 from geoknot import (
     SampleSet,
@@ -11,7 +11,6 @@ from geoknot import (
     covering_radius,
     curvature_bound,
     cylinder,
-    directed_hausdorff,
     disk,
     geodesic_oracle,
     intrinsic_diameter,
@@ -22,12 +21,12 @@ from geoknot import (
 )
 from geoknot.surfaces import (
     _octahedron_grid,
-    _reference,
     sidecar_path,
     surface_from_json,
     surface_residual,
     surface_to_json,
 )
+from conftest import directed_hausdorff, grid_covering_bracket, intrinsic_nearest
 
 
 def octahedron_grid_2d_unique(level):
@@ -203,20 +202,21 @@ class TestGeodesicOracle:
 
 class TestCoveringRadius:
     def test_two_antipodal_points(self):
+        # Two points have no convex hull, so the radius falls back to
+        # the diameter bound, above the true value pi/2 (the equator).
         samp = SampleSet(
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
             sphere(1.0), "grid", None,
         )
         est = covering_radius(samp)
-        # Worst gap is the equator, a chord of sqrt(2); the reference
-        # grid contains exact equator points.
-        assert est.radius == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert est.padded > est.radius
+        assert est.radius == intrinsic_diameter(sphere(1.0)) == math.pi
+        assert est.reference_size == 0
 
     def test_single_point_circle(self):
-        samp = SampleSet(np.array([[1.0, 0.0]]), circle(1.0), "grid", None)
-        est = covering_radius(samp)
-        assert est.radius == pytest.approx(2.0, rel=1e-12)
+        # The far side of the circle, half its circumference away: the
+        # diameter bound is exact here.
+        samp = SampleSet(np.array([[0.5, 0.0]]), circle(0.5), "grid", None)
+        assert covering_radius(samp).radius == 0.5 * math.pi
 
     def test_empty_sample_is_uncovered(self):
         samp = SampleSet(np.empty((0, 2)), circle(1.0), "grid", None)
@@ -231,39 +231,53 @@ class TestCoveringRadius:
         fine = covering_radius(sample_surface(sphere(1.0), "grid", 258))
         assert fine.radius < coarse.radius
 
-    def test_reference_grid_built_once_per_shape(self):
-        # 10 x 258 and 10 x 250 requested points build the same
-        # 4098-point grid.
-        _reference.cache_clear()
-        grid = sample_surface(sphere(1.0), "grid", 258)
-        random = sample_surface(sphere(1.0), "uniform-random", 250, 3)
-        ests = [covering_radius(grid), covering_radius(random)]
-        info = _reference.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        ref, spacing = _reference(sphere(1.0), 5)
-        assert not ref.flags.writeable
-        # Bit for bit what an uncached estimate computes.
-        fresh = sample_surface(sphere(1.0), "grid", 2580).points
-        assert np.array_equal(ref, fresh)
-        assert spacing == float(np.max(cKDTree(fresh).query(fresh, k=2)[0][:, 1]))
-        for est, samp in zip(ests, (grid, random)):
-            assert est.reference_size == 4098
-            assert est.reference_spacing == spacing
-            assert est.radius == directed_hausdorff(fresh, samp.points)
+    @pytest.mark.parametrize("spec", [sphere(1.0), disk(1.5), cylinder(1.0, 2.0), circle(0.5)])
+    @pytest.mark.parametrize("mode, n", [("grid", 30), ("grid", 70), ("uniform-random", 40),
+                                         ("grid", 600), ("uniform-random", 600)])
+    def test_within_the_grid_twin_bracket(self, spec, mode, n):
+        samp = sample_surface(spec, mode, n, seed=11)
+        low, high = grid_covering_bracket(samp)
+        est = covering_radius(samp)
+        assert est.reference_size > 0
+        assert low <= est.radius <= high
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["sphere", "disk", "cylinder", "circle"]),
+           mode=st.sampled_from(["grid", "uniform-random"]),
+           n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    def test_at_least_every_surface_points_gap(self, kind, mode, n, seed):
+        # No surface point lies farther from the sample than the radius.
+        spec = {"sphere": sphere(1.3), "disk": disk(0.7), "cylinder": cylinder(0.6, 2.5),
+                "circle": circle(2.0)}[kind]
+        samp = sample_surface(spec, mode, n, seed)
+        probe = sample_surface(spec, "uniform-random", 3000, seed + 1).points
+        assert intrinsic_nearest(spec, samp.points, probe).max() <= covering_radius(samp).radius
 
     @pytest.mark.parametrize("spec", [sphere(1.0), disk(1.5), cylinder(1.0, 2.0), circle(0.5)])
-    @pytest.mark.parametrize("mode, n", [("grid", 30), ("grid", 70), ("uniform-random", 40)])
-    def test_matches_dense_twin(self, spec, mode, n):
-        # The reference is the grid of ten times the sample's points;
-        # the twin measures every reference point against every sample
-        # point.
-        samp = sample_surface(spec, mode, n, seed=11)
-        ref = sample_surface(spec, "grid", 10 * samp.n).points
-        diff = ref[:, None, :] - samp.points[None, :, :]
-        twin = np.sqrt((diff**2).sum(axis=2)).min(axis=1).max()
-        est = covering_radius(samp)
-        assert est.reference_size == len(ref)
-        assert est.radius == pytest.approx(twin, rel=1e-12)
+    def test_coincident_points_change_nothing(self, spec):
+        samp = sample_surface(spec, "uniform-random", 50, seed=3)
+        doubled = SampleSet(np.concatenate([samp.points, samp.points[:10]]), spec,
+                            samp.mode, samp.seed)
+        assert covering_radius(doubled).radius == covering_radius(samp).radius
+
+    def test_one_hemisphere_sample(self):
+        # The hull misses the centre, so the farthest point is the far
+        # midpoint -(p + q)/|p + q| of a hull edge, not a facet normal.
+        pts = sample_surface(sphere(1.0), "uniform-random", 400, seed=7).points
+        cap = SampleSet(pts[pts[:, 2] > 0.1], sphere(1.0), "uniform-random", 7)
+        est = covering_radius(cap)
+        probe = sample_surface(sphere(1.0), "uniform-random", 200000, seed=8).points
+        dense = intrinsic_nearest(sphere(1.0), cap.points, probe).max()
+        assert est.reference_size > 0
+        assert dense <= est.radius <= dense + 0.01
+
+    def test_disk_rim_opposite_a_site(self):
+        # The farthest point is the rim point opposite the site near the
+        # centre, far from every Voronoi vertex and bisector crossing.
+        pts = np.array([[0.1, 0.0], [0.95, 0.3], [0.95, -0.3]])
+        est = covering_radius(SampleSet(pts, disk(1.0), "uniform-random", 0))
+        assert est.radius == pytest.approx(1.1, rel=2e-12)
+        assert est.radius >= 1.1
 
     def test_directed_hausdorff_empty_target(self):
         assert directed_hausdorff(np.ones((3, 2)), np.empty((0, 2))) == math.inf

@@ -8,6 +8,8 @@ renamed name fail the package's own suite, not only the benchmark's.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import geoknot.cli
 import geoknot.validation
 
@@ -97,3 +99,29 @@ def test_constrained_lower_search_and_curvature_stay_traced(tmp_path, capsys):
     names = [span[3] for span in tracer.spans]
     assert names.count("paths.bulk_search") >= 1
     assert names.count("paths.path_curvature") >= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["unconstrained-upper", "--surface", "sphere", "--n", "1000", "--pairs", "5"],
+    ["unconstrained-lower", "--surface", "cylinder", "--height", "4", "--mode",
+     "uniform-random", "--n", "500", "--r", "0.3", "--pairs", "5"],
+    ["constrained-upper", "--surface", "sphere", "--n", "250", "--r", "0.4",
+     "--pairs", "5"],
+    ["constrained-lower", "--surface", "sphere", "--n", "258", "--r", "0.3",
+     "--pairs", "5"],
+])
+def test_tracer_reads_every_graph_runners_results(tmp_path, capsys, argv):
+    """The tracer counts work from the results of the calls it wraps: the
+    covering radius's ``reference_size``, the graph's ``edge_count`` and
+    the reports' rows.  A change to one of those return types must fail
+    here, not only in the benchmark."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = geoknot.cli.main(["verify", "--experiment", *argv,
+                                 "--out-csv", str(tmp_path / "r.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for counter in ("surfaces.reference_points", "graph.edges", "validation.pairs"):
+        assert tracer.counts[counter] > 0, counter

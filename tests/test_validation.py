@@ -68,6 +68,19 @@ class TestUnconstrainedUpper:
         with pytest.raises(GateError, match="eps <= r/4"):
             verify_unconstrained_upper(disk(1.0), 200, r=0.05, pairs=5)
 
+    def test_default_radius_window_before_the_build(self, monkeypatch):
+        # With r omitted, r = 4 eps is set from the sample; its window is
+        # checked before any graph is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the runner built a graph before checking its pair window")
+        monkeypatch.setattr(validation, "build_graph", refuse)
+        eps = covering_radius(sample_surface(disk(1.0), "grid", 10)).radius
+        with pytest.raises(GateError) as exc:
+            verify_unconstrained_upper(disk(1.0), 10, pairs=5)
+        assert str(exc.value) == (
+            f"pair window empty: 3r = {12.0 * eps:.6g} exceeds half diameter 1"
+        )
+
     def test_perturbation_breaks_bound(self):
         # Inflating weights by 2.5x pushes every ratio past the factor
         # of 2; the self-test must report every pair as a violation.
@@ -235,6 +248,20 @@ class TestChecksBeforeSampling:
             self.RUNNERS[runner](**kwargs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_empty_pair_window_before_sampling(self, runner):
+        # On the unit disk, 3r = 1.2 exceeds half the diameter, and the
+        # curvature gates pass: kappa_S = 0.
+        run = {
+            "unconstrained-upper": verify_unconstrained_upper,
+            "unconstrained-lower": verify_unconstrained_lower,
+            "constrained-upper": verify_constrained_upper,
+            "constrained-lower": lambda spec, n, **kw: verify_constrained_lower(spec, [n], **kw),
+        }[runner]
+        with pytest.raises(GateError) as exc:
+            run(disk(1.0), 200000, r=0.4, pairs=5)
+        assert str(exc.value) == "pair window empty: 3r = 1.2 exceeds half diameter 1"
+
     @pytest.mark.parametrize("r", [0.0, -1.0])
     def test_upper_radius_checked_before_the_density_gate(self, r):
         # r is checked before the sample, so before the density gate.
@@ -358,11 +385,10 @@ class TestConstrainedLower:
         )
 
 
-    def test_certified_regime_reads_padded_eps(self):
-        # A threshold between the raw estimate and the padded one: only
-        # the raw underestimate would claim the certified regime.
+    def test_certified_regime_reads_eps(self):
+        # Thresholds just below and just above the exact eps.
         sample = sample_surface(sphere(1.0), "grid", 900)
-        cov = covering_radius(sample)
+        eps = covering_radius(sample).radius
         scale = 0.25 * 1.0 * 0.3**2  # alpha * kappa * r^2
 
         def run(threshold):
@@ -372,13 +398,12 @@ class TestConstrainedLower:
                 )
             return rep
 
-        assert cov.radius < cov.padded
-        rep = run(0.5 * (cov.radius + cov.padded))
+        rep = run(eps * (1.0 - 1e-9))
         assert rep.summary["certified_regime"] is False
-        assert rep.epsilon == cov.radius
-        rep = run(cov.padded * (1.0 + 1e-9))
+        assert rep.epsilon == eps
+        rep = run(eps * (1.0 + 1e-9))
         assert rep.summary["certified_regime"] is True
-        assert rep.epsilon == cov.radius
+        assert rep.epsilon == eps
 
 
 class TestBoundedSearches:
@@ -515,8 +540,8 @@ class TestHelpers:
         spec = sphere(1.0)
         samp = sample_surface(spec, "grid", 200)
         r = 0.3
-        a = select_pairs(spec, samp, r, 20, np.random.default_rng(7))
-        b = select_pairs(spec, samp, r, 20, np.random.default_rng(7))
+        a = select_pairs(samp, r, 20, np.random.default_rng(7))
+        b = select_pairs(samp, r, 20, np.random.default_rng(7))
         assert a == b
         lo, hi = 3 * r, math.pi / 2
         for i, j, delta in a:
@@ -530,7 +555,7 @@ class TestHelpers:
         spec = disk(1.0)
         samp = sample_surface(spec, "grid", 900)
         r = 0.25
-        for i, j, _ in select_pairs(spec, samp, r, 20, np.random.default_rng(3)):
+        for i, j, _ in select_pairs(samp, r, 20, np.random.default_rng(3)):
             assert np.linalg.norm(samp.points[i]) <= 1.0 - r + 1e-12
             assert np.linalg.norm(samp.points[j]) <= 1.0 - r + 1e-12
 
@@ -539,7 +564,7 @@ class TestHelpers:
         samp = sample_surface(spec, "uniform-random", 6, seed=0)
         with pytest.raises(GateError, match="pairs must be at most 15, the "
                            "distinct pairs of 6 eligible points, got 16"):
-            select_pairs(spec, samp, 0.1, 16, np.random.default_rng(0))
+            select_pairs(samp, 0.1, 16, np.random.default_rng(0))
 
     def test_select_pairs_stops_once_every_pair_is_drawn(self):
         # 6 points have 15 distinct pairs, some outside the window; once
@@ -548,14 +573,14 @@ class TestHelpers:
         samp = sample_surface(spec, "uniform-random", 6, seed=0)
         rng = mock.Mock(wraps=np.random.default_rng(0))
         with pytest.raises(GateError, match="found only"):
-            select_pairs(spec, samp, 0.1, 15, rng)
+            select_pairs(samp, 0.1, 15, rng)
         assert rng.integers.call_count < 500
 
     def test_select_pairs_empty_window(self):
         spec = sphere(1.0)
         samp = sample_surface(spec, "grid", 200)
         with pytest.raises(GateError, match="window"):
-            select_pairs(spec, samp, 0.6, 5, np.random.default_rng(0))
+            select_pairs(samp, 0.6, 5, np.random.default_rng(0))
 
     def test_surface_labels_comma_free(self):
         from geoknot import circle, cylinder

@@ -18,8 +18,8 @@ partial sum.
 Heavy experiment drivers use the compiled Dijkstra from scipy over the
 same graphs (and over the state graph); the hand-rolled searches remain
 the reference implementations the oracles test.  The state-graph engine
-stores only the transitions of finite curvature, the only ones a finite
-cap can admit, and sends kappa = inf to plain Dijkstra.  Every search
+lays out only the transitions a cap admits, those of finite curvature
+within it, and sends kappa = inf to plain Dijkstra.  Every search
 computes turn curvatures with the one formula of
 :func:`geometry.turn_curvature` (row-wise: the arithmetic of
 ``turn_curvatures``), so the engine and the references agree exactly.
@@ -338,38 +338,41 @@ class EdgeStateEngine:
     its reverse v -> u, so the states that end at v fill v's row slice
     ``indptr[v]:indptr[v+1]``: state s has head ``rows[s]``, tail
     ``indices[s]`` and weight ``weights[s]``.  A transition
-    (u -> v, v -> w) is kept only if its turn curvature is finite:
-    acute turns, backtracks and repeated points are infinite, and no
-    finite cap keeps them.  The kept transitions are computed once, in
-    state order, as the rows of a CSR layout: ``_indptr`` over states,
-    ``_to`` the target state (int32) and ``_curv`` the curvature.
+    (u -> v, v -> w) is a turn; only turns of finite curvature count,
+    since acute turns, backtracks and repeated points are infinite and
+    no finite cap keeps them.
 
-    The build tests the sign of a.b first (acute turns are infinite),
-    counts the obtuse candidates, sizes ``_to`` and ``_curv`` to that
-    count and fills them block by block, trimming only if an obtuse turn
-    repeats a point; its peak is 1.5 to 1.6 times what it stores on the
-    certify graphs (12 bytes per transition, 12 per state).
+    The engine keeps the per-slot geometry only: each slot's offset
+    vector, its squared norm and norm, the reverse slots and the blocks
+    of about ENGINE_BLOCK candidate turns, O(states) in all.  One
+    blockwise pass turns it into the finite turns in state order: the
+    sign of a.b first (acute turns are infinite), then the curvature of
+    the obtuse candidates.  A query at a finite kappa lays out the
+    state CSR of that cap from the pass, keeping the turns of curvature
+    <= kappa, plus one virtual start row per graph node (leading to the
+    node's outgoing states), and runs the compiled Dijkstra.  The CSR of
+    the last cap is kept, so a bounded search and its re-search at one
+    cap lay it out once; it is dropped before another cap is laid out.
 
-    A query at a finite kappa masks ``_curv <= kappa``, counts the kept
-    transitions per state, copies them and one virtual start row per
-    graph node (leading to the node's outgoing states) into one index
-    array and runs the compiled Dijkstra.  The distance to node t is the
-    smallest distance of a state that ends at t, so a search stopped at
-    a limit still answers every node within it exactly.  kappa = inf is
-    answered by :func:`shortest_distances`, which the module docstring
-    shows to be exact.  Results match :func:`constrained_shortest`
-    exactly.
+    :meth:`distinct_curvatures` is the one method that keeps every
+    finite turn: it builds the turn table (``_indptr`` over states,
+    ``_to`` the target state as int32, ``_curv`` the curvature) and the
+    pass reads that table from then on, so a search over many caps
+    computes each curvature once.  The table holds 12 bytes per turn
+    and 8 per state, the geometry 44 bytes per state and 32 per node.
+
+    The distance to node t is the smallest distance of a state that
+    ends at t, so a search stopped at a limit still answers every node
+    within it exactly.  kappa = inf is answered by
+    :func:`shortest_distances`, which the module docstring shows to be
+    exact.  Results match :func:`constrained_shortest` exactly.
     """
 
     def __init__(self, g: NeighborhoodGraph):
         self.g = g
-        pts = g.points
-        rank = lexicographic_rank(pts)
-        # Fancy indexing by int32 converts the index on every use, so
-        # the tails, which index most of the arrays below, are cast once.
-        indptr, tails = g.indptr, g.indices.astype(np.int64)
-        deg = np.diff(indptr)
-        heads = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+        self._rank = lexicographic_rank(g.points)
+        indptr, tails = g.indptr, g.indices
+        heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
         # The state of out-edge slot e = (v, w) is the slot of (w, v): in
         # a symmetric CSR, a stable sort by column lists exactly those.
         self._out_state = np.argsort(tails, kind="stable").astype(np.int32)
@@ -377,69 +380,22 @@ class EdgeStateEngine:
         # candidate (state s, out-slot e) the offsets of s and e are the
         # formula's a and b (which is which, the endpoint order decides),
         # so their squares and norms are computed once per slot.
-        cols = np.ascontiguousarray(pts.T)
-        off = [col[tails] - col[heads] for col in cols]
-        sq = _dot(off, off)
-        norm = np.sqrt(sq)
+        self._cols = np.ascontiguousarray(g.points.T)
+        self._off = self._cols[:, tails] - self._cols[:, heads]
+        self._sq = _dot(self._off, self._off)
+        self._norm = np.sqrt(self._sq)
         # State s = (u -> v) has one candidate per out-edge slot of v.
-        cand = deg[heads]
         ends = np.zeros(len(tails) + 1, dtype=np.int64)
-        np.cumsum(cand, out=ends[1:])
-        blocks = []
+        np.cumsum(np.diff(indptr)[heads], out=ends[1:])
+        self._blocks = []
         s0 = 0
         while s0 < len(tails):
             s1 = int(np.searchsorted(ends, ends[s0] + ENGINE_BLOCK, "right")) - 1
-            blocks.append((s0, max(s1, s0 + 1)))
-            s0 = blocks[-1][1]
-
-        def candidates(s0, s1):
-            state = np.repeat(np.arange(s0, s1), cand[s0:s1])
-            slot = np.arange(ends[s0], ends[s1]) + np.repeat(
-                indptr[heads[s0:s1]] - ends[s0:s1], cand[s0:s1]
-            )
-            return state, slot
-
-        # Acute turns first: the formula sends a positive a.b to inf, and
-        # the dot product does not depend on the endpoint order.  The
-        # obtuse candidates bound the transitions, so the output is sized
-        # before it is filled.
-        obtuse = np.empty(ends[-1], dtype=bool)
-        for s0, s1 in blocks:
-            state, slot = candidates(s0, s1)
-            dot = _dot([o[state] for o in off], [o[slot] for o in off])
-            np.less_equal(dot, 0.0, out=obtuse[ends[s0]:ends[s1]])
-        self._to = np.empty(np.count_nonzero(obtuse), dtype=np.int32)
-        self._curv = np.empty(len(self._to))
-        # Kept transitions per state, summed in place into row pointers.
-        self._indptr = np.zeros(len(tails) + 1, dtype=np.int64)
-        done = 0
-        for s0, s1 in blocks:
-            state, slot = candidates(s0, s1)
-            sel = obtuse[ends[s0]:ends[s1]]
-            state, slot = state[sel], slot[sel]
-            u, w = tails[state], tails[slot]
-            swap = rank[u] > rank[w]
-            # The slots whose offsets are a and b, and the endpoints x, z.
-            sa = np.where(swap, slot, state)
-            sb = np.where(swap, state, slot)
-            x = np.where(swap, w, u)
-            z = np.where(swap, u, w)
-            a = [o[sa] for o in off]
-            b = [o[sb] for o in off]
-            c = [col[z] - col[x] for col in cols]
-            curv = _curvature_columns(a, b, c, sq[sa], norm[sb], _dot(a, b))
-            finite = np.isfinite(curv)
-            k = done + np.count_nonzero(finite)
-            np.compress(finite, self._out_state[slot], out=self._to[done:k])
-            np.compress(finite, curv, out=self._curv[done:k])
-            self._indptr[s0 + 1:s1 + 1] = np.bincount(
-                state[finite] - s0, minlength=s1 - s0
-            )
-            done = k
-        if done < len(self._to):  # an obtuse turn repeated a point or overflowed
-            self._to = self._to[:done].copy()
-            self._curv = self._curv[:done].copy()
-        np.cumsum(self._indptr, out=self._indptr)
+            self._blocks.append((s0, max(s1, s0 + 1)))
+            s0 = self._blocks[-1][1]
+        self._indptr = self._to = self._curv = None
+        self._transitions = None
+        self._cap = self._mat = None
 
     @property
     def states(self) -> int:
@@ -448,13 +404,28 @@ class EdgeStateEngine:
 
     @property
     def transitions(self) -> int:
-        """Finite-curvature transitions stored."""
-        return len(self._to)
+        """Finite-curvature transitions, counted by the first pass over
+        them (one is made here if no search has made it)."""
+        if self._transitions is None:
+            for _ in self._turns():
+                pass
+        return self._transitions
 
     def distinct_curvatures(self) -> np.ndarray:
-        """Sorted distinct stored curvatures, the finite caps at which
-        distances can change; computed per call, never kept."""
-        return np.unique(self._curv)
+        """Sorted distinct finite turn curvatures, the finite caps at
+        which distances can change.
+
+        The first call builds the turn table and keeps it for every
+        later search; the sorted values are computed per call, never
+        kept.
+        """
+        if self._curv is None:
+            self._build_table()
+        # np.unique, without its extra copies: one sorted copy and a mask.
+        curv = np.sort(self._curv)
+        first = np.ones(len(curv), dtype=bool)
+        np.not_equal(curv[1:], curv[:-1], out=first[1:])
+        return curv[first]
 
     def distances(self, kappa: float, sources) -> np.ndarray:
         """Distance matrix (len(sources), n) at curvature cap kappa.
@@ -468,35 +439,119 @@ class EdgeStateEngine:
         g = self.g
         if math.isinf(kappa):
             return shortest_distances(g, sources)
+        if kappa != self._cap:
+            self._cap = self._mat = None  # never two caps' layouts at once
+            self._mat = self._state_csr(kappa)
+            self._cap = kappa
         m = self.states
-        keep = self._curv <= kappa
-        # Row lengths, summed in place into row pointers: the kept
-        # transitions of each state (counted in int32, not over an int64
-        # copy of the mask), then the out-degrees of the start rows.
-        rows = np.flatnonzero(np.diff(self._indptr))
-        indptr = np.zeros(m + g.n + 1, dtype=np.int64)
-        indptr[rows + 1] = np.add.reduceat(
-            keep.view(np.int8), self._indptr[rows], dtype=np.int32
-        )
-        indptr[m + 1:] = np.diff(g.indptr)
-        np.cumsum(indptr, out=indptr)
-        kept = int(indptr[m])
-        indices = np.empty(kept + m, dtype=np.int32)
-        np.compress(keep, self._to, out=indices[:kept])
-        indices[kept:] = self._out_state
-        size = m + g.n
-        mat = csr_matrix((g.weights[indices], indices, indptr), shape=(size, size))
         # One search per source, each reduced at once to its node minima
         # (the distance to node t is the smallest distance of a state
         # that ends at t): no (sources, states) matrix is ever built.
         has_in = np.diff(g.indptr) > 0
         starts = g.indptr[:-1][has_in]
         out = np.full((len(sources), g.n), np.inf)
-        for k, (s, dist) in enumerate(_searches(mat, sources, offset=m)):
+        for k, (s, dist) in enumerate(_searches(self._mat, sources, offset=m)):
             if has_in.any():
                 out[k, has_in] = np.minimum.reduceat(dist[:m], starts)
             out[k, s] = 0.0
         return out
+
+    def _candidates(self, s0: int, s1: int) -> tuple:
+        """(state, out-slot, a.b) of every candidate turn of states
+        s0..s1-1, in state order."""
+        indptr, off = self.g.indptr, self._off
+        heads = np.searchsorted(indptr, np.arange(s0, s1), "right") - 1
+        first = indptr[heads]
+        cand = indptr[heads + 1] - first
+        ends = np.cumsum(cand)
+        state = np.repeat(np.arange(s0, s1), cand)
+        slot = np.arange(ends[-1]) + np.repeat(first - (ends - cand), cand)
+        # _dot's sum, gathering one coordinate at a time.
+        dot = off[0][state] * off[0][slot]
+        for o in off[1:]:
+            dot += o[state] * o[slot]
+        return state, slot, dot
+
+    def _turns(self):
+        """The finite turns in state order, as blocks (s0, s1, ptr, to,
+        curv): the turns of states s0..s1-1, with ``ptr`` their row
+        pointers into ``to`` (target states) and ``curv`` (curvatures).
+
+        Read from the turn table once there is one, in one block;
+        computed from the geometry otherwise.
+        """
+        if self._curv is not None:
+            yield 0, self.states, self._indptr, self._to, self._curv
+            return
+        tails, rank, off = self.g.indices, self._rank, self._off
+        count = 0
+        for s0, s1 in self._blocks:
+            state, slot, dot = self._candidates(s0, s1)
+            # Acute turns first: the formula sends a positive a.b to inf,
+            # and the dot product does not depend on the endpoint order.
+            # (Taking by index beats a boolean mask that is true at random.)
+            obtuse = np.flatnonzero(dot <= 0.0)
+            state, slot, dot = state[obtuse], slot[obtuse], dot[obtuse]
+            # Fancy indexing by int32 converts the index on every use, so
+            # the endpoints, which index several arrays, are cast once.
+            u, w = tails[state].astype(np.int64), tails[slot].astype(np.int64)
+            swap = rank[u] > rank[w]
+            # The slots whose offsets are a and b, and the endpoints x, z.
+            sa = np.where(swap, slot, state)
+            sb = np.where(swap, state, slot)
+            x = np.where(swap, w, u)
+            z = np.where(swap, u, w)
+            a = [o[sa] for o in off]
+            b = [o[sb] for o in off]
+            c = [col[z] - col[x] for col in self._cols]
+            curv = _curvature_columns(a, b, c, self._sq[sa], self._norm[sb], dot)
+            finite = np.isfinite(curv)
+            ptr = np.zeros(s1 - s0 + 1, dtype=np.int64)
+            np.cumsum(np.bincount(state[finite] - s0, minlength=s1 - s0), out=ptr[1:])
+            count += int(ptr[-1])
+            yield s0, s1, ptr, self._out_state[slot[finite]], curv[finite]
+        self._transitions = count
+
+    def _build_table(self):
+        """Keep every finite turn as ``_indptr``, ``_to`` and ``_curv``,
+        then drop the geometry, which no later pass reads."""
+        indptr = np.zeros(self.states + 1, dtype=np.int64)
+        to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+        for s0, s1, ptr, block_to, block_curv in self._turns():
+            indptr[s0 + 1:s1 + 1] = indptr[s0] + ptr[1:]
+            to.append(block_to)
+            curv.append(block_curv)
+        self._rank = self._cols = self._off = self._sq = self._norm = self._blocks = None
+        # One array at a time, each one's blocks dropped before the next
+        # is joined: at most the table and one more copy of _curv.
+        self._indptr, self._to = indptr, np.concatenate(to)
+        del to
+        self._curv = np.concatenate(curv)
+
+    def _state_csr(self, kappa: float) -> csr_matrix:
+        """The state graph at cap kappa: the turns of curvature <= kappa
+        in state order, then one start row per graph node."""
+        g, m = self.g, self.states
+        # Row lengths, summed in place into row pointers: the kept turns
+        # of each state (counted in int32, not over an int64 copy of the
+        # mask), then the out-degrees of the start rows.
+        indptr = np.zeros(m + g.n + 1, dtype=np.int64)
+
+        def kept():
+            for s0, _, ptr, to, curv in self._turns():
+                keep = curv <= kappa
+                rows = np.flatnonzero(np.diff(ptr))
+                if len(rows):
+                    indptr[s0 + 1 + rows] = np.add.reduceat(
+                        keep.view(np.int8), ptr[rows], dtype=np.int32
+                    )
+                yield np.compress(keep, to)
+
+        indices = np.concatenate([*kept(), self._out_state])
+        indptr[m + 1:] = np.diff(g.indptr)
+        np.cumsum(indptr, out=indptr)
+        size = m + g.n
+        return csr_matrix((g.weights[indices], indices, indptr), shape=(size, size))
 
 
 # ---------------------------------------------------------------------------

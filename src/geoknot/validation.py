@@ -56,6 +56,10 @@ COMPARISON_CONSTANT = math.pi**2 / 50
 # without a limit: the constant trades speed only, never the answer.
 SEARCH_REACH = 1.25
 
+# _graph_rows hands the searches this many sources at a time, so a run
+# holds at most this many distance rows at once.
+GRAPH_CHUNK = 64
+
 # verify_constrained_lower's certified regime: eps <= alpha*kappa*r^2/C_GATE.
 C_GATE = 20.0
 
@@ -278,38 +282,55 @@ def _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha=None) -> tup
     return g, select_pairs(sample, r, pairs, np.random.default_rng(seed))
 
 
-def _upper_rows(pair_list: list, dist: dict, factor: float) -> list:
+def _upper_rows(pair_list: list, graph: list, factor: float) -> list:
     """One row per pair checking graph distance <= factor * oracle."""
-    rows = []
-    for i, j, oracle in pair_list:
-        graph = float(dist[i][j])
-        rows.append(
-            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor,
-                      _holds(graph, factor * oracle))
-        )
-    return rows
+    return [
+        PairCheck(i, j, oracle, d, _ratio(d, oracle), factor, _holds(d, factor * oracle))
+        for (i, j, oracle), d in zip(pair_list, graph)
+    ]
 
 
-def _graph_rows(search, pair_list: list, counts: Counter) -> dict:
-    """{i: distance row} for the (i, j, oracle) pairs, exact up to j.
+def _graph_distance(row, j: int) -> float:
+    return float(row[j])
+
+
+def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) -> list:
+    """``read(row, j)`` for each (i, j, oracle) pair, in pair order, from
+    a distance row of i exact up to j; by default the graph distance.
 
     ``search`` maps sources to distance rows: a list to unbounded
     searches, a mapping {source: limit} to bounded ones.  Every source
     is first searched up to SEARCH_REACH times its farthest pair's
     oracle; a source with a pair beyond that is searched again without
-    a limit.  ``counts`` accumulates both search counts.
+    a limit, and all its pairs read from that row.  Sources go to
+    ``search`` GRAPH_CHUNK at a time and each row is read and dropped
+    before the next chunk, so no (sources, n) matrix outlives a chunk.
+    ``counts`` accumulates both search counts.
     """
-    reach = {}
-    for i, _, oracle in pair_list:
+    reach, targets = {}, {}
+    for k, (i, j, oracle) in enumerate(pair_list):
         reach[i] = max(reach.get(i, 0.0), oracle)
+        targets.setdefault(i, []).append((k, j))
+    out = [None] * len(pair_list)
+    missed = []
+
+    def scan(sources, bounded):
+        for c in range(0, len(sources), GRAPH_CHUNK):
+            chunk = sources[c:c + GRAPH_CHUNK]
+            rows = search({s: SEARCH_REACH * reach[s] for s in chunk} if bounded else chunk)
+            for s, row in zip(chunk, rows):
+                if bounded and any(math.isinf(row[j]) for _, j in targets[s]):
+                    missed.append(s)
+                    continue
+                for k, j in targets[s]:
+                    out[k] = read(row, j)
+
     sources = sorted(reach)
-    rows = dict(zip(sources, search({s: SEARCH_REACH * reach[s] for s in sources})))
-    missed = sorted({i for i, j, _ in pair_list if math.isinf(rows[i][j])})
-    if missed:
-        rows.update(zip(missed, search(missed)))
+    scan(sources, True)
+    scan(missed, False)
     counts["searched_sources"] += len(sources)
     counts["re_searched_sources"] += len(missed)
-    return rows
+    return out
 
 
 def verify_unconstrained_upper(
@@ -337,7 +358,7 @@ def verify_unconstrained_upper(
         raise GateError(f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}")
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
-    rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
+    graph = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
     report = BoundReport(
         experiment="unconstrained-upper",
@@ -345,7 +366,7 @@ def verify_unconstrained_upper(
         n=sample.n,
         r=r,
         epsilon=eps,
-        rows=_upper_rows(pair_list, rows, factor),
+        rows=_upper_rows(pair_list, graph, factor),
     )
     return _finish(
         report,
@@ -379,7 +400,7 @@ def verify_unconstrained_lower(
     sample, eps = _sample(surface, n, seed, mode)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
-    rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
+    graph = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
     report = BoundReport(
         experiment="unconstrained-lower",
@@ -388,12 +409,9 @@ def verify_unconstrained_lower(
         r=r,
         epsilon=eps,
     )
-    for i, j, oracle in pair_list:
-        graph = float(rows[i][j])
-        passed = None if math.isinf(graph) else _holds(oracle, factor * graph)
-        report.rows.append(
-            PairCheck(i, j, oracle, graph, _ratio(graph, oracle), factor, passed)
-        )
+    for (i, j, oracle), d in zip(pair_list, graph):
+        passed = None if math.isinf(d) else _holds(oracle, factor * d)
+        report.rows.append(PairCheck(i, j, oracle, d, _ratio(d, oracle), factor, passed))
     return _finish(
         report,
         t0,
@@ -448,29 +466,29 @@ def verify_constrained_upper(
     evaluations = 0
     searches = Counter()
 
-    def rows_at(cap: float) -> dict:
+    def graph_at(cap: float) -> list:
         nonlocal evaluations
         evaluations += 1
         return _graph_rows(
             lambda s: engine.distances(cap, s), pair_list, searches
         )
 
-    def all_pass(rows: dict) -> bool:
-        return all(row.passed for row in _upper_rows(pair_list, rows, factor))
+    def all_pass(graph: list) -> bool:
+        return all(row.passed for row in _upper_rows(pair_list, graph, factor))
 
     base_slack = kappa**2 * r + eps / r**2
     found = None  # whether a searched cap passed
     if kappa_prime is not None:
-        final_cap, final = kappa_prime, rows_at(kappa_prime)
+        final_cap, final = kappa_prime, graph_at(kappa_prime)
     else:
         curv = engine.distinct_curvatures()
         caps = [kappa, *curv[curv > kappa].tolist()]
         lo, hi = -1, len(caps) - 1
-        final = rows_at(caps[hi])
+        final = graph_at(caps[hi])
         found = all_pass(final)
         while found and hi - lo > 1:
             mid = (lo + hi) // 2
-            trial = rows_at(caps[mid])
+            trial = graph_at(caps[mid])
             if all_pass(trial):
                 hi, final = mid, trial
             else:
@@ -539,7 +557,17 @@ def verify_constrained_lower(
         sample, eps = _sample(surface, n, seed, mode)
         g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights, alpha)
         searches = Counter()
-        rows = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
+
+        def read(row, j):
+            # The distance and the worst turn over every shortest path to
+            # j (None if j is unreachable), read while the row is held.
+            turns = shortest_path_turns(g, row, j)
+            if turns is None:
+                return float(row[j]), None
+            curves = [path_max_curvature(sample.points[list(t)]) for t in turns]
+            return float(row[j]), max(curves, default=0.0)
+
+        found = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches, read)
         certified = eps <= alpha * kappa * r**2 / C_GATE
         report = BoundReport(
             experiment="constrained-lower",
@@ -551,16 +579,12 @@ def verify_constrained_lower(
             epsilon=eps,
         )
         worst = 0.0
-        for i, j, oracle in pair_list:
-            graph = float(rows[i][j])
-            turns = shortest_path_turns(g, rows[i], j)
-            if turns is None:
+        for (i, j, oracle), (graph, curv) in zip(pair_list, found):
+            if curv is None:
                 report.rows.append(
                     PairCheck(i, j, oracle, graph, math.inf, math.inf, None)
                 )
                 continue
-            curves = [path_max_curvature(sample.points[list(t)]) for t in turns]
-            curv = max(curves, default=0.0)
             if math.isinf(curv) and certified:
                 raise HardFailure(
                     f"acute interior angle on a shortest path at N={sample.n} "

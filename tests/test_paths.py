@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -317,6 +318,14 @@ class TestBruteForce:
             brute_force_constrained(g, 1.0, 0, 1)
 
 
+# Small lattice point sets in which a few points repeat.
+coincident_points = st.builds(
+    lambda base, dup: np.array(base + [base[i % len(base)] for i in dup], dtype=np.float64),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3),
+)
+
+
 def draw_limits(data, full):
     """{source: limit} over a random subset of sources in random order.
     A limit is often one of the source's own finite distances, so the
@@ -383,14 +392,8 @@ class TestBulkEngines:
             for t in range(g.n):
                 assert dist[s, t] == constrained_shortest(g, kappa, s, t).length
 
-    @given(
-        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                 min_size=2, max_size=5),
-        st.lists(st.integers(0, 4), min_size=1, max_size=3),
-        st.floats(0.3, 4.0),
-    )
-    def test_coincident_points_engine_and_references(self, base, dup, kappa):
-        pts = np.array(base + [base[i % len(base)] for i in dup], dtype=np.float64)
+    @given(coincident_points, st.floats(0.3, 4.0))
+    def test_coincident_points_engine_and_references(self, pts, kappa):
         g = build_graph(pts, kind="ball", r=1.5)
         dist = EdgeStateEngine(g).distances(kappa, list(range(g.n)))
         for s in range(g.n):
@@ -421,6 +424,7 @@ class TestBulkEngines:
         for _ in range(10):
             g = random_graph(rng, n_max=12)
             engine = EdgeStateEngine(g)
+            engine.distinct_curvatures()  # builds the table
             finite = 0
             for v in range(g.n):
                 nbrs = g.neighbors(v)[0].tolist()
@@ -555,6 +559,7 @@ class TestEngineArrays:
 
     def check(self, g):
         engine = EdgeStateEngine(g)
+        engine.distinct_curvatures()  # builds the table
         for got, want in zip(
             (engine._indptr, engine._to, engine._curv), frozen_block_builder(g)
         ):
@@ -589,12 +594,99 @@ class TestEngineArrays:
         assert self.check(grid_annulus).transitions == 787016
 
 
+class TestTurnSources:
+    """A fresh engine computes the turns of each cap from its geometry;
+    after ``distinct_curvatures`` it reads them from the table.  Both
+    must give the same distances, byte for byte."""
+
+    def check(self, g, data):
+        table = EdgeStateEngine(g)
+        curv = table.distinct_curvatures()
+        fresh = EdgeStateEngine(g)
+        # Caps are positive; a straight turn's curvature 0 is no cap.
+        positive = curv[curv > 0.0].tolist()
+        caps = [math.inf]
+        if len(curv) == 0 or curv[0] > 0.0:  # a cap below every turn
+            caps.append(curv[0] / 2.0 if len(curv) else 1.0)
+        if positive:
+            caps += data.draw(st.lists(st.sampled_from(positive), max_size=3))
+            caps.append(positive[-1])
+        sources = list(range(g.n))
+        for cap in caps:
+            full = fresh.distances(cap, sources)
+            assert full.tobytes() == table.distances(cap, sources).tobytes()
+            limits = draw_limits(data, full)
+            bounded = fresh.distances(cap, limits)
+            assert bounded.tobytes() == table.distances(cap, limits).tobytes()
+        assert fresh._curv is None
+        assert fresh.transitions == table.transitions == len(table._curv)
+
+    @given(split_graphs(max_n=12), st.data())
+    def test_split_graphs(self, g, data):
+        self.check(g, data)
+
+    @given(coincident_points, st.data())
+    def test_coincident_points(self, pts, data):
+        self.check(build_graph(pts, kind="ball", r=1.5), data)
+
+
+class TestStateLayoutCache:
+    def test_one_layout_per_cap(self, grid_annulus, monkeypatch):
+        """A bounded search and its re-search at one cap lay the state
+        graph out once; a new cap lays it out again, after the old one
+        is dropped."""
+        built, layouts = [], []
+        layout = EdgeStateEngine._state_csr
+
+        def spy(engine, kappa):
+            # Which earlier layouts are freed by the time this one starts.
+            built.append((kappa, [ref() is None for ref in layouts]))
+            mat = layout(engine, kappa)
+            layouts.append(weakref.ref(mat))
+            return mat
+
+        monkeypatch.setattr(EdgeStateEngine, "_state_csr", spy)
+        engine = EdgeStateEngine(grid_annulus)
+        first = engine.distances(3.0, {0: 0.5, 7: 0.5})
+        again = engine.distances(3.0, [0, 7])
+        assert built == [(3.0, [])]
+        within = np.isfinite(first)
+        assert np.array_equal(first[within], again[within])
+        engine.distances(math.inf, [0])
+        engine.distances(2.0, [0])
+        engine.distances(2.0, {7: 1.0})
+        assert built == [(3.0, []), (2.0, [True])]
+
+
 class TestEngineMemory:
+    def test_fixed_cap_holds_its_layout_only(self, grid_annulus):
+        """A fresh engine at one cap holds its geometry and that cap's
+        state graph, never the table of every finite turn."""
+        tracemalloc.start()
+        try:
+            engine = EdgeStateEngine(grid_annulus)
+            engine.distances(3.0, {0: 1.5, 7: 1.0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mat = engine._mat
+        layout = mat.indptr.nbytes + mat.indices.nbytes + mat.data.nbytes
+        geometry = sum(a.nbytes for a in vars(engine).values() if isinstance(a, np.ndarray))
+        full = EdgeStateEngine(grid_annulus)
+        full.distinct_curvatures()
+        table = full._indptr.nbytes + full._to.nbytes + full._curv.nbytes
+        assert engine._curv is None
+        assert peak <= 1.25 * (layout + geometry)
+        # Cap 3 keeps 53% of the turns here, so the layout alone is over
+        # half the table; what the query holds besides it is not.
+        assert peak - layout < 0.5 * table
+
     def test_build_and_query_transients(self, grid_annulus):
         """Neither the build nor a query holds its output twice."""
         tracemalloc.start()
         try:
             engine = EdgeStateEngine(grid_annulus)
+            engine.distinct_curvatures()  # builds the table
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]

@@ -357,25 +357,27 @@ class TestConstrainedLower:
         # Criterion 8's N=1026 input, where csgraph and the hand-written
         # dijkstra record different tied paths for some pairs: the
         # runner's worst turn per pair is the one dijkstra's rows give.
-        seen = []
+        seen = {}  # (source, target) -> turns; the source is the row's 0
 
         def recording(g, dist, target, turns_of=validation.shortest_path_turns):
-            seen.append((g, turns_of(g, dist, target)))
-            return seen[-1][1]
+            source = int(np.flatnonzero(dist == 0.0)[0])
+            seen[source, target] = g, turns_of(g, dist, target)
+            return seen[source, target][1]
 
         monkeypatch.setattr(validation, "shortest_path_turns", recording)
         (rep,) = verify_constrained_lower(
             sphere(1.0), [1000], r=0.25, alpha=0.25, kappa=1.0, pairs=50, seed=0,
         )
         assert rep.n == 1026 and len(seen) == len(rep.rows) == 50
-        g = seen[0][0]
+        g = next(iter(seen.values()))[0]
 
         def worst(turns):
             return max((path_max_curvature(g.points[list(t)]) for t in turns),
                        default=0.0)
 
         worsts = []
-        for (_, turns), row in zip(seen, rep.rows):
+        for row in rep.rows:
+            _, turns = seen[row.pair_i, row.pair_j]
             slow = shortest_path_turns(g, dijkstra(g, row.pair_i).dist, row.pair_j)
             assert worst(turns) == worst(slow)
             worsts.append(worst(turns))
@@ -464,6 +466,38 @@ class TestBoundedSearches:
             assert sizes["re_searched_sources"] == searched
         elif kappa_prime == math.inf:
             assert sizes["re_searched_sources"] == 0
+
+
+class TestSearchChunks:
+    @pytest.mark.parametrize("perturb", [0.0, -0.5])
+    def test_no_search_gets_more_than_a_chunk(self, monkeypatch, perturb):
+        """The runners hand the searches GRAPH_CHUNK sources at a time,
+        bounded and re-searched alike, and report as one search of all
+        sources would."""
+        def run():
+            return verify_unconstrained_upper(sphere(1.0), 1000, pairs=150, seed=2,
+                                              perturb_weights=perturb)
+
+        calls = []
+
+        def spy(g, sources, search=validation.shortest_distances):
+            calls.append(len(sources))
+            return search(g, sources)
+
+        monkeypatch.setattr(validation, "shortest_distances", spy)
+        rep = run()
+        sources = rep.summary["sizes"]["searched_sources"]
+        assert sources > validation.GRAPH_CHUNK
+        assert max(calls) == validation.GRAPH_CHUNK
+        assert sum(calls) == sources + rep.summary["sizes"]["re_searched_sources"]
+        monkeypatch.setattr(validation, "GRAPH_CHUNK", sources + 1)
+        calls.clear()
+        whole = run()
+        assert calls == [sources] + ([sources] if perturb else [])
+        assert rep.rows == whole.rows
+        for r in (rep, whole):
+            r.summary.pop("runtime_s")
+        assert rep.summary == whole.summary
 
 
 class TestChordBound:

@@ -8,8 +8,10 @@ stored as computed in double precision.
 
 Candidate pairs come from a KD-tree radius query; each candidate is then
 re-measured and filtered exactly, so the tree's own rounding never
-decides an edge.  A brute-force all-pairs builder is retained for small
-inputs as the testing oracle.
+decides an edge.  The builder hands on only the kept pairs: the layout
+measures each stored slot again with the same arithmetic, so a built
+graph never holds its edge list and its weights at once.  A brute-force
+all-pairs builder is retained for small inputs as the testing oracle.
 """
 
 import contextlib
@@ -91,12 +93,31 @@ class NeighborhoodGraph:
 
 
 def _points_of(sample) -> np.ndarray:
-    if isinstance(sample, SampleSet):
-        return sample.points
-    pts = np.asarray(sample, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, D) array")
+    """The points of a graph's sample as an (n, D) float64 array: at
+    least one coordinate, at least 2 and fewer than 2**31 points, every
+    coordinate finite.  The counts go first, so an oversized input
+    fails before any coordinate is read."""
+    pts = sample.points if isinstance(sample, SampleSet) else np.asarray(sample, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError("points must be an (n, D) array with D >= 1")
+    n = len(pts)
+    if n < 2:
+        raise ValueError("need at least 2 points to build a graph")
+    if n >= INDEX_LIMIT:
+        raise ValueError(f"a graph holds fewer than 2**31 nodes, got {n}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must have finite coordinates")
     return pts
+
+
+def _lengths(pts, rows, cols) -> np.ndarray:
+    """|pts[rows] - pts[cols]| per entry.  The builder's filter and the
+    layout's weights both come from here, so they agree bit for bit;
+    swapping rows and cols negates every difference exactly, so both
+    directions of an edge get the same length."""
+    diff = pts.take(rows, 0)
+    diff -= pts.take(cols, 0)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _pair_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,17 +133,25 @@ def _edge_mask(d: np.ndarray, r: float, alpha: float | None) -> np.ndarray:
 
 
 def _kdtree_edges(pts, r, alpha):
-    # The tree's own distance test is widened so that it never drops a
-    # pair the exact mask below would keep.
+    """The edges i < j as int32 (ii, jj) without weights: the layout
+    weighs each edge by the length this filter measured (:func:`_lengths`).
+
+    The tree's own distance test is widened so that it never drops a
+    pair the exact mask would keep.  Candidates are measured a block at
+    a time, and the kept ones move to the front of the arrays that
+    already hold them, so nothing edge-long is copied.
+    """
     pairs = cKDTree(pts).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
     ii, jj = (np.array(col, dtype=np.int32) for col in pairs.T)
     del pairs
-    d = np.empty(len(ii))
+    kept = 0
     for k in range(0, len(ii), EDGE_BLOCK):
-        diff = pts[ii[k:k + EDGE_BLOCK]] - pts[jj[k:k + EDGE_BLOCK]]
-        d[k:k + EDGE_BLOCK] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    keep = _edge_mask(d, r, alpha)
-    return ii[keep], jj[keep], d[keep]
+        bi, bj = ii[k:k + EDGE_BLOCK], jj[k:k + EDGE_BLOCK]
+        keep = _edge_mask(_lengths(pts, bi, bj), r, alpha)
+        m = kept + int(np.count_nonzero(keep))
+        ii[kept:m], jj[kept:m] = bi[keep], bj[keep]
+        kept = m
+    return ii[:kept], jj[:kept]
 
 
 def _brute_edges(pts, r, alpha):
@@ -132,6 +161,20 @@ def _brute_edges(pts, r, alpha):
     mask = np.triu(_edge_mask(d, r, alpha), k=1)
     ii, jj = np.nonzero(mask)
     return ii, jj, d[ii, jj]
+
+
+def _first_coincident(pts, ii, jj) -> int | None:
+    """The first row whose two endpoints are the same point, or None.
+    Rows are compared a block at a time, and only those that tie on
+    column 0 are compared further."""
+    for k in range(0, len(ii), EDGE_BLOCK):
+        bi, bj = ii[k:k + EDGE_BLOCK], jj[k:k + EDGE_BLOCK]
+        bad = np.flatnonzero(pts[bi, 0] == pts[bj, 0])
+        for c in range(1, pts.shape[1]):
+            bad = bad[pts[bi[bad], c] == pts[bj[bad], c]]
+        if len(bad):
+            return k + int(bad[0])
+    return None
 
 
 class EdgeError(ValueError):
@@ -162,72 +205,95 @@ def check_graph_params(kind: str, r: float, alpha: float | None):
 
 def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) -> NeighborhoodGraph:
     """The graph of kind ``kind`` over the points of ``sample``, with the
-    edges that ``edges(points, r, alpha)`` returns as arrays (ii, jj,
-    ww), one entry per undirected edge with i < j.
+    edges that ``edges(points, r, alpha)`` returns as integer arrays
+    (ii, jj) or (ii, jj, ww), one entry per undirected edge with i < j.
+    An edge listed without a weight is weighted by its Euclidean length,
+    as the builder's filter measured it (:func:`_lengths`); that filter
+    keeps only lengths in (0, r], so such weights are finite and positive.
 
     Every graph is made here: built, read from a file or perturbed.
-    The parameters are checked first, so a bad r never reaches a
-    neighbour search: at least 2 and fewer than 2**31 points, then
+    The points and parameters are checked first, so a bad r never
+    reaches a neighbour search: :func:`_points_of`, then
     :func:`check_graph_params`.  An edge list of 2**30 rows or more is
-    rejected before any row is read.  Then every edge must have
-    0 <= i < j < n, a finite positive weight and two endpoints at
-    different points, and no edge may be listed twice.  A violation raises ValueError; a bad edge
-    raises :class:`EdgeError` with the position of its row.
+    rejected before any row is read, and so are indices of a
+    non-integer dtype.  Then every edge must have 0 <= i < j < n, a
+    finite positive weight and two endpoints at different points, and
+    no edge may be listed twice.  A violation raises ValueError; a bad
+    edge raises :class:`EdgeError` with the position of its row.
 
     The layout never doubles the edge list: the upper triangle goes to
     CSR on its own, and the symmetric graph is that triangle plus its
-    transpose, so the peak is about twice what the graph stores.
+    transpose.  An edge list without weights carries one byte per entry
+    through that sum, and the weights are filled afterwards, a block of
+    slots at a time, so the build peaks at about what the graph stores.
     """
     pts = _points_of(sample)
     n = len(pts)
-    if n < 2:
-        raise ValueError("need at least 2 points to build a graph")
-    if n >= INDEX_LIMIT:
-        raise ValueError(f"a graph holds fewer than 2**31 nodes, got {n}")
     check_graph_params(kind, r, alpha)
-    ii, jj, ww = edges(pts, r, alpha)
+    ii, jj, *ww = edges(pts, r, alpha)
     if 2 * len(ii) >= INDEX_LIMIT:
         raise ValueError(f"a graph holds fewer than 2**30 edges, got {len(ii)}")
     ii, jj = np.asarray(ii), np.asarray(jj)
-    ww = np.asarray(ww, dtype=np.float64)
+    for dtype in (ii.dtype, jj.dtype):
+        if len(ii) and dtype.kind not in "iu":
+            raise ValueError(f"node indices must be integers, got dtype {dtype}")
+    ww = np.asarray(ww[0], dtype=np.float64) if ww else None
     for bad, what in (
         ((ii < 0) | (jj >= n), f"node index outside [0, {n})"),
         (ii >= jj, "edge must have i < j"),
-        (~(np.isfinite(ww) & (ww > 0.0)), "weight must be finite and positive"),
+        (None if ww is None else ~(np.isfinite(ww) & (ww > 0.0)),
+         "weight must be finite and positive"),
     ):
-        if bad.any():
+        if bad is not None and bad.any():
             raise EdgeError(what, int(np.argmax(bad)))
     # Every index is now in [0, n), so int32 holds it exactly.
     ii = ii.astype(np.int32, copy=False)
     jj = jj.astype(np.int32, copy=False)
     # A path through such an edge repeats a point, which no path
-    # curvature is defined for.  Only the rows that tie on column 0 are
-    # kept, so no E-long mask lives on into the layout's peak.
-    bad = np.flatnonzero(pts[ii, 0] == pts[jj, 0])
-    for c in range(1, pts.shape[1]):
-        bad = bad[pts[ii[bad], c] == pts[jj[bad], c]]
-    if len(bad):
-        raise EdgeError("edge joins coincident points", int(bad[0]))
+    # curvature is defined for.
+    coincident = _first_coincident(pts, ii, jj)
+    if coincident is not None:
+        raise EdgeError("edge joins coincident points", coincident)
     # The upper triangle in CSR layout; tocsr() sums the listings of a
     # repeated edge into one entry, so only a short layout needs the
     # search.
-    up = coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
+    data = np.ones(len(ii), dtype=np.uint8) if ww is None else ww
+    up = coo_matrix((data, (ii, jj)), shape=(n, n)).tocsr()
     if up.nnz != len(ii):
         first = {}
         for k, key in enumerate(zip(ii.tolist(), jj.tolist())):
             if first.setdefault(key, k) != k:
                 raise EdgeError(f"duplicate edge {key[0]},{key[1]}", k, first[key])
-    # The sum sets the build's peak, so the edge list goes first.  Upper
-    # and lower triangles share no entry, so the sum only merges each
-    # row's two sorted runs: the symmetric layout, rows sorted.
-    del ii, jj, ww
+    # Upper and lower triangles share no entry, so the sum only merges
+    # each row's two sorted runs: the symmetric layout, rows sorted.
+    # The edge list goes only after the sum: freed with the triangles,
+    # its memory joins theirs in one free region that the weights below
+    # reuse.  Freed before the sum, it leaves heap fragments too small
+    # for the weights, and the process's peak RSS grows by the weights.
     mat = up + up.T.tocsr()
+    del ii, jj, data, up
     mat.sort_indices()
+    indptr = mat.indptr.astype(np.int32, copy=False)
+    indices = mat.indices.astype(np.int32, copy=False)
     return NeighborhoodGraph(
-        pts, kind, float(r), None if alpha is None else float(alpha),
-        mat.indptr.astype(np.int32, copy=False),
-        mat.indices.astype(np.int32, copy=False), mat.data,
+        pts, kind, float(r), None if alpha is None else float(alpha), indptr, indices,
+        mat.data if ww is not None else _slot_lengths(pts, indptr, indices),
     )
+
+
+def _slot_lengths(pts, indptr, indices) -> np.ndarray:
+    """The Euclidean length of every slot of a CSR layout, a block of
+    slots at a time, so no edge-long row array is made."""
+    out = np.empty(len(indices))
+    for s in range(0, len(indices), EDGE_BLOCK):
+        e = min(s + EDGE_BLOCK, len(indices))
+        # The rows a..b-1 own slots s..e-1; clipping their bounds to the
+        # block counts each row's slots in it.
+        a = int(np.searchsorted(indptr, s, "right")) - 1
+        b = int(np.searchsorted(indptr, e, "left"))
+        rows = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(indptr[a:b + 1].clip(s, e)))
+        out[s:e] = _lengths(pts, rows, indices[s:e])
+    return out
 
 
 def build_graph(

@@ -121,6 +121,19 @@ class TestBuildGraph:
         g = build_graph(samp, kind="ball", r=0.5)
         assert g.points is samp.points
 
+    @pytest.mark.parametrize("method", ["index", "brute"])
+    @pytest.mark.parametrize("pts, match", [
+        ([[0.0, 0.0], [math.nan, 0.0], [0.5, 0.0]], "points must have finite coordinates"),
+        ([[0.0, 0.0], [math.inf, 0.0], [0.5, 0.0]], "points must have finite coordinates"),
+        (np.zeros((3, 0)), re.escape("points must be an (n, D) array with D >= 1")),
+    ])
+    def test_bad_points_rejected_by_both_builders(self, method, pts, match):
+        # The oracle and the fast builder refuse the same inputs, with
+        # one line and before any neighbour search.
+        with pytest.raises(ValueError, match=match) as exc:
+            build_graph(pts, kind="ball", r=1.0, method=method)
+        assert "\n" not in str(exc.value)
+
 
 def first_bad_row(points, rows):
     """(rule, row, first listing) that graph_from_edges must report for
@@ -214,6 +227,27 @@ class TestEdgeRules:
             build_graph(FOURTH_AT_ORIGIN, kind="ball", r=1.0)
         assert (exc.value.what, exc.value.row) == (what, row)
 
+    @pytest.mark.parametrize("ii, jj", [
+        (np.array([0.5]), np.array([1.7])),
+        (np.array([math.nan]), np.array([1.0])),
+        (np.array([0]), np.array([True])),
+    ])
+    def test_non_integer_indices_rejected(self, ii, jj):
+        # A float index would be truncated to a different node, and a
+        # NaN one cast to -2**31.
+        with pytest.raises(ValueError, match="node indices must be integers, got dtype") as exc:
+            graph_from_edges(LINE, "ball", 1.0, None, lambda *_: (ii, jj, np.array([1.0])))
+        assert not isinstance(exc.value, graph.EdgeError)
+
+    @pytest.mark.parametrize("ii, jj, ww", [
+        ([0, 1], [1, 2], [1.0, 1.0]),
+        (np.array([0, 1], dtype=np.uint8), np.array([1, 2], dtype=np.int16), [1.0, 1.0]),
+        ([], [], []),
+    ])
+    def test_integer_indices_accepted(self, ii, jj, ww):
+        g = graph_from_edges(LINE, "ball", 1.0, None, lambda *_: (ii, jj, ww))
+        assert graph_edge_set(g) == {(i, j): w for i, j, w in zip(ii, jj, ww)}
+
     def test_only_graph_from_edges_makes_graphs(self):
         # A graph made any other way would skip the edge rules.
         makers = []
@@ -293,6 +327,50 @@ class TestLayoutTwin:
         )
 
 
+@st.composite
+def boundary_samples(draw):
+    """2-D or 3-D points on a lattice of step 1/4, so that some pairs
+    sit exactly at r or at alpha*r and some coincide, mixed with
+    arbitrary coordinates; and the parameters of a ball or an annulus
+    graph whose r, and alpha*r for most alphas, are lattice distances."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 24))
+    lattice = st.integers(0, 6).map(lambda k: k / 4)
+    coord = lattice | st.floats(0.0, 1.5, allow_nan=False)
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)))
+    r = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    if draw(st.booleans()):
+        return pts, dict(kind="ball", r=r)
+    return pts, dict(kind="annulus", r=r, alpha=draw(st.sampled_from([0.0, 0.25, 0.5, 0.8])))
+
+
+class TestBuiltWeights:
+    """A built graph's weights are measured from its points in the
+    layout, not carried with its edge list."""
+
+    @given(boundary_samples())
+    def test_equal_the_oracle_and_the_mirror_slot(self, case):
+        pts, kw = case
+        built = build_graph(pts, method="index", **kw)
+        oracle = build_graph(pts, method="brute", **kw)
+        assert built.weights.dtype == np.float64
+        assert np.array_equal(built.indptr, oracle.indptr)
+        assert np.array_equal(built.indices, oracle.indices)
+        assert built.weights.tobytes() == oracle.weights.tobytes()
+        mirror = built.to_csr().T.tocsr()
+        mirror.sort_indices()
+        assert np.array_equal(mirror.indices, built.indices)
+        assert mirror.data.tobytes() == built.weights.tobytes()
+
+    def test_boundary_and_coincident_points(self):
+        # Pairs exactly at r = 1 and at alpha*r = 0.5 are edges; the
+        # coincident pair is not.
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        built = build_graph(pts, kind="annulus", r=1.0, alpha=0.5)
+        assert graph_edge_set(built) == {(0, 1): 1.0, (0, 2): 0.5, (1, 3): 1.0, (2, 3): 0.5}
+
+
 class TestSizeGate:
     """Graphs csgraph cannot index in int32 fail before any row is read.
     The inputs are zero-stride views, so nothing large is allocated."""
@@ -338,8 +416,11 @@ def stored_bytes(g):
 
 class TestGraphMemory:
     def test_build_peak(self, dense_sphere):
-        """The build holds its output about twice at most: the upper
-        triangle and its transpose while the symmetric sum is made."""
+        """On this small graph (6.5 MiB) the blocks of scratch
+        differences, a few MiB each in the neighbour filter and in the
+        weight fill, are a large share of the peak, which reads about
+        1.7 times what the graph stores.  ``test_layout_peak`` bounds
+        the layout where the graph dwarfs them."""
         sample, _ = dense_sphere
         tracemalloc.start()
         try:
@@ -348,6 +429,21 @@ class TestGraphMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.2 * stored_bytes(built)
+
+    def test_layout_peak(self):
+        """Where the graph (about 26 MB) dwarfs a block of scratch, the
+        build peaks at little more than what it stores: the symmetric
+        sum carries one byte per entry, and the weights are measured
+        into their final slots afterwards."""
+        sample = sample_surface(sphere(1.0), "uniform-random", 20000, 18)
+        tracemalloc.start()
+        try:
+            built = build_graph(sample, kind="ball", r=0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stored_bytes(built) > 10 * graph.EDGE_BLOCK * 3 * 8
+        assert peak <= 1.5 * stored_bytes(built)
 
     def test_csr_shares_the_stored_arrays(self, dense_sphere):
         _, g = dense_sphere

@@ -8,6 +8,7 @@ argument, file, or precondition-gate errors.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -328,10 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, so
+    every call of :func:`main` reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

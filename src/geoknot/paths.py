@@ -342,24 +342,27 @@ class EdgeStateEngine:
     since acute turns, backtracks and repeated points are infinite and
     no finite cap keeps them.
 
-    The engine keeps the per-slot geometry only: each slot's offset
-    vector, its squared norm and norm, the reverse slots and the blocks
-    of about ENGINE_BLOCK candidate turns, O(states) in all.  One
-    blockwise pass turns it into the finite turns in state order: the
-    sign of a.b first (acute turns are infinite), then the curvature of
-    the obtuse candidates.  A query at a finite kappa lays out the
-    state CSR of that cap from the pass, keeping the turns of curvature
-    <= kappa, plus one virtual start row per graph node (leading to the
-    node's outgoing states), and runs the compiled Dijkstra.  The CSR of
-    the last cap is kept, so a bounded search and its re-search at one
-    cap lay it out once; it is dropped before another cap is laid out.
+    Between searches the engine keeps only the reverse slots (4 bytes
+    per state).  One blockwise pass turns the graph into the finite
+    turns in state order: the sign of a.b first (acute turns are
+    infinite), then the curvature of the obtuse candidates.  The pass
+    lays out its per-slot geometry when it starts (each slot's offset
+    vector, its squared norm and norm, the points' lexicographic rank
+    and coordinates, and the blocks of about ENGINE_BLOCK candidate
+    turns: 40 bytes per state and 32 per node in 3-D) and frees it when
+    it ends.  A query at a finite kappa lays out the state CSR of that
+    cap from the pass, keeping the turns of curvature <= kappa, plus one
+    virtual start row per graph node (leading to the node's outgoing
+    states), and runs the compiled Dijkstra.  The CSR of the last cap is
+    kept, so a bounded search and its re-search at one cap lay it out
+    once; it is dropped before another cap is laid out.
 
     :meth:`distinct_curvatures` is the one method that keeps every
     finite turn: it builds the turn table (``_indptr`` over states,
     ``_to`` the target state as int32, ``_curv`` the curvature) and the
     pass reads that table from then on, so a search over many caps
-    computes each curvature once.  The table holds 12 bytes per turn
-    and 8 per state, the geometry 44 bytes per state and 32 per node.
+    computes each curvature once, and the geometry is never laid out
+    again.  The table holds 12 bytes per turn and 8 per state.
 
     The distance to node t is the smallest distance of a state that
     ends at t, so a search stopped at a limit still answers every node
@@ -370,29 +373,9 @@ class EdgeStateEngine:
 
     def __init__(self, g: NeighborhoodGraph):
         self.g = g
-        self._rank = lexicographic_rank(g.points)
-        indptr, tails = g.indptr, g.indices
-        heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
         # The state of out-edge slot e = (v, w) is the slot of (w, v): in
         # a symmetric CSR, a stable sort by column lists exactly those.
-        self._out_state = np.argsort(tails, kind="stable").astype(np.int32)
-        # Slot s points from its row's point to its column's.  For a
-        # candidate (state s, out-slot e) the offsets of s and e are the
-        # formula's a and b (which is which, the endpoint order decides),
-        # so their squares and norms are computed once per slot.
-        self._cols = np.ascontiguousarray(g.points.T)
-        self._off = self._cols[:, tails] - self._cols[:, heads]
-        self._sq = _dot(self._off, self._off)
-        self._norm = np.sqrt(self._sq)
-        # State s = (u -> v) has one candidate per out-edge slot of v.
-        ends = np.zeros(len(tails) + 1, dtype=np.int64)
-        np.cumsum(np.diff(indptr)[heads], out=ends[1:])
-        self._blocks = []
-        s0 = 0
-        while s0 < len(tails):
-            s1 = int(np.searchsorted(ends, ends[s0] + ENGINE_BLOCK, "right")) - 1
-            self._blocks.append((s0, max(s1, s0 + 1)))
-            s0 = self._blocks[-1][1]
+        self._out_state = np.argsort(g.indices, kind="stable").astype(np.int32)
         self._indptr = self._to = self._curv = None
         self._transitions = None
         self._cap = self._mat = None
@@ -456,10 +439,36 @@ class EdgeStateEngine:
             out[k, s] = 0.0
         return out
 
-    def _candidates(self, s0: int, s1: int) -> tuple:
+    def _geometry(self) -> tuple:
+        """The per-slot geometry of one turn pass: (rank, cols, off, sq,
+        norm, blocks), the points' lexicographic rank and coordinate
+        columns, each slot's offset vector, its squared norm and norm,
+        and the (s0, s1) blocks of about ENGINE_BLOCK candidate turns."""
+        g = self.g
+        indptr, tails = g.indptr, g.indices
+        heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+        # Slot s points from its row's point to its column's.  For a
+        # candidate (state s, out-slot e) the offsets of s and e are the
+        # formula's a and b (which is which, the endpoint order decides),
+        # so their squares and norms are computed once per slot.
+        cols = np.ascontiguousarray(g.points.T)
+        off = cols[:, tails] - cols[:, heads]
+        sq = _dot(off, off)
+        # State s = (u -> v) has one candidate per out-edge slot of v.
+        ends = np.zeros(len(tails) + 1, dtype=np.int64)
+        np.cumsum(np.diff(indptr)[heads], out=ends[1:])
+        blocks = []
+        s0 = 0
+        while s0 < len(tails):
+            s1 = int(np.searchsorted(ends, ends[s0] + ENGINE_BLOCK, "right")) - 1
+            blocks.append((s0, max(s1, s0 + 1)))
+            s0 = blocks[-1][1]
+        return lexicographic_rank(g.points), cols, off, sq, np.sqrt(sq), blocks
+
+    def _candidates(self, off, s0: int, s1: int) -> tuple:
         """(state, out-slot, a.b) of every candidate turn of states
-        s0..s1-1, in state order."""
-        indptr, off = self.g.indptr, self._off
+        s0..s1-1, in state order, from the slot offsets ``off``."""
+        indptr = self.g.indptr
         heads = np.searchsorted(indptr, np.arange(s0, s1), "right") - 1
         first = indptr[heads]
         cand = indptr[heads + 1] - first
@@ -478,15 +487,18 @@ class EdgeStateEngine:
         pointers into ``to`` (target states) and ``curv`` (curvatures).
 
         Read from the turn table once there is one, in one block;
-        computed from the geometry otherwise.
+        computed otherwise from the geometry, which lives for this pass
+        alone: it is laid out when the pass starts and freed with the
+        generator when the pass ends.
         """
         if self._curv is not None:
             yield 0, self.states, self._indptr, self._to, self._curv
             return
-        tails, rank, off = self.g.indices, self._rank, self._off
+        tails = self.g.indices
+        rank, cols, off, sq, norm, blocks = self._geometry()
         count = 0
-        for s0, s1 in self._blocks:
-            state, slot, dot = self._candidates(s0, s1)
+        for s0, s1 in blocks:
+            state, slot, dot = self._candidates(off, s0, s1)
             # Acute turns first: the formula sends a positive a.b to inf,
             # and the dot product does not depend on the endpoint order.
             # (Taking by index beats a boolean mask that is true at random.)
@@ -503,8 +515,8 @@ class EdgeStateEngine:
             z = np.where(swap, u, w)
             a = [o[sa] for o in off]
             b = [o[sb] for o in off]
-            c = [col[z] - col[x] for col in self._cols]
-            curv = _curvature_columns(a, b, c, self._sq[sa], self._norm[sb], dot)
+            c = [col[z] - col[x] for col in cols]
+            curv = _curvature_columns(a, b, c, sq[sa], norm[sb], dot)
             finite = np.isfinite(curv)
             ptr = np.zeros(s1 - s0 + 1, dtype=np.int64)
             np.cumsum(np.bincount(state[finite] - s0, minlength=s1 - s0), out=ptr[1:])
@@ -513,15 +525,13 @@ class EdgeStateEngine:
         self._transitions = count
 
     def _build_table(self):
-        """Keep every finite turn as ``_indptr``, ``_to`` and ``_curv``,
-        then drop the geometry, which no later pass reads."""
+        """Keep every finite turn as ``_indptr``, ``_to`` and ``_curv``."""
         indptr = np.zeros(self.states + 1, dtype=np.int64)
         to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
         for s0, s1, ptr, block_to, block_curv in self._turns():
             indptr[s0 + 1:s1 + 1] = indptr[s0] + ptr[1:]
             to.append(block_to)
             curv.append(block_curv)
-        self._rank = self._cols = self._off = self._sq = self._norm = self._blocks = None
         # One array at a time, each one's blocks dropped before the next
         # is joined: at most the table and one more copy of _curv.
         self._indptr, self._to = indptr, np.concatenate(to)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, Voronoi, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 SURFACE_KINDS = ("sphere", "disk", "cylinder", "circle")
 MODES = ("grid", "uniform-random")
@@ -288,9 +288,12 @@ def covering_radius(sample: SampleSet) -> CoveringEstimate:
     The farthest point is a Voronoi vertex of the sample, a point where
     a Voronoi edge leaves the surface, or on the disk's rim the point
     opposite a site.  Each kind lists such candidates (a superset is
-    harmless, as all lie on the surface); one KD-tree query measures
-    them.  A sample with no Voronoi diagram (too few points, or all on
-    one plane or line) gets the diameter, an upper bound; none, inf.
+    harmless, as all lie on the surface): the sphere and the circle
+    from the convex hull, the disk and the cylinder from the Delaunay
+    triangles of the plane or the unrolled strip.  One KD-tree query
+    measures them.  A sample Qhull cannot triangulate (too few points,
+    or all on one plane or line) gets the diameter, an upper bound;
+    none, inf.
     """
     if sample.n == 0:
         return CoveringEstimate(math.inf, 0)
@@ -317,12 +320,34 @@ def _round_distances(spec: SurfaceSpec, pts: np.ndarray) -> np.ndarray:
 def _plane_candidates(sites, crossings) -> np.ndarray:
     """The Voronoi vertices of planar ``sites`` and the points
     ``crossings(m, u)`` where the bisector m + t u of each ridge meets
-    the region's boundary; the caller moves them onto the surface."""
-    vor = Voronoi(sites)
-    p, q = np.moveaxis(sites[vor.ridge_points], 1, 0)
+    the region's boundary; the caller moves them onto the surface.
+
+    Both come from the Delaunay triangles: the vertices are the
+    circumcentres of the triangles that are not flat, and the ridges
+    are the Delaunay edges, each taken once.  Where four or more sites
+    are cocircular, the triangulation splits their facet: each piece
+    has the facet's circumcentre (a flat piece has none, and drops out
+    as not finite), and the diagonals add crossings of a ridge of
+    length zero, extra points on the boundary that do no harm.
+    """
+    tri = Delaunay(sites).simplices
+    a = sites[tri[:, 0]]
+    b, c = sites[tri[:, 1]] - a, sites[tri[:, 2]] - a
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    n = len(sites)
+    pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    key = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    p, q = sites[key // n], sites[key % n]
     with np.errstate(divide="ignore", invalid="ignore"):
+        # The circumcentre a + (|b|^2 c - |c|^2 b) x e3 / (2 b x c) of
+        # the triangle a, a + b, a + c; b x c = 0 for a flat one.
+        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        centres = a + np.stack(
+            [c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb], axis=1
+        ) / den[:, None]
         hits = crossings(0.5 * (p + q), np.stack([p[:, 1] - q[:, 1], q[:, 0] - p[:, 0]], axis=1))
-    return np.concatenate([vor.vertices, hits[np.isfinite(hits).all(axis=1)]])
+    cands = np.concatenate([centres, hits])
+    return cands[np.isfinite(cands).all(axis=1)]
 
 
 def _disk_distances(spec: SurfaceSpec, pts: np.ndarray) -> np.ndarray:

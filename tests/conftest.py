@@ -2,19 +2,21 @@
 
 The oracles deliberately use different algorithms than the library
 (Heron's formula for circumradius, Bellman-Ford for shortest paths,
-breadth-first search for components, a dense reference grid for the
-covering radius) so agreement is evidence, not tautology.
+breadth-first search for components, a dense reference grid and a
+Voronoi diagram for the covering radius) so agreement is evidence, not
+tautology.
 """
 
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
-from geoknot import graph_from_edges, sample_surface
+from geoknot import covering_radius, graph_from_edges, sample_surface, surfaces
 from geoknot.geometry import turn_curvature
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
@@ -83,6 +85,24 @@ def grid_covering_bracket(sample) -> tuple:
     spacing = float(np.max(cKDTree(ref).query(ref, k=2)[0][:, 1]))
     low = directed_hausdorff(ref, sample.points)
     return low, low + spacing
+
+
+def voronoi_plane_candidates(sites, crossings) -> np.ndarray:
+    """The slow twin of ``surfaces._plane_candidates``: the vertices and
+    ridges read from a ``scipy.spatial.Voronoi`` object, not from the
+    Delaunay triangles."""
+    vor = Voronoi(sites)
+    p, q = np.moveaxis(sites[vor.ridge_points], 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = crossings(0.5 * (p + q), np.stack([p[:, 1] - q[:, 1], q[:, 0] - p[:, 0]], axis=1))
+    return np.concatenate([vor.vertices, hits[np.isfinite(hits).all(axis=1)]])
+
+
+def voronoi_covering_radius(sample):
+    """``covering_radius`` with the planar candidates of the Voronoi
+    twin; the sphere and the circle do not read them."""
+    with mock.patch.object(surfaces, "_plane_candidates", voronoi_plane_candidates):
+        return covering_radius(sample)
 
 
 def intrinsic_nearest(spec, sample_points, query) -> np.ndarray:

@@ -658,6 +658,16 @@ class TestStateLayoutCache:
         assert built == [(3.0, []), (2.0, [True])]
 
 
+def arrays_held(engine) -> set:
+    """The engine's attributes that hold an array, directly or in a
+    tuple or list; the graph and the layout's matrix are not counted."""
+    def holds(value):
+        if isinstance(value, (tuple, list)):
+            return any(holds(v) for v in value)
+        return isinstance(value, np.ndarray)
+    return {k for k, v in vars(engine).items() if holds(v)}
+
+
 class TestEngineMemory:
     def test_fixed_cap_holds_its_layout_only(self, grid_annulus):
         """A fresh engine at one cap holds its geometry and that cap's
@@ -671,7 +681,9 @@ class TestEngineMemory:
             tracemalloc.stop()
         mat = engine._mat
         layout = mat.indptr.nbytes + mat.indices.nbytes + mat.data.nbytes
-        geometry = sum(a.nbytes for a in vars(engine).values() if isinstance(a, np.ndarray))
+        # The reverse slots and one pass's geometry, at their documented
+        # sizes: 44 bytes per state and 32 per node in 3-D.
+        geometry = 44 * engine.states + 32 * grid_annulus.n
         full = EdgeStateEngine(grid_annulus)
         full.distinct_curvatures()
         table = full._indptr.nbytes + full._to.nbytes + full._curv.nbytes
@@ -680,6 +692,27 @@ class TestEngineMemory:
         # Cap 3 keeps 53% of the turns here, so the layout alone is over
         # half the table; what the query holds besides it is not.
         assert peak - layout < 0.5 * table
+
+    def test_no_geometry_between_passes(self, grid_annulus):
+        """After a search at one cap the engine holds the reverse slots
+        and that cap's layout, no per-slot geometry; after the table is
+        built, the table besides."""
+        tracemalloc.start()
+        try:
+            engine = EdgeStateEngine(grid_annulus)
+            engine.distances(3.0, {0: 1.5, 7: 1.0})
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        mat = engine._mat
+        layout = mat.indptr.nbytes + mat.indices.nbytes + mat.data.nbytes
+        assert engine._cap == 3.0
+        assert arrays_held(engine) == {"_out_state"}
+        # One pass's geometry is 40 bytes per state and 32 per node.
+        geometry = 40 * engine.states + 32 * grid_annulus.n
+        assert held - layout - engine._out_state.nbytes < 0.05 * geometry
+        engine.distinct_curvatures()
+        assert arrays_held(engine) == {"_out_state", "_indptr", "_to", "_curv"}
 
     def test_build_and_query_transients(self, grid_annulus):
         """Neither the build nor a query holds its output twice."""

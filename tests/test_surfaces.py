@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geoknot import (
     SampleSet,
@@ -26,7 +27,12 @@ from geoknot.surfaces import (
     surface_residual,
     surface_to_json,
 )
-from conftest import directed_hausdorff, grid_covering_bracket, intrinsic_nearest
+from conftest import (
+    directed_hausdorff,
+    grid_covering_bracket,
+    intrinsic_nearest,
+    voronoi_covering_radius,
+)
 
 
 def octahedron_grid_2d_unique(level):
@@ -278,6 +284,50 @@ class TestCoveringRadius:
         est = covering_radius(SampleSet(pts, disk(1.0), "uniform-random", 0))
         assert est.radius == pytest.approx(1.1, rel=2e-12)
         assert est.radius >= 1.1
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(kind=st.sampled_from(["disk", "cylinder"]),
+           shape=st.sampled_from(["grid", "uniform-random", "duplicated", "collinear"]),
+           n=st.integers(3, 600), seed=st.integers(0, 2**32 - 1))
+    @example(kind="disk", shape="collinear", n=3, seed=0)
+    @example(kind="cylinder", shape="collinear", n=40, seed=1)
+    @example(kind="disk", shape="grid", n=600, seed=0)
+    def test_matches_the_voronoi_twin(self, kind, shape, n, seed):
+        # The Delaunay candidates give the Voronoi twin's radius, up to
+        # the rounding of the circumcentres, and fall back together.
+        spec = {"disk": disk(0.7), "cylinder": cylinder(0.6, 2.5)}[kind]
+        samp = sample_surface(spec, "grid" if shape == "grid" else "uniform-random", n, seed)
+        pts = samp.points
+        if shape == "duplicated":
+            pts = np.concatenate([pts, pts[: n // 2]])
+        elif shape == "collinear":  # a diameter of the disk, a ring of the cylinder
+            pts = pts.copy()
+            if kind == "disk":
+                pts[:, 0], pts[:, 1] = np.linalg.norm(pts, axis=1), 0.0
+            else:
+                pts[:, 2] = 1.0
+        samp = SampleSet(pts, spec, samp.mode, samp.seed)
+        got, want = covering_radius(samp), voronoi_covering_radius(samp)
+        assert got.radius == want.radius or (
+            abs(got.radius - want.radius) <= 4 * np.spacing(max(got.radius, want.radius))
+        )
+        assert (got.reference_size == 0) == (want.reference_size == 0)
+        if got.reference_size == 0 and samp.n:  # an empty sample is uncovered
+            assert got.radius == intrinsic_diameter(spec)
+
+    def test_covering_memory(self):
+        # The tracemalloc peak of the 8000-point uniform cylinder (17.6k
+        # unrolled sites): 14.6 MB from the Delaunay triangles, 23.6 MB
+        # from a Voronoi object, whose Python lists tracemalloc sees.
+        samp = sample_surface(cylinder(1.0, 4.0), "uniform-random", 8000, 5)
+        tracemalloc.start()
+        try:
+            est = covering_radius(samp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.reference_size > 0
+        assert peak <= 19e6
 
     def test_directed_hausdorff_empty_target(self):
         assert directed_hausdorff(np.ones((3, 2)), np.empty((0, 2))) == math.inf

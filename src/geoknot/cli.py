@@ -16,14 +16,11 @@ import sys
 from dataclasses import dataclass, fields
 
 from .graph import build_graph, graph_stats, read_graph_csv, write_graph_csv
-from .paths import (
-    PathResult,
-    constrained_shortest,
-    dijkstra,
-    path_from_predecessors,
-    path_max_curvature,
-    path_result_payload,
-)
+from .paths import path_result_payload, query_constrained, query_shortest
+
+# Unused here, but bound for tracers that time the searches by their
+# names in this module (perfbench/tracing.py).
+from .paths import constrained_shortest, dijkstra, path_max_curvature  # noqa: F401
 from .surfaces import (
     MODES,
     SURFACE_KINDS,
@@ -218,23 +215,12 @@ def cmd_dist(args) -> int:
     if not (0 <= args.src < g.n and 0 <= args.dst < g.n):
         raise ValueError(f"src/dst must lie in [0, {g.n})")
     kappa = args.kappa
-    if kappa is None or math.isinf(kappa):
-        # Vacuous constraint: answer with plain Dijkstra so that
-        # --kappa inf and an omitted kappa print identical results.
-        field = dijkstra(g, args.src)
-        nodes = path_from_predecessors(field.predecessor, args.src, args.dst)
-        if nodes is None:
-            result = PathResult([], math.inf, 0.0, False)
-        else:
-            result = PathResult(
-                nodes,
-                float(field.dist[args.dst]),
-                path_max_curvature(pts[nodes]),
-                True,
-            )
-        kappa = math.inf
+    if kappa is None or kappa == math.inf:
+        # Vacuous constraint: the unconstrained path, so that --kappa inf
+        # and an omitted kappa print identical results.
+        result, kappa = query_shortest(g, args.src, args.dst), math.inf
     else:
-        result = constrained_shortest(g, kappa, args.src, args.dst)
+        result = query_constrained(g, kappa, args.src, args.dst)
     print(json.dumps(path_result_payload(result, args.src, args.dst, kappa)))
     return 0
 

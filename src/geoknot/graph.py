@@ -211,12 +211,13 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     as the builder's filter measured it (:func:`_lengths`); that filter
     keeps only lengths in (0, r], so such weights are finite and positive.
 
-    Every graph is made here: built, read from a file or perturbed.
-    The points and parameters are checked first, so a bad r never
-    reaches a neighbour search: :func:`_points_of`, then
-    :func:`check_graph_params`.  An edge list of 2**30 rows or more is
-    rejected before any row is read, and so are indices of a
-    non-integer dtype.  Then every edge must have 0 <= i < j < n, a
+    Every graph's edges are laid out here: built, read from a file or
+    induced on a query's lens (a perturbed graph keeps its graph's
+    layout and divides only the weights).  The points and parameters
+    are checked first, so a bad r never reaches a neighbour search:
+    :func:`_points_of`, then :func:`check_graph_params`.  An edge list
+    of 2**30 rows or more is rejected before any row is read, and so
+    are indices of a non-integer dtype.  Then every edge must have 0 <= i < j < n, a
     finite positive weight and two endpoints at different points, and
     no edge may be listed twice.  A violation raises ValueError; a bad
     edge raises :class:`EdgeError` with the position of its row.

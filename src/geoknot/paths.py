@@ -32,6 +32,15 @@ nonnegative weight never lowers a float partial sum), so the bounded
 search settles every node on it with the same value.  Nodes beyond
 the limit read ``inf``; a caller that needs them searches again
 without one.
+
+The single-pair queries :func:`query_shortest` and
+:func:`query_constrained` answer one source and target from the
+compiled searches and return the :class:`PathResult` of the references
+(:func:`dijkstra` with :func:`path_from_predecessors`, and
+:func:`constrained_shortest`) exactly, nodes included: they walk back
+along tight edges or states with the references' tie rules.  Those rules
+hold while every increment raises the float sum it is added to; a graph
+with a weight small enough to round away is answered by the reference.
 """
 
 import heapq
@@ -44,10 +53,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import _curvature_columns, _dot, lexicographic_rank, turn_curvature
-from .graph import NeighborhoodGraph
+from .graph import NeighborhoodGraph, graph_from_edges
 from .surfaces import _jsonable
 
 BRUTE_FORCE_MAX_NODES = 12
+
+# A search that serves given pairs stops at SEARCH_REACH times a
+# distance it expects: a runner at its farthest pair's oracle, a
+# constrained query at the pair's unconstrained distance.  Graph and
+# constrained distances stay within a few percent of those on the
+# benchmark inputs (certificate ratios lie in [0.998, 1.048]), so the
+# limit almost never cuts a pair off, while it spares the search most
+# of the graph.  A pair it does cut off is searched again farther: the
+# constant trades speed only, never the answer.
+SEARCH_REACH = 1.25
 
 # EdgeStateEngine computes its transitions in blocks of about this many
 # (in-edge, out-edge) candidates, so the scratch arrays of the build stay
@@ -422,22 +441,29 @@ class EdgeStateEngine:
         g = self.g
         if math.isinf(kappa):
             return shortest_distances(g, sources)
-        if kappa != self._cap:
-            self._cap = self._mat = None  # never two caps' layouts at once
-            self._mat = self._state_csr(kappa)
-            self._cap = kappa
-        m = self.states
         # One search per source, each reduced at once to its node minima
         # (the distance to node t is the smallest distance of a state
         # that ends at t): no (sources, states) matrix is ever built.
         has_in = np.diff(g.indptr) > 0
         starts = g.indptr[:-1][has_in]
         out = np.full((len(sources), g.n), np.inf)
-        for k, (s, dist) in enumerate(_searches(self._mat, sources, offset=m)):
+        for k, (s, dist) in enumerate(self._state_rows(kappa, sources)):
             if has_in.any():
-                out[k, has_in] = np.minimum.reduceat(dist[:m], starts)
+                out[k, has_in] = np.minimum.reduceat(dist, starts)
             out[k, s] = 0.0
         return out
+
+    def _state_rows(self, kappa: float, sources):
+        """(source, row) of one search per source at the finite cap
+        kappa, the row holding the distance of every state, as
+        :meth:`distances` takes its sources."""
+        if kappa != self._cap:
+            self._cap = self._mat = None  # never two caps' layouts at once
+            self._mat = self._state_csr(kappa)
+            self._cap = kappa
+        m = self.states
+        for s, dist in _searches(self._mat, sources, offset=m):
+            yield s, dist[:m]
 
     def _geometry(self) -> tuple:
         """The per-slot geometry of one turn pass: (rank, cols, off, sq,
@@ -562,6 +588,164 @@ class EdgeStateEngine:
         np.cumsum(indptr, out=indptr)
         size = m + g.n
         return csr_matrix((g.weights[indices], indices, indptr), shape=(size, size))
+
+
+# ---------------------------------------------------------------------------
+# Single-pair queries: the compiled searches, answering as the references.
+
+def query_shortest(g: NeighborhoodGraph, source: int, target: int) -> PathResult:
+    """The shortest path from source to target that :func:`dijkstra`
+    and :func:`path_from_predecessors` give, from one compiled row.
+
+    The row is :func:`shortest_distances` from source, the distances
+    :func:`dijkstra` computes (both are the least float sum over the
+    walks to each node).  The walk back from target steps to the
+    smallest in-neighbour u with ``dist[u] + w(u, v) == dist[v]``.  That
+    is :func:`dijkstra`'s predecessor of v whenever every such u is
+    strictly closer than v: each is then settled before v, and its tie
+    rule keeps the smallest.  An increment that rounds to zero breaks
+    this, so a graph where one can occur (see :func:`_sums_grow`)
+    is answered by :func:`dijkstra` itself.  ``max_interior_curvature``
+    comes from :func:`path_max_curvature`.
+    """
+    _check_endpoints(g, source, target)
+    dist = shortest_distances(g, [source])[0]
+    if math.isinf(dist[target]):
+        return PathResult([], math.inf, 0.0, False)
+    if _sums_grow(g, dist[target]):
+        nodes = [target]
+        while nodes[-1] != source:
+            nbrs, wts = g.neighbors(nodes[-1])
+            tight = dist[nbrs] + wts == dist[nodes[-1]]
+            nodes.append(int(nbrs[np.argmax(tight)]))  # rows are sorted: the smallest
+        nodes.reverse()
+    else:
+        nodes = path_from_predecessors(dijkstra(g, source).predecessor, source, target)
+    return PathResult(nodes, float(dist[target]), path_max_curvature(g.points[nodes]), True)
+
+
+def query_constrained(
+    g: NeighborhoodGraph, kappa: float, source: int, target: int
+) -> PathResult:
+    """The walk :func:`constrained_shortest` returns, found by
+    :class:`EdgeStateEngine` on the pair's distance lens.
+
+    **The lens.**  With d_s and d_t the unconstrained rows from source
+    and target (one :func:`shortest_distances` call), the lens of a
+    reach L holds the nodes x with ``d_s[x] + d_t[x] <= L * tol``,
+    where ``tol = 1 + (m + 1) * 2**-51`` for the graph's m states.  No
+    node of a walk whose float length C (the engine's sum, weight by
+    weight from source) is at most L lies outside the lens, if the walk
+    repeats no state:
+
+    - d_s is at most the float prefix sum P of the walk up to x: by
+      induction along the walk, since ``d_s[v] <= fl(d_s[u] + w)`` for
+      every edge and float addition is monotone.  Likewise d_t is at
+      most the float sum Q of the walk's rest, added from target.
+    - A float sum of h nonnegative terms lies within a factor
+      (1 +- u)**h of the exact sum (u = 2**-53, Higham's bound), and h
+      is at most m.  So ``fl(d_s[x] + d_t[x]) <= (1 + u)(P + Q) <=
+      ((1 + u) / (1 - u))**(m + 1) * C``, which is below
+      ``1 + 2.03 (m + 1) u`` times L for every graph that csgraph
+      indexes (m < 2**31).  Rounding ``tol`` and ``L * tol`` costs
+      under 2u, and the slack of tol is 4 (m + 1) u.
+
+    **The search.**  The lens's induced subgraph is laid out by
+    :func:`graph_from_edges` with the weights as given, its nodes in
+    increasing order, so "smaller index" means what it means in g.  The
+    engine searches it at kappa from the source's start row.  The final
+    state is the least (cost, tail) of the states that end at target,
+    the first that :func:`constrained_shortest` pops; the walk back takes
+    the predecessor state of least tail whose turn is within kappa and
+    whose cost is tight, the parent its tie rule keeps.
+
+    **Widening.**  L starts at SEARCH_REACH times d_s[target].  A walk
+    of length C <= L is the whole graph's answer: the answer, and every
+    walk through a tight predecessor state (its costs strictly increase,
+    so it repeats no state), costs at most C, lies in the lens and keeps
+    its costs there.  A longer walk of length C sets L = C, so the next
+    lens holds the answer and accepts it; no walk at all doubles L, at
+    least up to the next node outside.  Once the lens holds every node
+    reachable from both ends, its answer is the graph's, an infeasible
+    one included.
+
+    The tie rules need every increment to raise its sum: a graph where
+    one can round away (see :func:`_sums_grow`), or whose weights
+    could overflow a sum, is answered by :func:`constrained_shortest`,
+    and so is kappa = inf, where the engine drops the acute turns the
+    reference keeps.
+    """
+    if not (kappa > 0.0):
+        raise ValueError("kappa must be positive (or math.inf)")
+    _check_endpoints(g, source, target)
+    if source == target:
+        return PathResult([source], 0.0, 0.0, True)
+    if math.isinf(kappa) or not g.weights.sum() < 2.0**1000:
+        return constrained_shortest(g, kappa, source, target)
+    d_s, d_t = shortest_distances(g, [source, target])
+    if math.isinf(d_s[target]):
+        return PathResult([], math.inf, 0.0, False)
+    key = d_s + d_t
+    full = key[np.isfinite(key)].max()
+    tol = 1.0 + (len(g.indices) + 1) * 2.0**-51
+    reach = SEARCH_REACH * d_s[target]
+    while True:
+        inside = key <= reach * tol
+        last = reach * tol >= full
+        sub, nodes = _induced(g, inside)
+        s, t = (int(x) for x in np.searchsorted(nodes, [source, target]))
+        [(_, dist)] = EdgeStateEngine(sub)._state_rows(kappa, [s])
+        lo = sub.indptr[t]
+        final = lo + int(np.argmin(dist[lo:sub.indptr[t + 1]]))
+        length = float(dist[final])
+        if length <= reach or (last and length < math.inf):
+            break
+        if last:
+            return PathResult([], math.inf, 0.0, False)
+        reach = length if length < math.inf else max(2.0 * reach, key[~inside].min())
+    if not _sums_grow(g, length):
+        return constrained_shortest(g, kappa, source, target)
+    coords = sub.points.tolist()
+    walk, k = [t], final
+    while walk[-1] != s:
+        # State k is (u -> v); its predecessors (x -> u) fill u's row.
+        u, v = int(sub.indices[k]), walk[-1]
+        walk.append(u)
+        lo = sub.indptr[u]
+        for p in lo + np.flatnonzero(dist[lo:sub.indptr[u + 1]] + sub.weights[k] == dist[k]):
+            x = int(sub.indices[p])
+            if x != v and turn_curvature(coords[x], coords[u], coords[v]) <= kappa:
+                k = p
+                break
+    walk.reverse()
+    return PathResult(
+        [int(nodes[x]) for x in walk], length, _max_turn([coords[x] for x in walk]), True
+    )
+
+
+def _check_endpoints(g: NeighborhoodGraph, source: int, target: int):
+    if not (0 <= source < g.n and 0 <= target < g.n):
+        raise ValueError("endpoint out of range")
+
+
+def _sums_grow(g: NeighborhoodGraph, length: float) -> bool:
+    """True when adding any weight w of g to a float sum d <= length
+    raises it: w * 2**53 > length, so w exceeds half the gap above a
+    normal d, and a subnormal d grows by at least 2**-1074 anyway."""
+    return len(g.weights) == 0 or bool(g.weights.min() * 2.0**53 > length)
+
+
+def _induced(g: NeighborhoodGraph, inside) -> tuple:
+    """(subgraph, nodes): the subgraph that the nodes where ``inside``
+    is true induce, laid out by :func:`graph_from_edges` with g's
+    weights, and those nodes in increasing order (subgraph node k is
+    ``nodes[k]``)."""
+    nodes = np.flatnonzero(inside)
+    label = np.cumsum(inside) - 1
+    ii, jj, ww = g.edge_list()
+    keep = inside[ii] & inside[jj]
+    ii, jj, ww = label[ii[keep]], label[jj[keep]], ww[keep]
+    return graph_from_edges(g.points[nodes], g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww)), nodes
 
 
 # ---------------------------------------------------------------------------

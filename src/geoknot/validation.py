@@ -18,13 +18,14 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import chord_lower_bound, discrete_curvature
-from .graph import NeighborhoodGraph, build_graph, check_graph_params, graph_from_edges
+from .graph import EdgeError, NeighborhoodGraph, build_graph, check_graph_params
 from .paths import (
+    SEARCH_REACH,
     EdgeStateEngine,
     path_max_curvature,
     shortest_distances,
@@ -46,15 +47,6 @@ from .surfaces import (
 
 # Constant in the local chord-vs-intrinsic comparison factor.
 COMPARISON_CONSTANT = math.pi**2 / 50
-
-# The graph searches of a runner stop at SEARCH_REACH times the largest
-# oracle distance among a source's pairs.  The certificates keep graph
-# distance within a few percent of the geodesic (measured ratios lie in
-# [0.998, 1.048] on the benchmark inputs), so the limit almost never
-# cuts a pair off, while it spares the search most of the surface.  A
-# pair it does cut off comes back inf and its source is searched again
-# without a limit: the constant trades speed only, never the answer.
-SEARCH_REACH = 1.25
 
 # _graph_rows hands the searches this many sources at a time, so a run
 # holds at most this many distance rows at once.
@@ -173,12 +165,25 @@ def perturb_graph_weights(g: NeighborhoodGraph, p: float) -> NeighborhoodGraph:
     Positive p shrinks weights, which breaks lower-bound checks;
     negative p inflates them and breaks upper-bound checks.  p = 0 is
     the identity.
+
+    The edges stay as they are, so the new graph shares g's points and
+    index arrays and only divides its weights; both slots of an edge
+    hold one value, so the division keeps them equal.  A weight that the
+    division overflows or rounds to 0 raises the :class:`EdgeError` that
+    :func:`graph_from_edges` gives the edge list: the row of the first
+    such edge i < j in row order.
     """
     _check_perturbation(p)
     if p == 0.0:
         return g
-    ii, jj, ww = g.edge_list()
-    return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww / (1.0 + p)))
+    with np.errstate(over="ignore", under="ignore"):
+        weights = g.weights / (1.0 + p)
+    bad = ~(np.isfinite(weights) & (weights > 0.0))
+    if bad.any():
+        rows = np.repeat(np.arange(g.n), g.degrees())
+        raise EdgeError("weight must be finite and positive",
+                        int(np.argmax(bad[g.indices > rows])))
+    return replace(g, weights=weights)
 
 
 def _check_pair_count(count: int):

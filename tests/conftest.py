@@ -16,7 +16,17 @@ import pytest
 from hypothesis import settings, strategies as st
 from scipy.spatial import Voronoi, cKDTree
 
-from geoknot import covering_radius, graph_from_edges, sample_surface, surfaces
+from geoknot import (
+    PathResult,
+    constrained_shortest,
+    covering_radius,
+    dijkstra,
+    graph_from_edges,
+    path_from_predecessors,
+    path_max_curvature,
+    sample_surface,
+    surfaces,
+)
 from geoknot.geometry import turn_curvature
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
@@ -155,7 +165,7 @@ def finite_turn_curvatures(g):
 
 
 @st.composite
-def split_graphs(draw, max_n=30):
+def split_graphs(draw, max_n=30, euclidean=False):
     """Random weighted graph with at least two components: the last node
     is isolated and the others fall into blocks that share no edge.
 
@@ -163,7 +173,9 @@ def split_graphs(draw, max_n=30):
     coincident points and exact right angles are common.  An edge drawn
     between two coincident points is dropped, as the graph rules ask,
     so repeated points meet only across a turn.  The weights stay
-    independent of the coordinates."""
+    independent of the coordinates, unless ``euclidean`` makes each the
+    distance between its points, so that equally long paths are
+    common."""
     n = draw(st.integers(3, max_n))
     cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=4)))
     edges = {}
@@ -183,7 +195,34 @@ def split_graphs(draw, max_n=30):
     ii = np.array([i for i, _ in edges], dtype=np.int64)
     jj = np.array([j for _, j in edges], dtype=np.int64)
     ww = np.array(list(edges.values()), dtype=np.float64)
+    if euclidean:
+        ww = np.hypot(*(points[ii] - points[jj]).T)  # no underflow to 0
     return graph_from_edges(points, "ball", 10.0, None, lambda *_: (ii, jj, ww))
+
+
+def reference_path(g, kappa, source, target) -> PathResult:
+    """The slow twin of ``query_shortest`` (kappa None or inf) and
+    ``query_constrained``: :func:`dijkstra`'s predecessors with
+    :func:`path_max_curvature`, as ``geoknot dist`` once answered, or
+    :func:`constrained_shortest`."""
+    if kappa is not None and kappa != math.inf:
+        return constrained_shortest(g, kappa, source, target)
+    field = dijkstra(g, source)
+    nodes = path_from_predecessors(field.predecessor, source, target)
+    if nodes is None:
+        return PathResult([], math.inf, 0.0, False)
+    return PathResult(nodes, float(field.dist[target]), path_max_curvature(g.points[nodes]), True)
+
+
+def relaid_perturbation(g, p):
+    """The slow twin of ``perturb_graph_weights``: the graph laid out
+    again from its edge list with every weight divided by (1 + p)."""
+    if p == 0.0:
+        return g
+    ii, jj, ww = g.edge_list()
+    with np.errstate(over="ignore", under="ignore"):
+        ww = ww / (1.0 + p)
+    return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww))
 
 
 def graph_edge_set(g):

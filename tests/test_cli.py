@@ -24,8 +24,10 @@ from geoknot.cli import (
     load_config,
     main,
 )
+from geoknot.paths import path_result_payload
 from geoknot.surfaces import SURFACE_KEYS, surface_from_json
 from geoknot.validation import REPORT_HEADER
+from conftest import reference_path
 
 
 def run(argv):
@@ -155,6 +157,46 @@ class TestDist:
         rc = run(["dist", "--graph", g, "--points", pts,
                   "--src", 0, "--dst", 9])
         assert rc == 2
+
+    def test_minus_infinite_kappa_rejected_like_a_negative_one(self, files, capsys):
+        pts, g = files
+        errors = []
+        # "--kappa -inf" would read as a flag; the "=" form reaches the value.
+        for kappa in ("-1", "-inf"):
+            capsys.readouterr()
+            rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1,
+                      f"--kappa={kappa}"])
+            out, err = capsys.readouterr()
+            assert rc == 2 and out == ""
+            errors.append(err)
+        assert errors[1] == errors[0] == "error: kappa must be positive (or math.inf)\n"
+
+    def test_prints_the_reference_payload(self, tmp_path, capsys):
+        pts, g = tmp_path / "pts.csv", tmp_path / "g.csv"
+        run(["sample", "--surface", "sphere", "--mode", "uniform-random", "--n", 150,
+             "--seed", 4, "--out", pts])
+        run(["graph", "--points", pts, "--kind", "annulus", "--r", 0.5, "--alpha", 0.25,
+             "--out", g])
+        # A graph file with a weight that rounds away next to 1 answers
+        # from the references themselves.
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("# kind=ball r=1\n0,1,1\n0,2,1\n1,2,1e-300\n")
+        points = read_points_csv(str(pts))
+        graph = read_graph_csv(str(g), points=points)
+        tiny_graph = read_graph_csv(str(tiny), points=points)
+        rng = np.random.default_rng(5)
+        queries = [(g, graph, int(s), int(t), kappa)
+                   for s, t in rng.choice(150, (4, 2))
+                   for kappa in (None, math.inf, 4.0, 1.5)]
+        queries += [(tiny, tiny_graph, 0, 2, kappa) for kappa in (None, 4.0)]
+        for path, graph, s, t, kappa in queries:
+            capsys.readouterr()
+            extra = [] if kappa is None else ["--kappa", kappa]
+            assert run(["dist", "--graph", path, "--points", pts, "--src", s, "--dst", t,
+                        *extra]) == 0
+            want = path_result_payload(reference_path(graph, kappa, s, t), s, t,
+                                       math.inf if kappa is None else kappa)
+            assert capsys.readouterr().out == json.dumps(want) + "\n"
 
 
 class TestVerify:

@@ -249,7 +249,9 @@ class TestEdgeRules:
         assert graph_edge_set(g) == {(i, j): w for i, j, w in zip(ii, jj, ww)}
 
     def test_only_graph_from_edges_makes_graphs(self):
-        # A graph made any other way would skip the edge rules.
+        # A graph made any other way would skip the edge rules.  The one
+        # exception keeps a checked graph's edges and divides its
+        # weights, checking that each stays finite and positive.
         makers = []
         for path in sorted(Path(graph.__file__).parent.glob("*.py")):
             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -262,7 +264,10 @@ class TestEdgeRules:
                             "replace", "dataclasses.replace"
                         ):
                             makers.append((path.name, func.name, callee))
-        assert makers == [("graph.py", "graph_from_edges", "NeighborhoodGraph")]
+        assert makers == [
+            ("graph.py", "graph_from_edges", "NeighborhoodGraph"),
+            ("validation.py", "perturb_graph_weights", "replace"),
+        ]
 
 
 def coo_layout(n, ii, jj, ww):

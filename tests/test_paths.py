@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geoknot import (
     EdgeStateEngine,
@@ -16,18 +17,27 @@ from geoknot import (
     graph_from_edges,
     path_from_predecessors,
     path_max_curvature,
+    query_constrained,
+    query_shortest,
     sample_surface,
     shortest_distances,
     sphere,
 )
 from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
+from geoknot import paths
 from geoknot.paths import (
     BRUTE_FORCE_MAX_NODES,
     DistanceField,
     path_result_payload,
     shortest_path_turns,
 )
-from conftest import bellman_ford, finite_turn_curvatures, graph_edge_set, split_graphs
+from conftest import (
+    bellman_ford,
+    finite_turn_curvatures,
+    graph_edge_set,
+    reference_path,
+    split_graphs,
+)
 
 
 def random_graph(rng, n_max=10, dim=2, r=1.2):
@@ -732,6 +742,110 @@ class TestEngineMemory:
         ))
         assert build_peak <= 1.8 * stored
         assert query <= 1.0 * stored
+
+
+def query_path(g, kappa, source, target):
+    """The compiled query for kappa, as ``geoknot dist`` picks it."""
+    if kappa is None or kappa == math.inf:
+        return query_shortest(g, source, target)
+    return query_constrained(g, kappa, source, target)
+
+
+LATTICE = np.array([(k // 4, k % 4) for k in range(16)], dtype=np.float64)
+LATTICE_PAIRS = [(i, j) for i in range(16) for j in range(i + 1, 16)
+                 if np.linalg.norm(LATTICE[i] - LATTICE[j]) < 2.3]
+
+
+def lattice_graph(edges, weights=None):
+    """Graph on the 4 x 4 integer lattice, node k at (k // 4, k % 4),
+    weighted by length unless ``weights`` (one, or one per edge) are
+    given."""
+    ii, jj = (np.array(col) for col in zip(*edges))
+    if weights is None:
+        ww = np.linalg.norm(LATTICE[ii] - LATTICE[jj], axis=1)
+    else:
+        ww = np.broadcast_to(np.asarray(weights, dtype=np.float64), ii.shape)
+    return graph_from_edges(LATTICE, "ball", 2.3, None, lambda *_: (ii, jj, ww))
+
+
+class TestSinglePairQueries:
+    """query_shortest and query_constrained against their references:
+    nodes, length, curvature and feasibility equal."""
+
+    # Small integer weights, or Euclidean lengths on a lattice, make
+    # equally short walks common, so the tie rules decide the nodes.
+    tied = st.one_of(
+        tied_graphs(),
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=len(LATTICE_PAIRS),
+                 max_size=len(LATTICE_PAIRS)).filter(any).map(lambda weights: lattice_graph(
+                     *zip(*((p, w) for p, w in zip(LATTICE_PAIRS, weights) if w)))),
+        st.booleans().flatmap(lambda euclidean: split_graphs(max_n=16, euclidean=euclidean)),
+    )
+
+    @settings(derandomize=True, max_examples=30)
+    @given(tied, st.data())
+    def test_shortest_matches_the_reference(self, g, data):
+        for s in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3)):
+            for t in range(g.n):
+                kappa = data.draw(st.sampled_from([None, math.inf]))
+                assert query_path(g, kappa, s, t) == reference_path(g, kappa, s, t)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(tied, st.data())
+    def test_constrained_matches_the_reference(self, g, data):
+        # The graph's own curvatures put turns exactly at the cap; a tiny
+        # cap leaves only straight walks.
+        caps = [c for c in finite_turn_curvatures(g) if c > 0.0]
+        kappa = data.draw(st.sampled_from([1e-3, *caps]) | st.floats(0.05, 20.0))
+        node = st.integers(0, g.n - 1)
+        for s, t in data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=10)):
+            assert query_constrained(g, kappa, s, t) == reference_path(g, kappa, s, t)
+
+    def test_lens_widens(self):
+        # The shortest walk 7 -> 10 (length 2) turns a right angle,
+        # over the cap 1, so the answer detours over 6.24: the lenses
+        # of reach 2.5 and 5 hold no walk, and the third, of reach 10,
+        # holds the whole graph.
+        g = lattice_graph([
+            (0, 1), (0, 4), (1, 4), (1, 6), (2, 5), (2, 7), (3, 7), (4, 5), (4, 8),
+            (4, 9), (5, 6), (5, 8), (5, 9), (6, 7), (6, 9), (6, 10), (6, 11), (7, 11),
+            (8, 9), (8, 12), (8, 13), (9, 10), (9, 12), (9, 13), (9, 14), (10, 15),
+            (11, 14), (11, 15), (12, 13), (13, 14), (14, 15),
+        ])
+        lenses = []
+        induced = paths._induced
+
+        def spy(g, inside):
+            lenses.append(int(inside.sum()))
+            return induced(g, inside)
+
+        with mock.patch.object(paths, "_induced", spy):
+            got = query_constrained(g, 1.0, 7, 10)
+        assert lenses == [3, 11, 16]
+        assert got == constrained_shortest(g, 1.0, 7, 10)
+        assert got.nodes == [7, 6, 1, 4, 9, 10] and got.length > 1.25 * 2.0
+
+    def test_rounded_increment_answers_from_the_reference(self):
+        # 1 + 1e-300 == 1: nodes 5 and 6 are tied at distance 1 from 9
+        # through each other, so a tight walk back from 6 could cycle.
+        g = lattice_graph([(5, 6), (5, 9), (6, 9)], [1e-300, 1.0, 1.0])
+        for kappa, name in ((None, "dijkstra"), (4.0, "constrained_shortest")):
+            with mock.patch.object(paths, name, wraps=getattr(paths, name)) as ref:
+                got = query_path(g, kappa, 9, 6)
+            assert ref.call_count == 1
+            assert got == reference_path(g, kappa, 9, 6)
+            assert got.nodes == [9, 5, 6] and got.length == 1.0
+
+    def test_endpoints_and_caps_checked(self):
+        g = lattice_graph([(0, 1)])
+        for bad in (-1, 16):
+            for query in (lambda: query_shortest(g, 0, bad),
+                          lambda: query_constrained(g, 2.0, bad, 0)):
+                with pytest.raises(ValueError, match="endpoint out of range"):
+                    query()
+        for kappa in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                query_constrained(g, kappa, 0, 1)
 
 
 class TestPayload:

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoknot import validation
 from geoknot import (
@@ -21,6 +22,7 @@ from geoknot import (
     dijkstra,
     disk,
     geodesic_oracle,
+    graph_from_edges,
     path_max_curvature,
     perturb_graph_weights,
     sample_surface,
@@ -39,7 +41,7 @@ from geoknot import (
     write_summary_json,
 )
 from geoknot.paths import shortest_path_turns
-from conftest import finite_turn_curvatures
+from conftest import finite_turn_curvatures, relaid_perturbation, split_graphs
 
 
 class TestUnconstrainedUpper:
@@ -560,8 +562,8 @@ class TestHelpers:
 
     @pytest.mark.parametrize("p", [0.5, -0.5])
     def test_perturbed_graph_keeps_layout(self, p):
-        # The perturbed graph is rebuilt from its edge list and must
-        # equal a plain division of the stored weights, bit for bit.
+        # The perturbed graph must equal a plain division of the stored
+        # weights, bit for bit.
         g = build_graph(sample_surface(sphere(1.0), "grid", 200), kind="annulus", r=0.4, alpha=0.25)
         g2 = perturb_graph_weights(g, p)
         assert g2.points is g.points
@@ -569,6 +571,34 @@ class TestHelpers:
         assert g2.indptr.tobytes() == g.indptr.tobytes()
         assert g2.indices.tobytes() == g.indices.tobytes()
         assert g2.weights.tobytes() == (g.weights / (1.0 + p)).tobytes()
+
+    @settings(derandomize=True, max_examples=30)
+    @given(split_graphs(), st.sampled_from([(1e300, math.nextafter(-1.0, 0.0)), (1e-300, 1e300)])
+           | st.tuples(st.sampled_from([1.0, 1e-300, 1e300]),
+                       st.sampled_from([-0.75, 0.5, 1.7e308]) | st.floats(-0.999, 1e6)))
+    def test_matches_the_relaid_twin(self, g, scaled):
+        # Scaling the heavier half of the weights up (or the lighter half
+        # down) lets p near -1 overflow some (or a huge p round some to
+        # 0); both must fail with the message of the relaid graph, which
+        # names the first such edge.
+        scale, p = scaled
+        ii, jj, ww = g.edge_list()
+        if len(ww):
+            ww = ww * np.where((ww > np.median(ww)) == (scale > 1.0), scale, 1.0)
+        g = graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww))
+        try:
+            want = relaid_perturbation(g, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                perturb_graph_weights(g, p)
+            assert str(got.value) == str(exc)
+            return
+        got = perturb_graph_weights(g, p)
+        assert got.points is want.points
+        assert (got.kind, got.r, got.alpha) == (want.kind, want.r, want.alpha)
+        for name in ("indptr", "indices", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_select_pairs_window_and_determinism(self):
         spec = sphere(1.0)

@@ -65,7 +65,7 @@ SURFACE_FLAGS = ("radius", "height")
 class ExperimentConfig:
     experiment: str
     surface: dict | None = None
-    n: object = None  # int or increasing list for sequence experiments
+    n: object = None  # int, or for constrained-lower a list run in its order
     r: float | None = None
     alpha: float | None = None
     kappa: float | None = None
@@ -150,8 +150,13 @@ def _surface_args(args) -> dict:
 
 
 def _check_writable(path: str | None):
+    """A set output path must name a file in a writable directory."""
     if path is None:
         return
+    if not path:
+        raise ValueError("output path is empty")
+    if os.path.isdir(path):
+        raise OSError(f"output path is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.access(parent, os.W_OK):
         raise OSError(f"output directory not writable: {parent}")
@@ -230,9 +235,9 @@ def cmd_verify(args) -> int:
     _check_writable(cfg.out_csv)
     _check_writable(cfg.out_json)
     reports = run_experiment(cfg)
-    if cfg.out_csv:
+    if cfg.out_csv is not None:
         write_report_csv(cfg.out_csv, reports)
-    if cfg.out_json:
+    if cfg.out_json is not None:
         write_summary_json(cfg.out_json, reports)
     violations = 0
     for rep in reports:

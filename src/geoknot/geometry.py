@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "discrete_curvature",
     "turn_curvature",
-    "turn_curvatures",
     "lexicographic_rank",
     "chord_lower_bound",
 ]
@@ -69,8 +68,8 @@ def turn_curvature(x, y, z) -> float:
     """:func:`discrete_curvature` of three coordinate lists, with a triple
     that repeats a point counted as an infeasible turn (``math.inf``).
 
-    The searches call this form; :func:`turn_curvatures` is its row-wise
-    twin.
+    The searches call this form; the state engine repeats its
+    arithmetic row-wise through :func:`_curvature_columns`.
     """
     curv = _circumcurvature(x, y, z)
     return math.inf if curv is None else curv
@@ -88,7 +87,8 @@ def discrete_curvature(x, y, z) -> float:
     The angle test uses the sign of <x-y, z-y>, so exactly-right angles
     are included without a tolerance knob.  Everything is explicit
     coordinate arithmetic on floats (products summed in coordinate
-    order), so :func:`turn_curvatures` reproduces it bit for bit.
+    order), so its row-wise form :func:`_curvature_columns` reproduces
+    it bit for bit.
 
     Raises:
         ValueError: if any two of the points coincide.
@@ -112,33 +112,13 @@ def lexicographic_rank(points) -> np.ndarray:
     return rank
 
 
-def turn_curvatures(points, rank, u, v, w) -> np.ndarray:
-    """Row-wise :func:`turn_curvature` of the triples
-    (points[u], points[v], points[w]) over index arrays, bit for bit.
-
-    ``rank`` is :func:`lexicographic_rank` of ``points``.  Every IEEE
-    operation of the scalar form is repeated per coordinate column, in
-    the same order; triples that repeat a point or turn acutely give
-    ``inf``.
-    """
-    swap = rank[u] > rank[w]
-    x = np.where(swap, w, u)
-    z = np.where(swap, u, w)
-    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
-    xs = [col[x] for col in cols]
-    ys = [col[v] for col in cols]
-    zs = [col[z] for col in cols]
-    a = [p - q for p, q in zip(xs, ys)]
-    b = [p - q for p, q in zip(zs, ys)]
-    c = [p - q for p, q in zip(zs, xs)]
-    return _curvature_columns(a, b, c, _dot(a, a), np.sqrt(_dot(b, b)), _dot(a, b))
-
-
 def _curvature_columns(a, b, c, na2, nb, dot) -> np.ndarray:
-    """The arithmetic of :func:`turn_curvatures` on coordinate columns:
-    a = x - y, b = z - y and c = z - x per coordinate, with na2 = a.a,
-    nb = |b| and dot = a.b given, since the callers have them at hand.
-    Triples that repeat a point or turn acutely give ``inf``.
+    """Row-wise :func:`turn_curvature` on coordinate columns, bit for
+    bit: a = x - y, b = z - y and c = z - x per coordinate, the
+    endpoints x, z in lexicographic order, with na2 = a.a, nb = |b| and
+    dot = a.b given, since the callers have them at hand.  Every IEEE
+    operation of the scalar form is repeated per column, in the same
+    order; triples that repeat a point or turn acutely give ``inf``.
     """
     nc = np.sqrt(_dot(c, c))
     with np.errstate(divide="ignore", invalid="ignore"):

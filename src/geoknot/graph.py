@@ -22,16 +22,13 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from .surfaces import SampleSet, _fmt, _loadtxt_rows
+from .surfaces import INDEX_LIMIT, SampleSet, _fmt, _loadtxt_rows
 
 BRUTE_FORCE_LIMIT = 2000
 
 # _kdtree_edges measures candidate pairs in blocks of this many, so its
 # scratch differences stay small next to the edge list it returns.
 EDGE_BLOCK = 1 << 16
-
-# csgraph indexes nodes and directed edges in int32.
-INDEX_LIMIT = 2**31
 
 # One edge-list row of a graph file.
 EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])

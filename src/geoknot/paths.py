@@ -21,8 +21,9 @@ the reference implementations the oracles test.  The state-graph engine
 lays out only the transitions a cap admits, those of finite curvature
 within it, and sends kappa = inf to plain Dijkstra.  Every search
 computes turn curvatures with the one formula of
-:func:`geometry.turn_curvature` (row-wise: the arithmetic of
-``turn_curvatures``), so the engine and the references agree exactly.
+:func:`geometry.turn_curvature` (row-wise: the same arithmetic in
+``geometry._curvature_columns``), so the engine and the references
+agree exactly.
 
 Both bulk searches also take their sources as a mapping
 {source: limit}, which stops each search at its own distance limit.

@@ -28,6 +28,9 @@ FLOAT_SLACK = 1e-12
 # The keys of a surface dict, as surface_to_json writes them.
 SURFACE_KEYS = ("kind", "radius", "height")
 
+# csgraph indexes points and directed edges in int32: the bound of both.
+INDEX_LIMIT = 2**31
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -175,25 +178,36 @@ def _octahedron_grid(level: int) -> np.ndarray:
     return verts
 
 
+def _check_count(count: int, what: str):
+    """Refuse a sample no graph could hold, before any array is made."""
+    if count >= INDEX_LIMIT:
+        raise ValueError(f"{what} has {count} points; a sample must have fewer than 2**31")
+
+
 def _grid(spec: SurfaceSpec, n: int) -> np.ndarray:
     """The deterministic grid for n points.
 
     Sphere, cylinder, and circle grids contain at least n points (the
     smallest constructible grid of that size); the disk grid is the
     ceil(sqrt(n)) x ceil(sqrt(n)) lattice over the bounding square
-    intersected with the disk, so its count lands below n.
+    intersected with the disk, so its count lands below n.  Each count
+    (the disk's whole lattice) is checked before it is laid out.
     """
     if spec.kind == "sphere":
         level = 0
         while 2 + 4 ** (level + 1) < n:
             level += 1
+        _check_count(2 + 4 ** (level + 1), f"the sphere grid for n = {n}")
         return spec.radius * _octahedron_grid(level)
     if spec.kind == "disk":
-        axis = np.linspace(-spec.radius, spec.radius, max(2, math.isqrt(n - 1) + 1))
+        side = max(2, math.isqrt(n - 1) + 1)
+        _check_count(side * side, f"the disk grid's lattice for n = {n}")
+        axis = np.linspace(-spec.radius, spec.radius, side)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
         return pts[np.linalg.norm(pts, axis=1) <= spec.radius]
     if spec.kind == "circle":
+        _check_count(n, f"the circle grid for n = {n}")
         theta = 2.0 * math.pi * np.arange(n) / n
         return spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # Cylinder: balance angular and vertical spacing, then bump the row
@@ -202,6 +216,7 @@ def _grid(spec: SurfaceSpec, n: int) -> np.ndarray:
     n_z = max(2, math.ceil(n / n_theta))
     while n_theta * n_z < n:
         n_z += 1
+    _check_count(n_theta * n_z, f"the cylinder grid for n = {n}")
     ring, zs = _grid(circle(spec.radius), n_theta), np.linspace(0.0, spec.height, n_z)
     return np.column_stack([ring.repeat(n_z, axis=0), np.tile(zs, n_theta)])
 
@@ -232,16 +247,24 @@ def sample_surface(spec: SurfaceSpec, mode: str, n: int, seed: int | None = None
     Grid mode is fully deterministic and ignores the seed; its actual
     point count follows the grid construction (see ``_grid``).
     Random mode draws exactly n points, uniform in surface area,
-    reproducible from the 64-bit seed.
+    reproducible from the 64-bit seed.  A sample of fewer than 2 points
+    (a disk grid for n <= 4 has none) or of 2**31 or more raises
+    ValueError, the latter before any array is made.
     """
     if n < 2:
         raise ValueError("need at least 2 sample points")
     if mode not in MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if mode == "grid":
-        return SampleSet(_frozen(_grid(spec, n)), spec, mode, None)
-    pts = _random_points(spec, n, 0 if seed is None else seed)
-    return SampleSet(_frozen(pts), spec, mode, 0 if seed is None else seed)
+        pts, seed = _grid(spec, n), None
+    else:
+        _check_count(n, "the uniform-random sample")
+        seed = 0 if seed is None else seed
+        pts = _random_points(spec, n, seed)
+    if len(pts) < 2:
+        raise ValueError(f"need at least 2 sample points; the {spec.kind} grid "
+                         f"for n = {n} has {len(pts)}")
+    return SampleSet(_frozen(pts), spec, mode, seed)
 
 
 def _require_on_surface(spec: SurfaceSpec, pts: np.ndarray):

@@ -8,7 +8,8 @@ at an implementation bug; the runners exist to catch exactly that.
 Empirical constants that the theory leaves unspecified are fitted and
 reported, never asserted.
 
-Every bound is stated in eps, the sample's exact covering radius.
+Every bound but the unconstrained lower one is stated in eps, the
+sample's exact covering radius.
 Comparisons carry the relative FLOAT_SLACK so that float roundoff on
 paths that achieve an inequality exactly (collinear chains, direct
 grid lines) cannot produce spurious violations.
@@ -47,10 +48,6 @@ from .surfaces import (
 
 # Constant in the local chord-vs-intrinsic comparison factor.
 COMPARISON_CONSTANT = math.pi**2 / 50
-
-# _graph_rows hands the searches this many sources at a time, so a run
-# holds at most this many distance rows at once.
-GRAPH_CHUNK = 64
 
 # verify_constrained_lower's certified regime: eps <= alpha*kappa*r^2/C_GATE.
 C_GATE = 20.0
@@ -274,7 +271,7 @@ def _check_graph_run(surface, r, pairs, perturb_weights, alpha=None):
 
 
 def _sample(surface: SurfaceSpec, n: int, seed: int, mode: str):
-    """The sample of a runner and its covering radius."""
+    """The sample of a runner that reads eps, and its covering radius."""
     sample = sample_surface(surface, mode, n, seed)
     return sample, covering_radius(sample).radius
 
@@ -303,38 +300,27 @@ def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) 
     """``read(row, j)`` for each (i, j, oracle) pair, in pair order, from
     a distance row of i exact up to j; by default the graph distance.
 
-    ``search`` maps sources to distance rows: a list to unbounded
-    searches, a mapping {source: limit} to bounded ones.  Every source
-    is first searched up to SEARCH_REACH times its farthest pair's
-    oracle; a source with a pair beyond that is searched again without
-    a limit, and all its pairs read from that row.  Sources go to
-    ``search`` GRAPH_CHUNK at a time and each row is read and dropped
-    before the next chunk, so no (sources, n) matrix outlives a chunk.
-    ``counts`` accumulates both search counts.
+    ``search`` takes a one-source mapping {source: limit} and returns
+    that source's (1, n) distance matrix.  The sources are searched one
+    at a time, in sorted order, up to SEARCH_REACH times their farthest
+    pair's oracle; a source with a pair beyond that is searched again
+    without a limit, and all its pairs read from that row.  Each row is
+    read before the next source is searched, so one distance row is
+    alive at a time.  ``counts`` accumulates both search counts.
     """
     reach, targets = {}, {}
     for k, (i, j, oracle) in enumerate(pair_list):
         reach[i] = max(reach.get(i, 0.0), oracle)
         targets.setdefault(i, []).append((k, j))
     out = [None] * len(pair_list)
-    missed = []
-
-    def scan(sources, bounded):
-        for c in range(0, len(sources), GRAPH_CHUNK):
-            chunk = sources[c:c + GRAPH_CHUNK]
-            rows = search({s: SEARCH_REACH * reach[s] for s in chunk} if bounded else chunk)
-            for s, row in zip(chunk, rows):
-                if bounded and any(math.isinf(row[j]) for _, j in targets[s]):
-                    missed.append(s)
-                    continue
-                for k, j in targets[s]:
-                    out[k] = read(row, j)
-
-    sources = sorted(reach)
-    scan(sources, True)
-    scan(missed, False)
-    counts["searched_sources"] += len(sources)
-    counts["re_searched_sources"] += len(missed)
+    counts.update(searched_sources=len(reach), re_searched_sources=0)
+    for s in sorted(reach):
+        row = search({s: SEARCH_REACH * reach[s]})[0]
+        if any(math.isinf(row[j]) for _, j in targets[s]):
+            counts["re_searched_sources"] += 1
+            row = search({s: math.inf})[0]
+        for k, j in targets[s]:
+            out[k] = read(row, j)
     return out
 
 
@@ -397,12 +383,19 @@ def verify_unconstrained_lower(
     pass/fail.  The factor is implemented in the curvature-scaled form
     1 + C*(kappa_S*r)^2, dimensionless in the product kappa_S*r; for a
     unit-curvature surface this coincides with 1 + C*r^2.
+
+    No covering radius is computed (epsilon is None): the bound holds
+    edge by edge for any sample, as an edge of length <= r has ends at
+    most the factor times that length apart on the surface.  This is the
+    lower half of Bernstein, de Silva, Langford and Tenenbaum, "Graph
+    approximations to geodesics on embedded manifolds" (2000), which the
+    paper extends; PAPER.md holds only the abstract, which cites it.
     """
     t0 = time.perf_counter()
     kappa_s = curvature_bound(surface)
     _gate_curvature_radius(kappa_s, r)
     _check_graph_run(surface, r, pairs, perturb_weights)
-    sample, eps = _sample(surface, n, seed, mode)
+    sample = sample_surface(surface, mode, n, seed)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
     searches = Counter()
     graph = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
@@ -412,7 +405,6 @@ def verify_unconstrained_lower(
         surface=surface_label(surface),
         n=sample.n,
         r=r,
-        epsilon=eps,
     )
     for (i, j, oracle), d in zip(pair_list, graph):
         passed = None if math.isinf(d) else _holds(oracle, factor * d)

@@ -27,7 +27,7 @@ from geoknot import (
     sample_surface,
     surfaces,
 )
-from geoknot.geometry import turn_curvature
+from geoknot.geometry import _curvature_columns, _dot, turn_curvature
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
 settings.load_profile("geoknot")
@@ -148,6 +148,29 @@ def bfs_components(g):
                     queue.append(int(v))
         current += 1
     return labels
+
+
+def turn_curvatures(points, rank, u, v, w) -> np.ndarray:
+    """Row-wise ``turn_curvature`` of the triples
+    (points[u], points[v], points[w]) over index arrays, bit for bit:
+    the twin of the state engine's use of ``_curvature_columns``.
+
+    ``rank`` is ``lexicographic_rank`` of ``points``.  Every IEEE
+    operation of the scalar form is repeated per coordinate column, in
+    the same order; triples that repeat a point or turn acutely give
+    ``inf``.
+    """
+    swap = rank[u] > rank[w]
+    x = np.where(swap, w, u)
+    z = np.where(swap, u, w)
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    xs = [col[x] for col in cols]
+    ys = [col[v] for col in cols]
+    zs = [col[z] for col in cols]
+    a = [p - q for p, q in zip(xs, ys)]
+    b = [p - q for p, q in zip(zs, ys)]
+    c = [p - q for p, q in zip(zs, xs)]
+    return _curvature_columns(a, b, c, _dot(a, a), np.sqrt(_dot(b, b)), _dot(a, b))
 
 
 def finite_turn_curvatures(g):

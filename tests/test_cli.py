@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geoknot import read_graph_csv, read_points_csv
-from geoknot import validation
+from geoknot import cli, surfaces, validation
 from geoknot.cli import (
     READS,
     SURFACE_FLAGS,
@@ -78,6 +78,41 @@ class TestSample:
             "error: cylinder needs a positive finite height"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_empty_disk_grid_rejected(self, tmp_path, capsys, n):
+        out = tmp_path / "d.csv"
+        assert run(["sample", "--surface", "disk", "--n", n, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: need at least 2 sample points; the disk grid for n = {n} has 0"
+        ]
+        assert not out.exists()
+        assert run(["verify", "--experiment", "unconstrained-upper", "--surface", "disk",
+                    "--n", n]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: need at least 2 sample points; the disk grid for n = {n} has 0"
+        ]
+
+    def test_oversized_sample_rejected(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized sample was laid out")
+        monkeypatch.setattr(surfaces, "_random_points", refuse)
+        monkeypatch.setattr(surfaces, "_octahedron_grid", refuse)
+        line = ("error: the uniform-random sample has 3000000000 points; "
+                "a sample must have fewer than 2**31")
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--surface", "sphere", "--mode", "uniform-random",
+                    "--n", 3 * 10**9, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+        assert run(["verify", "--experiment", "unconstrained-upper", "--surface", "sphere",
+                    "--mode", "uniform-random", "--n", 3 * 10**9]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert run(["sample", "--surface", "sphere", "--n", 2**30 + 3, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the sphere grid for n = 1073741827 has 4294967298 points; "
+            "a sample must have fewer than 2**31"
+        ]
 
 
 class TestGraph:
@@ -276,6 +311,26 @@ class TestVerify:
         rc = run(["verify", "--experiment", "chord-bound",
                   "--out-csv", "/nonexistent/rep.csv"])
         assert rc == 2
+
+    @pytest.mark.parametrize("key", ["out_csv", "out_json"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_empty_or_directory_output_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, key, by_config
+    ):
+        def refuse(cfg):
+            raise AssertionError("the experiment ran before its output paths were checked")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        for path, line in [("", "error: output path is empty"),
+                           (str(tmp_path), f"error: output path is a directory: {tmp_path}")]:
+            if by_config:
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({"experiment": "chord-bound", key: path}))
+                argv = ["verify", "--config", cfg]
+            else:
+                argv = ["verify", "--experiment", "chord-bound",
+                        "--" + key.replace("_", "-"), path]
+            assert run(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [line]
 
     def test_kappa_inf_string_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

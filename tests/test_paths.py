@@ -23,7 +23,7 @@ from geoknot import (
     shortest_distances,
     sphere,
 )
-from geoknot.geometry import lexicographic_rank, turn_curvature, turn_curvatures
+from geoknot.geometry import lexicographic_rank, turn_curvature
 from geoknot import paths
 from geoknot.paths import (
     BRUTE_FORCE_MAX_NODES,
@@ -37,6 +37,7 @@ from conftest import (
     graph_edge_set,
     reference_path,
     split_graphs,
+    turn_curvatures,
 )
 
 

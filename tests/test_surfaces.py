@@ -20,7 +20,9 @@ from geoknot import (
     sphere,
     write_points_csv,
 )
+from geoknot import surfaces
 from geoknot.surfaces import (
+    _grid,
     _octahedron_grid,
     sidecar_path,
     surface_from_json,
@@ -152,6 +154,34 @@ class TestSampling:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             sample_surface(sphere(1.0), "stratified", 10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_empty_disk_grid_rejected(self, n):
+        # The 2 x 2 lattice has no point inside the disk.
+        with pytest.raises(ValueError, match=f"the disk grid for n = {n} has 0"):
+            sample_surface(disk(1.0), "grid", n)
+        assert sample_surface(disk(1.0), "grid", 5).n == 5
+
+    @pytest.mark.parametrize("spec, mode, n, count", [
+        (sphere(1.0), "uniform-random", 3 * 10**9, 3 * 10**9),
+        (sphere(1.0), "uniform-random", 2**31, 2**31),
+        (sphere(1.0), "grid", 2**31 - 1, 2 + 4**16),
+        (sphere(1.0), "grid", 2**30 + 3, 2 + 4**16),  # rounded up past the limit
+        (disk(1.0), "grid", 2**31 - 1, 46341**2),
+        (circle(1.0), "grid", 2**31, 2**31),
+        (cylinder(1.0, 4.0), "grid", 2**31, None),
+    ])
+    def test_oversized_sample_rejected_before_any_array(self, monkeypatch, spec, mode, n, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized sample was laid out")
+        monkeypatch.setattr(surfaces, "_random_points", refuse)
+        monkeypatch.setattr(surfaces, "_octahedron_grid", refuse)
+        for name in ("linspace", "arange", "meshgrid"):
+            monkeypatch.setattr(surfaces.np, name, refuse)
+        with pytest.raises(ValueError, match="a sample must have fewer than 2\\*\\*31") as err:
+            sample_surface(spec, mode, n, seed=1)
+        if count is not None:
+            assert f"has {count} points" in str(err.value)
 
     def test_points_are_immutable(self):
         pts = sample_surface(sphere(1.0), "grid", 6).points
@@ -296,7 +326,12 @@ class TestCoveringRadius:
         # The Delaunay candidates give the Voronoi twin's radius, up to
         # the rounding of the circumcentres, and fall back together.
         spec = {"disk": disk(0.7), "cylinder": cylinder(0.6, 2.5)}[kind]
-        samp = sample_surface(spec, "grid" if shape == "grid" else "uniform-random", n, seed)
+        if shape == "grid":
+            # Laid out directly: sample_surface refuses the empty disk
+            # grids of n <= 4, which the covering radius reads as uncovered.
+            samp = SampleSet(_grid(spec, n), spec, "grid", None)
+        else:
+            samp = sample_surface(spec, "uniform-random", n, seed)
         pts = samp.points
         if shape == "duplicated":
             pts = np.concatenate([pts, pts[: n // 2]])

@@ -112,7 +112,8 @@ def test_constrained_lower_search_and_curvature_stay_traced(tmp_path, capsys):
 ])
 def test_tracer_reads_every_graph_runners_results(tmp_path, capsys, argv):
     """The tracer counts work from the results of the calls it wraps: the
-    covering radius's ``reference_size``, the graph's ``edge_count`` and
+    covering radius's ``reference_size`` (every runner but
+    unconstrained-lower computes one), the graph's ``edge_count`` and
     the reports' rows.  A change to one of those return types must fail
     here, not only in the benchmark."""
     tracer = load_tracing().Tracer()
@@ -123,5 +124,10 @@ def test_tracer_reads_every_graph_runners_results(tmp_path, capsys, argv):
     finally:
         tracer.uninstall()
     assert code == 0
-    for counter in ("surfaces.reference_points", "graph.edges", "validation.pairs"):
+    for counter in ("graph.edges", "validation.pairs"):
         assert tracer.counts[counter] > 0, counter
+    if argv[0] == "unconstrained-lower":
+        # Its bound reads no covering radius, so none is computed.
+        assert "surfaces.covering_radius" not in [span[3] for span in tracer.spans]
+    else:
+        assert tracer.counts["surfaces.reference_points"] > 0

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ from geoknot import (
     write_report_csv,
     write_summary_json,
 )
-from geoknot.paths import shortest_path_turns
+from geoknot.paths import SEARCH_REACH, shortest_path_turns
 from conftest import finite_turn_curvatures, relaid_perturbation, split_graphs
 
 
@@ -129,7 +130,9 @@ class TestConstrainedUpper:
 
         class CapSpy(EdgeStateEngine):
             def distances(self, kappa, sources):
-                if isinstance(sources, dict):
+                # One cap per evaluation: an evaluation searches its
+                # sources one call at a time, all at its cap.
+                if isinstance(sources, dict) and caps[-1:] != [kappa]:
                     caps.append(kappa)
                 return super().distances(kappa, sources)
 
@@ -470,16 +473,11 @@ class TestBoundedSearches:
             assert sizes["re_searched_sources"] == 0
 
 
-class TestSearchChunks:
+class TestSearchPerSource:
     @pytest.mark.parametrize("perturb", [0.0, -0.5])
-    def test_no_search_gets_more_than_a_chunk(self, monkeypatch, perturb):
-        """The runners hand the searches GRAPH_CHUNK sources at a time,
-        bounded and re-searched alike, and report as one search of all
-        sources would."""
-        def run():
-            return verify_unconstrained_upper(sphere(1.0), 1000, pairs=150, seed=2,
-                                              perturb_weights=perturb)
-
+    def test_every_search_gets_one_source(self, monkeypatch, perturb):
+        """The runners hand the searches one source at a time, bounded
+        and re-searched alike: one call per search they count."""
         calls = []
 
         def spy(g, sources, search=validation.shortest_distances):
@@ -487,19 +485,52 @@ class TestSearchChunks:
             return search(g, sources)
 
         monkeypatch.setattr(validation, "shortest_distances", spy)
-        rep = run()
-        sources = rep.summary["sizes"]["searched_sources"]
-        assert sources > validation.GRAPH_CHUNK
-        assert max(calls) == validation.GRAPH_CHUNK
-        assert sum(calls) == sources + rep.summary["sizes"]["re_searched_sources"]
-        monkeypatch.setattr(validation, "GRAPH_CHUNK", sources + 1)
-        calls.clear()
-        whole = run()
-        assert calls == [sources] + ([sources] if perturb else [])
-        assert rep.rows == whole.rows
-        for r in (rep, whole):
-            r.summary.pop("runtime_s")
-        assert rep.summary == whole.summary
+        rep = verify_unconstrained_upper(sphere(1.0), 1000, pairs=150, seed=2,
+                                         perturb_weights=perturb)
+        sizes = rep.summary["sizes"]
+        assert set(calls) == {1}
+        assert len(calls) == sizes["searched_sources"] + sizes["re_searched_sources"]
+
+
+class TestGraphRowsTwin:
+    """``_graph_rows`` against its unbounded twin: every pair read from
+    one unbounded search of all sources."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(g=split_graphs(euclidean=True), cap=st.sampled_from([None, 0.5, 2.0, math.inf]),
+           data=st.data())
+    def test_reads_the_unbounded_rows(self, g, cap, data):
+        if cap is None:
+            def search(sources):
+                return shortest_distances(g, sources)
+        else:
+            engine = EdgeStateEngine(g)
+
+            def search(sources):
+                return engine.distances(cap, sources)
+        whole = search(list(range(g.n)))
+        pair_list = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            i = data.draw(st.integers(0, g.n - 1))
+            near = [j for j in np.flatnonzero(np.isfinite(whole[i])).tolist() if j != i]
+            if near and data.draw(st.booleans()):
+                j = data.draw(st.sampled_from(near))
+            else:  # often a disconnected pair
+                j = data.draw(st.integers(0, g.n - 1).filter(lambda j: j != i))
+            d = whole[i, j]
+            if math.isinf(d):
+                oracle = data.draw(st.floats(0.01, 10.0))
+            else:  # exact, on the reach's boundary, far inside it, beyond it
+                oracle = data.draw(st.sampled_from([d, d / SEARCH_REACH, 2.0 * d, d / 3.0]))
+            pair_list.append((i, j, oracle))
+        counts = Counter()
+        got = validation._graph_rows(search, pair_list, counts)
+        assert got == [float(whole[i, j]) for i, j, _ in pair_list]
+        reach = {}
+        for i, _, oracle in pair_list:
+            reach[i] = max(reach.get(i, 0.0), oracle)
+        missed = {i for i, j, _ in pair_list if whole[i, j] > SEARCH_REACH * reach[i]}
+        assert counts == {"searched_sources": len(reach), "re_searched_sources": len(missed)}
 
 
 class TestChordBound:

@@ -162,6 +162,18 @@ def _check_writable(path: str | None):
         raise OSError(f"output directory not writable: {parent}")
 
 
+def _check_distinct(csv_path: str | None, json_path: str | None):
+    """The CSV report and the JSON summary must go to two files: one
+    written over the other would silently lose the CSV."""
+    if csv_path is None or json_path is None:
+        return
+    same = os.path.realpath(csv_path) == os.path.realpath(json_path)
+    if not same and os.path.exists(csv_path) and os.path.exists(json_path):
+        same = os.path.samefile(csv_path, json_path)  # hard links
+    if same:
+        raise ValueError(f"out_csv and out_json name one file: {csv_path} and {json_path}")
+
+
 def run_experiment(cfg: ExperimentConfig) -> list:
     name = cfg.experiment
     if name == "chord-bound":
@@ -234,6 +246,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config, args)
     _check_writable(cfg.out_csv)
     _check_writable(cfg.out_json)
+    _check_distinct(cfg.out_csv, cfg.out_json)
     reports = run_experiment(cfg)
     if cfg.out_csv is not None:
         write_report_csv(cfg.out_csv, reports)

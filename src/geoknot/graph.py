@@ -208,9 +208,10 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     as the builder's filter measured it (:func:`_lengths`); that filter
     keeps only lengths in (0, r], so such weights are finite and positive.
 
-    Every graph's edges are laid out here: built, read from a file or
-    induced on a query's lens (a perturbed graph keeps its graph's
-    layout and divides only the weights).  The points and parameters
+    Every graph's edges are laid out here, built or read from a file.
+    Two graphs keep a checked graph's layout instead: a perturbed graph
+    divides only the weights, and a query's lens slices the rows of the
+    nodes inside it (``paths._induced``).  The points and parameters
     are checked first, so a bad r never reaches a neighbour search:
     :func:`_points_of`, then :func:`check_graph_params`.  An edge list
     of 2**30 rows or more is rejected before any row is read, and so

@@ -54,7 +54,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import _curvature_columns, _dot, lexicographic_rank, turn_curvature
-from .graph import NeighborhoodGraph, graph_from_edges
+from .graph import NeighborhoodGraph
 from .surfaces import _jsonable
 
 BRUTE_FORCE_MAX_NODES = 12
@@ -651,8 +651,8 @@ def query_constrained(
       indexes (m < 2**31).  Rounding ``tol`` and ``L * tol`` costs
       under 2u, and the slack of tol is 4 (m + 1) u.
 
-    **The search.**  The lens's induced subgraph is laid out by
-    :func:`graph_from_edges` with the weights as given, its nodes in
+    **The search.**  The lens's induced subgraph is sliced from g's
+    layout (:func:`_induced`) with the weights as given, its nodes in
     increasing order, so "smaller index" means what it means in g.  The
     engine searches it at kappa from the source's start row.  The final
     state is the least (cost, tail) of the states that end at target,
@@ -738,15 +738,30 @@ def _sums_grow(g: NeighborhoodGraph, length: float) -> bool:
 
 def _induced(g: NeighborhoodGraph, inside) -> tuple:
     """(subgraph, nodes): the subgraph that the nodes where ``inside``
-    is true induce, laid out by :func:`graph_from_edges` with g's
-    weights, and those nodes in increasing order (subgraph node k is
-    ``nodes[k]``)."""
+    is true induce, and those nodes in increasing order (subgraph node
+    k is ``nodes[k]``).
+
+    It is sliced from g's CSR: the rows of the nodes inside, keeping the
+    slots whose column is inside, relabelled by the running count of
+    nodes inside.  The labels grow with the node, so rows stay sorted,
+    and a subgraph of a checked graph needs none of the edge checks of
+    :func:`graph_from_edges` again.
+    """
     nodes = np.flatnonzero(inside)
-    label = np.cumsum(inside) - 1
-    ii, jj, ww = g.edge_list()
-    keep = inside[ii] & inside[jj]
-    ii, jj, ww = label[ii[keep]], label[jj[keep]], ww[keep]
-    return graph_from_edges(g.points[nodes], g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww)), nodes
+    label = (np.cumsum(inside) - 1).astype(np.int32)
+    starts = g.indptr[nodes].astype(np.int64)
+    counts = g.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    # The lens rows' slots of g, row after row: each row's offset in g
+    # minus its offset in the concatenation, plus the running position.
+    slots = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
+    keep = inside[g.indices[slots]]
+    slots = slots[keep]
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    indptr = kept_before[np.concatenate([[0], ends])]
+    sub = NeighborhoodGraph(g.points[nodes], g.kind, g.r, g.alpha, indptr.astype(np.int32),
+                            label[g.indices[slots]], g.weights[slots])
+    return sub, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,18 @@ def relaid_perturbation(g, p):
     return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww))
 
 
+def relaid_induced(g, inside):
+    """The slow twin of ``paths._induced``: the edges i < j of g with
+    both ends inside, relabelled by the running count of nodes inside
+    and laid out again by ``graph_from_edges`` with g's weights."""
+    nodes = np.flatnonzero(inside)
+    label = np.cumsum(inside) - 1
+    ii, jj, ww = g.edge_list()
+    keep = inside[ii] & inside[jj]
+    ii, jj, ww = label[ii[keep]], label[jj[keep]], ww[keep]
+    return graph_from_edges(g.points[nodes], g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww)), nodes
+
+
 def graph_edge_set(g):
     """Undirected edge set {(i, j): w} with i < j, from the CSR layout."""
     out = {}

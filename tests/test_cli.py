@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -331,6 +332,32 @@ class TestVerify:
                         "--" + key.replace("_", "-"), path]
             assert run(argv) == 2
             assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_one_file_for_both_outputs_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, spelling, by_config
+    ):
+        def refuse(cfg):
+            raise AssertionError("the experiment ran before its output paths were checked")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.chdir(tmp_path)
+        out_csv, out_json = "x", {"same": "x", "dotted": "./x"}.get(spelling, "y")
+        if spelling == "symlink":
+            os.symlink("x", "y")  # dangling: neither file exists yet
+        if spelling == "hardlink":
+            Path("x").write_text("")
+            os.link("x", "y")
+        if by_config:
+            Path("cfg.json").write_text(json.dumps(
+                {"experiment": "chord-bound", "out_csv": out_csv, "out_json": out_json}))
+            argv = ["verify", "--config", "cfg.json"]
+        else:
+            argv = ["verify", "--experiment", "chord-bound",
+                    "--out-csv", out_csv, "--out-json", out_json]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: out_csv and out_json name one file: {out_csv} and {out_json}"]
 
     def test_kappa_inf_string_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -36,6 +36,7 @@ from conftest import (
     finite_turn_curvatures,
     graph_edge_set,
     reference_path,
+    relaid_induced,
     split_graphs,
     turn_curvatures,
 )
@@ -847,6 +848,25 @@ class TestSinglePairQueries:
         for kappa in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 query_constrained(g, kappa, 0, 1)
+
+
+class TestInduced:
+    """A lens's subgraph sliced from g's layout, bit for bit against the
+    same edges laid out again."""
+
+    # A lens holds its query's two distinct ends, so at least 2 nodes.
+    @settings(derandomize=True, max_examples=60)
+    @given(st.one_of(split_graphs(), tied_graphs()).flatmap(
+        lambda g: st.tuples(st.just(g), st.sets(st.integers(0, g.n - 1), min_size=2))))
+    def test_matches_the_relaid_twin(self, drawn):
+        g, chosen = drawn
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(chosen)] = True
+        (got, got_nodes), (want, want_nodes) = paths._induced(g, inside), relaid_induced(g, inside)
+        assert_same_array(got_nodes, want_nodes)
+        for name in ("points", "indptr", "indices", "weights"):
+            assert_same_array(getattr(got, name), getattr(want, name))
+        assert (got.kind, got.r, got.alpha) == (want.kind, want.r, want.alpha)
 
 
 class TestPayload:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geoknot import (
     SampleSet,
+    build_graph,
     circle,
     covering_radius,
     curvature_bound,
@@ -17,6 +18,7 @@ from geoknot import (
     intrinsic_diameter,
     read_points_csv,
     sample_surface,
+    shortest_distances,
     sphere,
     write_points_csv,
 )
@@ -31,6 +33,7 @@ from geoknot.surfaces import (
 )
 from conftest import (
     directed_hausdorff,
+    graph_edge_set,
     grid_covering_bracket,
     intrinsic_nearest,
     voronoi_covering_radius,
@@ -187,6 +190,79 @@ class TestSampling:
         pts = sample_surface(sphere(1.0), "grid", 6).points
         with pytest.raises(ValueError):
             pts[0, 0] = 7.0
+
+
+SPECS = {"sphere": sphere(1.0), "disk": disk(1.0), "cylinder": cylinder(1.0, 4.0),
+         "circle": circle(1.0)}
+
+
+def bitwise_morton_order(pts):
+    """The slow twin of ``_z_order``: each point's Morton key built one
+    bit at a time, the highest axis bit first, then a stable sort."""
+    n, dim = pts.shape
+    bits = 63 // dim
+    keys = [0] * n
+    for axis in range(dim):
+        lo, span = pts[:, axis].min(), np.ptp(pts[:, axis])
+        scale = (2**bits - 1) / span if span > 0.0 else 0.0
+        q = ((pts[:, axis] - lo) * scale).astype(np.uint64).tolist()
+        for i in range(n):
+            keys[i] |= sum(((q[i] >> b) & 1) << (b * dim + dim - 1 - axis) for b in range(bits))
+    assert max(keys) < 2**63
+    return sorted(range(n), key=keys.__getitem__)
+
+
+class TestZOrder:
+    """Uniform-random samples come in Z-order: the same points as the
+    draw, relabelled, so every graph and distance is the same under the
+    permutation."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "disk"])
+    def test_key_matches_the_bit_loop(self, kind):
+        pts = surfaces._random_points(SPECS[kind], 300, 5)
+        assert surfaces._z_order(pts).tolist() == bitwise_morton_order(pts)
+
+    def test_ties_keep_the_draw_order(self):
+        # Keys rise from (0, 0) to (0.5, 1) to (1, 0); equal keys keep
+        # their order over more rows than a small-array sort sees.
+        pts = np.tile([[1.0, 0.0], [0.0, 0.0], [0.5, 1.0]], (20, 1))
+        want = [i for rest in (1, 2, 0) for i in range(60) if i % 3 == rest]
+        assert surfaces._z_order(pts).tolist() == want
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(sorted(SPECS)), n=st.integers(2, 600),
+           seed=st.integers(0, 2**64 - 1), r=st.floats(0.05, 0.6))
+    def test_relabels_the_draw(self, kind, n, seed, r):
+        spec = SPECS[kind]
+        drawn = surfaces._random_points(spec, n, seed)
+        got = sample_surface(spec, "uniform-random", n, seed).points
+        # The permutation that matches rows, found by sorting both sides.
+        perm = np.empty(n, dtype=np.int64)
+        perm[np.lexsort(got.T)] = np.lexsort(drawn.T)
+        assert sorted(perm.tolist()) == list(range(n))
+        assert np.array_equal(got, drawn[perm])
+        g_drawn, g_got = (build_graph(p, kind="ball", r=r) for p in (drawn, got))
+        moved = {tuple(sorted((int(perm[i]), int(perm[j])))): w
+                 for (i, j), w in graph_edge_set(g_got).items()}
+        assert moved == graph_edge_set(g_drawn)
+        sources = sorted({0, n // 2, n - 1})
+        rows_got = shortest_distances(g_got, sources)
+        rows_drawn = shortest_distances(g_drawn, perm[sources].tolist())
+        assert rows_got.tobytes() == rows_drawn[:, perm].tobytes()
+
+    def test_neighbours_get_nearby_indices(self):
+        # In draw order the median |i - j| over the slots reads 5,868.
+        sample = sample_surface(sphere(1.0), "uniform-random", 20000, 1)
+        g = build_graph(sample, kind="ball", r=0.05)
+        rows = np.repeat(np.arange(g.n), g.degrees())
+        assert np.median(np.abs(rows - g.indices)) <= g.n / 100
+
+    @pytest.mark.parametrize("kind, n", [("sphere", 300), ("disk", 200), ("cylinder", 300),
+                                         ("circle", 50)])
+    def test_grid_keeps_its_construction_order(self, kind, n):
+        got = sample_surface(SPECS[kind], "grid", n).points
+        want = _grid(SPECS[kind], n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGeodesicOracle:

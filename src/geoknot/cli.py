@@ -162,16 +162,18 @@ def _check_writable(path: str | None):
         raise OSError(f"output directory not writable: {parent}")
 
 
-def _check_distinct(csv_path: str | None, json_path: str | None):
-    """The CSV report and the JSON summary must go to two files: one
-    written over the other would silently lose the CSV."""
-    if csv_path is None or json_path is None:
+def _check_distinct(first: str | None, second: str | None, names: str):
+    """Two paths that must name two files, one written over the other
+    would be lost: the same spelling, ``x`` and ``./x``, or a symbolic
+    or hard link to one file stops the command.  ``names`` names the two
+    in the message."""
+    if first is None or second is None:
         return
-    same = os.path.realpath(csv_path) == os.path.realpath(json_path)
-    if not same and os.path.exists(csv_path) and os.path.exists(json_path):
-        same = os.path.samefile(csv_path, json_path)  # hard links
+    same = os.path.realpath(first) == os.path.realpath(second)
+    if not same and os.path.exists(first) and os.path.exists(second):
+        same = os.path.samefile(first, second)  # hard links
     if same:
-        raise ValueError(f"out_csv and out_json name one file: {csv_path} and {json_path}")
+        raise ValueError(f"{names} name one file: {first} and {second}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -207,6 +209,7 @@ def _or(value, default):
 
 
 def cmd_sample(args) -> int:
+    _check_writable(args.out)
     spec = surface_from_json(_surface_args(args))
     sample = sample_surface(spec, args.mode, args.n, args.seed)
     write_points_csv(args.out, sample)
@@ -215,6 +218,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    _check_writable(args.out)
+    # The graph written over its points file would lose the sample.
+    _check_distinct(args.points, args.out, "--points and --out")
     pts = read_points_csv(args.points)
     g = build_graph(pts, kind=args.kind, r=args.r, alpha=args.alpha)
     write_graph_csv(args.out, g)
@@ -246,7 +252,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config, args)
     _check_writable(cfg.out_csv)
     _check_writable(cfg.out_json)
-    _check_distinct(cfg.out_csv, cfg.out_json)
+    _check_distinct(cfg.out_csv, cfg.out_json, "out_csv and out_json")
     reports = run_experiment(cfg)
     if cfg.out_csv is not None:
         write_report_csv(cfg.out_csv, reports)

@@ -15,6 +15,7 @@ all-pairs builder is retained for small inputs as the testing oracle.
 """
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from .surfaces import INDEX_LIMIT, SampleSet, _fmt, _loadtxt_rows
+from .surfaces import INDEX_LIMIT, SampleSet, _csv_text, _fmt, _loadtxt_rows
+from .twin import csv_key, read_twin, write_csv, write_twin
 
 BRUTE_FORCE_LIMIT = 2000
 
@@ -32,6 +34,10 @@ EDGE_BLOCK = 1 << 16
 
 # One edge-list row of a graph file.
 EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+# A graph twin's format tag and arrays: weights, indptr, indices.
+GRAPH_TWIN = b"geoknot graph twin 1\n"
+GRAPH_DTYPES = ("<f8", "<i4", "<i4")
 
 
 @dataclass(frozen=True)
@@ -209,9 +215,11 @@ def graph_from_edges(sample, kind: str, r: float, alpha: float | None, edges) ->
     keeps only lengths in (0, r], so such weights are finite and positive.
 
     Every graph's edges are laid out here, built or read from a file.
-    Two graphs keep a checked graph's layout instead: a perturbed graph
-    divides only the weights, and a query's lens slices the rows of the
-    nodes inside it (``paths._induced``).  The points and parameters
+    Three graphs keep a checked graph's layout instead: a perturbed graph
+    divides only the weights, a query's lens slices the rows of the
+    nodes inside it (``paths._induced``), and a graph file's twin holds
+    the layout made here for the graph it was written from
+    (:func:`_graph_twin`).  The points and parameters
     are checked first, so a bad r never reaches a neighbour search:
     :func:`_points_of`, then :func:`check_graph_params`.  An edge list
     of 2**30 rows or more is rejected before any row is read, and so
@@ -347,13 +355,18 @@ def graph_stats(g: NeighborhoodGraph) -> GraphStats:
 # row per undirected edge with i < j.
 
 def write_graph_csv(path: str, g: NeighborhoodGraph):
-    with open(path, "w", encoding="utf-8") as fh:
-        if g.kind == "ball":
-            fh.write(f"# kind=ball r={_fmt(g.r)}\n")
-        else:
-            fh.write(f"# kind=annulus r={_fmt(g.r)} alpha={_fmt(g.alpha)}\n")
-        for i, j, w in zip(*(a.tolist() for a in g.edge_list())):
-            fh.write(f"{i},{j},{_fmt(w)}\n")
+    """Write ``g`` to ``path`` as a graph file and, beside it, its binary
+    twin: g's arrays, which :func:`read_graph_csv` returns for the file
+    just written and g's points.  Every weight is written with 17
+    significant digits, which read back to the same double."""
+    if g.kind == "ball":
+        head = f"# kind=ball r={_fmt(g.r)}\n"
+    else:
+        head = f"# kind=annulus r={_fmt(g.r)} alpha={_fmt(g.alpha)}\n"
+    rows = (f"{i},{j},{_fmt(w)}\n" for i, j, w in zip(*(a.tolist() for a in g.edge_list())))
+    key = csv_key(GRAPH_TWIN, g.points)
+    write_csv(path, itertools.chain([head], rows), key)
+    write_twin(path, key.digest(), (g.weights, g.indptr, g.indices), GRAPH_DTYPES)
 
 
 def read_graph_csv(path: str, points) -> NeighborhoodGraph:
@@ -366,16 +379,24 @@ def read_graph_csv(path: str, points) -> NeighborhoodGraph:
     ``i,j,weight``.  The header and the rows must pass
     :func:`graph_from_edges`'s checks, the same that every graph
     passes.  A violation raises ValueError naming the file, and the line
-    for a bad row or a misplaced ``#`` line.
+    for a bad row, a misplaced ``#`` line or a byte that is not UTF-8
+    text.
 
-    A plain file (the header on the first line, no other ``#``, rows
-    that ``np.loadtxt`` parses and that pass every check) is read in one
-    numpy pass; any other file goes through the line loop, which returns
-    the same graph or raises the message.
+    A file that :func:`write_graph_csv` wrote is loaded from its twin
+    (:func:`_graph_twin`), if the twin is bound to the file's exact bytes
+    and to ``points``.  Otherwise a plain file (the header on the first
+    line, no other ``#``, rows that ``np.loadtxt`` parses and that pass
+    every check) is read in one numpy pass; any other file goes through
+    the line loop, which returns the same graph or raises the message.
     """
     points = _points_of(points)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    g = _graph_twin(path, data, points)
+    if g is not None:
+        return g
+    text = _csv_text(path, data)
+    del data  # the text holds it now
     head, _, body = text.partition("\n")
     head = head.strip()
     if head.startswith("#") and "#" not in body:
@@ -389,6 +410,39 @@ def read_graph_csv(path: str, points) -> NeighborhoodGraph:
                     lambda *_: (rows["i"], rows["j"], rows["w"]),
                 )
     return _graph_by_line(path, text, points)
+
+
+def _graph_twin(path, data, points) -> NeighborhoodGraph | None:
+    """The graph that ``path``'s twin holds, or None if there is no twin
+    that :func:`read_graph_csv` may use for the file bytes ``data`` and
+    ``points``.
+
+    The twin holds a layout that :func:`graph_from_edges` made, bound to
+    the file's bytes and the points, so its edges passed every rule;
+    kind, r and alpha come from the file's header.  Only the layout's
+    structure is checked again, in O(n + E): the dtypes, ``indptr`` from
+    0, non-decreasing, to ``len(indices) == len(weights)``, every index
+    in [0, n) and every weight finite and positive.  A twin that fails
+    is ignored, so a forged one cannot make a search read out of bounds.
+    """
+    arrays = read_twin(path, data, GRAPH_TWIN, GRAPH_DTYPES, points)
+    if arrays is None:
+        return None
+    weights, indptr, indices = arrays
+    try:
+        # index() finds the header's end without copying the rows.
+        kind, r, alpha = _header(path, data[:data.index(b"\n")].decode("utf-8").strip())
+        check_graph_params(kind, r, alpha)
+    except ValueError:
+        return None
+    n = len(points)
+    # min() and max() make no edge-long temporaries; a nan weight fails both.
+    if not (len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(indices) == len(weights)
+            and (indptr[1:] >= indptr[:-1]).all()
+            and (len(indices) == 0 or (0 <= indices.min() <= indices.max() < n
+                                       and 0.0 < weights.min() <= weights.max() < math.inf))):
+        return None
+    return NeighborhoodGraph(points, kind, r, alpha, indptr, indices, weights)
 
 
 def _graph_by_line(path, text, points) -> NeighborhoodGraph:

@@ -9,12 +9,15 @@ point to the sample, found from the sample's own Voronoi geometry.
 """
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
+
+from .twin import csv_key, read_twin, write_csv, write_twin
 
 SURFACE_KINDS = ("sphere", "disk", "cylinder", "circle")
 MODES = ("grid", "uniform-random")
@@ -30,6 +33,11 @@ SURFACE_KEYS = ("kind", "radius", "height")
 
 # csgraph indexes points and directed edges in int32: the bound of both.
 INDEX_LIMIT = 2**31
+
+# A points twin's format tag and arrays: the shape (n, D), then the
+# coordinates in row order.
+POINTS_TWIN = b"geoknot points twin 1\n"
+POINTS_DTYPES = ("<i8", "<f8")
 
 
 @dataclass(frozen=True)
@@ -510,11 +518,15 @@ def sidecar_path(points_path: str) -> str:
 
 
 def write_points_csv(path: str, sample: SampleSet):
+    """Write the sample's points to ``path`` (a header row, then one row
+    of coordinates per point), its JSON sidecar and its binary twin: the
+    array :func:`read_points_csv` returns for the file just written."""
     pts = sample.points
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{k}" for k in range(pts.shape[1])) + "\n")
-        for row in pts:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ",".join(f"x{k}" for k in range(pts.shape[1])) + "\n"
+    rows = (",".join(_fmt(v) for v in row) + "\n" for row in pts.tolist())
+    key = csv_key(POINTS_TWIN)
+    write_csv(path, itertools.chain([header], rows), key)
+    write_twin(path, key.digest(), (pts.shape, pts), POINTS_DTYPES)
     meta = {
         "surface": surface_to_json(sample.surface),
         "mode": sample.mode,
@@ -533,22 +545,55 @@ def read_points_csv(path: str) -> np.ndarray:
     Blank lines and ``#`` comments are ignored, and a leading row with
     no numeric field is the header.  Every other row must hold as many
     finite coordinates as the first point; a violation raises ValueError
-    naming the file and line.
+    naming the file and line, and so does a byte that is not UTF-8 text.
 
-    A plain file (no ``#``, an optional header on the first line, rows
-    that ``np.loadtxt`` parses, all finite) is read in one numpy pass;
-    any other file goes through the line loop, which returns the same
-    array or raises the message.
+    A file that :func:`write_points_csv` wrote is loaded from its twin,
+    if the twin is bound to the file's exact bytes (``geoknot.twin``) and
+    holds at least one point of at least one coordinate, all finite.
+    Otherwise a plain file (no ``#``, an optional header on the first
+    line, rows that ``np.loadtxt`` parses, all finite) is read in one
+    numpy pass, and any other file goes through the line loop, which
+    returns the same array or raises the message.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    pts = None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pts = _points_twin(path, data)
+    if pts is not None:
+        return pts
+    text = _csv_text(path, data)
+    del data  # the text holds it now
     if "#" not in text:
         head, _, body = text.partition("\n")
         pts = _loadtxt_rows(body if _is_header(head.split(",")) else text, np.float64, 2)
     if pts is None or not np.isfinite(pts).all():
         pts = _points_by_line(path, text)
     return _frozen(pts)
+
+
+def _points_twin(path: str, data: bytes):
+    """The points of ``path``'s twin, or None if there is no twin that
+    :func:`read_points_csv` may use for the file bytes ``data``."""
+    arrays = read_twin(path, data, POINTS_TWIN, POINTS_DTYPES)
+    if arrays is None:
+        return None
+    shape, flat = arrays
+    if len(shape) != 2 or min(shape) < 1 or int(shape[0]) * int(shape[1]) != len(flat):
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return _frozen(flat.reshape(shape))
+
+
+def _csv_text(path: str, data: bytes) -> str:
+    """The UTF-8 text of a CSV file's bytes, its line ends read as
+    ``open()`` reads them (CRLF and CR as LF).  A byte that is not UTF-8
+    text raises ValueError naming the file and its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _csv_text(path, data[:exc.start]).count("\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _points_by_line(path: str, text: str) -> np.ndarray:

@@ -116,6 +116,15 @@ class TestSample:
         ]
 
 
+    def test_directory_output_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the output path was checked")
+        monkeypatch.setattr(cli, "sample_surface", refuse)
+        assert run(["sample", "--surface", "sphere", "--n", 66, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output path is a directory: {tmp_path}"]
+
+
 class TestGraph:
     def test_build_and_header(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -137,6 +146,36 @@ class TestGraph:
         rc = run(["graph", "--points", tmp_path / "nope.csv", "--r", 1.0,
                   "--out", tmp_path / "g.csv"])
         assert rc == 2
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    def test_out_naming_the_points_file_rejected_before_any_read(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the points were read before --out was checked")
+        monkeypatch.setattr(cli, "read_points_csv", refuse)
+        monkeypatch.chdir(tmp_path)
+        write_line_points(Path("p.csv"))
+        before = Path("p.csv").read_bytes()
+        out = {"same": "p.csv", "dotted": "./p.csv"}.get(spelling, "q.csv")
+        if spelling == "symlink":
+            os.symlink("p.csv", "q.csv")
+        if spelling == "hardlink":
+            os.link("p.csv", "q.csv")
+        assert run(["graph", "--points", "p.csv", "--r", 1.0, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --points and --out name one file: p.csv and {out}"]
+        assert Path("p.csv").read_bytes() == before
+
+    def test_directory_output_rejected_before_any_read(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the points were read before --out was checked")
+        monkeypatch.setattr(cli, "read_points_csv", refuse)
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        assert run(["graph", "--points", pts, "--r", 1.0, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output path is a directory: {tmp_path}"]
 
 
 class TestDist:
@@ -225,14 +264,21 @@ class TestDist:
                    for s, t in rng.choice(150, (4, 2))
                    for kappa in (None, math.inf, 4.0, 1.5)]
         queries += [(tiny, tiny_graph, 0, 2, kappa) for kappa in (None, 4.0)]
-        for path, graph, s, t, kappa in queries:
-            capsys.readouterr()
-            extra = [] if kappa is None else ["--kappa", kappa]
-            assert run(["dist", "--graph", path, "--points", pts, "--src", s, "--dst", t,
-                        *extra]) == 0
-            want = path_result_payload(reference_path(graph, kappa, s, t), s, t,
-                                       math.inf if kappa is None else kappa)
-            assert capsys.readouterr().out == json.dumps(want) + "\n"
+        # The same answers from the files' twins and, once those are
+        # deleted, from the CSV files alone.
+        assert (tmp_path / "pts.csv.twin").exists() and (tmp_path / "g.csv.twin").exists()
+        for twins in (True, False):
+            if not twins:
+                (tmp_path / "pts.csv.twin").unlink()
+                (tmp_path / "g.csv.twin").unlink()
+            for path, graph, s, t, kappa in queries:
+                capsys.readouterr()
+                extra = [] if kappa is None else ["--kappa", kappa]
+                assert run(["dist", "--graph", path, "--points", pts, "--src", s, "--dst", t,
+                            *extra]) == 0
+                want = path_result_payload(reference_path(graph, kappa, s, t), s, t,
+                                           math.inf if kappa is None else kappa)
+                assert capsys.readouterr().out == json.dumps(want) + "\n"
 
 
 class TestVerify:
@@ -673,6 +719,21 @@ class TestBadGraphFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {g}{message}")
 
+    @pytest.mark.parametrize("text, line", [
+        (b"# kind=ball r=1\n0,1,1\n1,2,\xff\n", 3),
+        (b"# kind=ball r=1\r\n0,1,1\r1,2,1 \xc3\n", 3),
+        (b"# kind=\xffball r=1\n0,1,1\n", 1),
+    ])
+    def test_dist_rejects_undecodable_bytes_with_file_and_line(self, tmp_path, capsys,
+                                                                text, line):
+        pts = tmp_path / "pts.csv"
+        write_line_points(pts)
+        g = tmp_path / "g.csv"
+        g.write_bytes(text)
+        rc = run(["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {g}:{line}: not UTF-8 text"]
+
     def test_graph_is_sized_by_its_points(self, tmp_path, capsys):
         # A large index is out of range, never a reason to allocate a
         # graph that large.
@@ -706,6 +767,24 @@ class TestBadPointsFile:
             assert run(argv) == 2
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: {pts}:{message}"]
+
+    @pytest.mark.parametrize("text, line", [
+        (b"x0,x1\n0,0\n1,\xff\n", 3),
+        (b"# \xfe note\n0,0\n1,0\n", 1),
+        (b"x0,x1\r\n0,0\r\n\r\n1,0\x80\r\n", 4),
+    ])
+    def test_undecodable_bytes_rejected_with_file_and_line(self, tmp_path, capsys, text, line):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(text)
+        g = tmp_path / "g.csv"
+        g.write_text("# kind=ball r=1\n0,1,1\n")
+        for argv in (
+            ["graph", "--points", pts, "--r", 1.0, "--out", tmp_path / "out.csv"],
+            ["dist", "--graph", g, "--points", pts, "--src", 0, "--dst", 1],
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {pts}:{line}: not UTF-8 text"]
 
 
 def rejected(argv):

@@ -249,11 +249,13 @@ class TestEdgeRules:
         assert graph_edge_set(g) == {(i, j): w for i, j, w in zip(ii, jj, ww)}
 
     def test_only_graph_from_edges_makes_graphs(self):
-        # A graph made any other way would skip the edge rules.  Two
+        # A graph made any other way would skip the edge rules.  Three
         # exceptions start from a checked graph: the perturbation keeps
         # its edges and divides its weights, checking that each stays
-        # finite and positive, and a query's lens slices the rows of the
-        # nodes inside it, whose edges pass every rule that g's pass.
+        # finite and positive; a query's lens slices the rows of the
+        # nodes inside it, whose edges pass every rule that g's pass; and
+        # a graph file's twin stores a layout that graph_from_edges made,
+        # bound to the file's bytes and the points.
         makers = []
         for path in sorted(Path(graph.__file__).parent.glob("*.py")):
             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -268,6 +270,7 @@ class TestEdgeRules:
                             makers.append((path.name, func.name, callee))
         assert makers == [
             ("graph.py", "graph_from_edges", "NeighborhoodGraph"),
+            ("graph.py", "_graph_twin", "NeighborhoodGraph"),
             ("paths.py", "_induced", "NeighborhoodGraph"),
             ("validation.py", "perturb_graph_weights", "replace"),
         ]

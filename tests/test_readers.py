@@ -1,21 +1,30 @@
-"""The CSV readers' numpy fast path against their line loops.
+"""The CSV readers' numpy fast path against their line loops, and their
+binary twins against the CSV.
 
 ``read_points_csv`` and ``read_graph_csv`` parse a plain file with one
 ``np.loadtxt`` pass and hand any other file to the line loop.  On every
 file, generated ones with odd tokens, blank lines and CRLF included,
 the reader must return what the loop returns, bit for bit, or raise the
-loop's message.
+loop's message.  A file that ``write_points_csv`` or ``write_graph_csv``
+wrote is loaded from its twin, which must give what the CSV gives, bit
+for bit; a twin that does not belong to the file and its points must be
+ignored.
 """
 
+import contextlib
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from geoknot import graph, surfaces
-from geoknot.graph import read_graph_csv
-from geoknot.surfaces import read_points_csv
+from conftest import split_graphs
+from test_paths import tied_graphs
+from geoknot import graph, surfaces, twin
+from geoknot.graph import graph_from_edges, read_graph_csv, write_graph_csv
+from geoknot.surfaces import SampleSet, read_points_csv, sphere, write_points_csv
+from geoknot.validation import perturb_graph_weights
 
 # Odd spellings of a number that Python's int/float and numpy both read,
 # and ones only Python reads (digit separators).
@@ -212,3 +221,132 @@ class TestPointsReader:
         path = tmp_path / "pts.csv"
         path.write_text("x0,x1\n1_0, +2\n")
         assert read_points_csv(str(path)).tolist() == [[10.0, 2.0]]
+
+
+@st.composite
+def twin_graphs(draw):
+    """A split graph, a tied graph whose first edge may weigh 1e-300, or
+    a split graph with its weights perturbed."""
+    pick = draw(st.sampled_from(["split", "tied", "perturbed"]))
+    if pick == "tied":
+        g = draw(tied_graphs())
+        ii, jj, ww = g.edge_list()
+        if len(ww) and draw(st.booleans()):
+            ww = ww.copy()
+            ww[0] = 1e-300
+        return graph_from_edges(g.points, g.kind, g.r, g.alpha, lambda *_: (ii, jj, ww))
+    g = draw(split_graphs())
+    if pick == "perturbed":
+        g = perturb_graph_weights(g, draw(st.floats(-0.5, 3.0)))
+    return g
+
+
+def write_files(directory, g):
+    """Points and graph files, each with its twin, for g."""
+    pts, path = str(directory / "pts.csv"), str(directory / "g.csv")
+    write_points_csv(pts, SampleSet(g.points, sphere(1.0), "grid"))
+    write_graph_csv(path, g)
+    return pts, path
+
+
+def loaded(pts, path, points=None):
+    """What reading the two files gives: the arrays with their dtypes
+    and bytes, kind, r and alpha, or a reader's message."""
+    try:
+        p = read_points_csv(pts) if points is None else points
+        g = read_graph_csv(path, p)
+    except ValueError as exc:
+        return ("error", str(exc))
+    arrays = (p, g.points, g.indptr, g.indices, g.weights)
+    return (g.kind, g.r, g.alpha, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def without_twins(pts, path, points=None):
+    for p in (pts, path):
+        if os.path.exists(twin.twin_path(p)):
+            os.remove(twin.twin_path(p))
+    return loaded(pts, path, points)
+
+
+class TestTwins:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(twin_graphs())
+    def test_twin_equals_the_csv(self, tmp_path_factory, g):
+        pts, path = write_files(tmp_path_factory.mktemp("twin"), g)
+        refuse = AssertionError("the CSV was parsed")
+        with contextlib.ExitStack() as stack:
+            for module in (surfaces, graph):
+                for name in ("_csv_text", "_loadtxt_rows"):
+                    stack.enter_context(mock.patch.object(module, name, side_effect=refuse))
+            with_twins = loaded(pts, path)
+        assert with_twins == without_twins(pts, path)
+        assert with_twins[0] != "error"
+
+    @staticmethod
+    def flip_byte(path, at):
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0x01]))
+
+    @staticmethod
+    def forge(path, tag, arrays, dtypes, points=None):
+        """Write ``arrays`` as the twin of ``path`` under the file's own
+        key, with their digest recomputed."""
+        key = twin.csv_key(tag, points)
+        with open(path, "rb") as fh:
+            key.update(fh.read())
+        twin.write_twin(path, key.digest(), arrays, dtypes)
+
+    @pytest.mark.parametrize("fault", [
+        "edited graph", "edited points", "other points", "truncated graph twin",
+        "truncated points twin", "flipped graph byte", "flipped points byte",
+        "forged graph index", "forged graph weight", "forged points twin",
+    ])
+    def test_refused_twin_gives_the_csv_answer(self, tmp_path, fault):
+        # Nodes 0-1-2 on a line and an isolated node 3.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+        g = graph_from_edges(points, "ball", 1.5, None,
+                             lambda *_: ([0, 1], [1, 2], [1.0, 1.25]))
+        pts, path = write_files(tmp_path, g)
+        other = None
+        if fault == "edited graph":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("0,2,2\n")
+        elif fault == "edited points":
+            # Node 1 moves onto node 0, so the graph file fails to read.
+            with open(pts, "r+", encoding="utf-8") as fh:
+                text = fh.read().split("\n")
+                text[2] = text[1]
+                fh.seek(0)
+                fh.write("\n".join(text))
+        elif fault == "other points":
+            other = points.copy()
+            other[1] = other[0]
+        elif fault.startswith("truncated"):
+            target = twin.twin_path(path if "graph" in fault else pts)
+            os.truncate(target, os.path.getsize(target) - 8)
+        elif fault == "flipped graph byte":
+            # The low byte of the first weight: still finite and positive.
+            self.flip_byte(twin.twin_path(path), len(twin.MAGIC) + 64 + 3 * 8)
+        elif fault == "flipped points byte":
+            self.flip_byte(twin.twin_path(pts), os.path.getsize(twin.twin_path(pts)) - 1)
+        elif fault.startswith("forged graph"):
+            # An index out of range, or an infinite weight.
+            indices, weights = g.indices.copy(), g.weights.copy()
+            if fault.endswith("index"):
+                indices[0] = g.n
+            else:
+                weights[-1] = np.inf
+            self.forge(path, graph.GRAPH_TWIN, (weights, g.indptr, indices),
+                       graph.GRAPH_DTYPES, points)
+        else:
+            forged = points.copy()
+            forged[0, 0] = np.nan
+            self.forge(pts, surfaces.POINTS_TWIN, (forged.shape, forged), surfaces.POINTS_DTYPES)
+        with_twins = loaded(pts, path, other)
+        want = without_twins(pts, path, other)
+        assert with_twins == want
+        if fault in ("edited points", "other points"):
+            assert want == ("error", f"{path}:2: edge joins coincident points")

@@ -60,6 +60,28 @@ def test_dist_reads_each_file_inside_one_traced_span(tmp_path, capsys):
     assert names.count("surfaces.points_io") == 1
 
 
+def test_dist_reads_each_twin_inside_one_traced_span(tmp_path, capsys):
+    """Files that ``sample`` and ``graph`` wrote have twins, and
+    ``dist`` loads each inside the span of the reader it calls."""
+    pts, g = tmp_path / "pts.csv", tmp_path / "g.csv"
+    assert geoknot.cli.main(["sample", "--surface", "sphere", "--n", "66",
+                             "--out", str(pts)]) == 0
+    assert geoknot.cli.main(["graph", "--points", str(pts), "--r", "0.5",
+                             "--out", str(g)]) == 0
+    assert (tmp_path / "pts.csv.twin").exists() and (tmp_path / "g.csv.twin").exists()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = geoknot.cli.main(["dist", "--graph", str(g), "--points", str(pts),
+                                 "--src", "0", "--dst", "5", "--kappa", "4"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[3] for span in tracer.spans]
+    assert names.count("graph.csv_read") == 1
+    assert names.count("surfaces.points_io") == 1
+
+
 def test_engine_work_stays_inside_the_traced_methods(tmp_path, capsys):
     """The tracer times the engine through a subclass that overrides
     ``__init__`` and ``distances``; one constrained-upper run builds one

@@ -1,0 +1,119 @@
+"""Pinned report digests: every checked ``geoknot verify`` report, bit for bit.
+
+``report_digests.json`` holds, for each run, the sha256 of its CSV
+report, the sha256 of its summary JSON with ``runtime_s`` and the search
+counts removed, and the search counts (``evaluations``,
+``searched_sources``, ``re_searched_sources``) as plain values, one set
+per report of the run.  A change that only moves the work a runner does
+changes the counts alone, and the diff of this file shows it.
+
+The runs are certify's five (``perfbench/spec.json``) at two seeds, an
+unconstrained-upper run with perturbed weights, and a constrained-upper
+run on a uniform-random sample (certify's bisecting run is a grid).  A
+change that alters a pinned value on purpose writes the file again::
+
+    PYTHONPATH=src python tests/test_report_digests.py
+
+and names each changed key, and why, in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from geoknot.cli import main
+
+CORPUS = Path(__file__).with_name("report_digests.json")
+
+CERTIFY_RUNS = [
+    ["--experiment", "constrained-upper", "--surface", "sphere", "--mode", "grid",
+     "--n", "1000", "--r", "0.2", "--alpha", "0.25", "--kappa", "1", "--pairs", "30"],
+    ["--experiment", "constrained-upper", "--surface", "sphere", "--mode", "grid",
+     "--n", "4000", "--r", "0.2", "--alpha", "0.25", "--kappa", "1", "--kappa-prime", "3",
+     "--pairs", "30"],
+    ["--experiment", "unconstrained-upper", "--surface", "sphere", "--mode", "grid",
+     "--n", "4000", "--pairs", "400"],
+    ["--experiment", "unconstrained-lower", "--surface", "cylinder", "--height", "4",
+     "--mode", "uniform-random", "--n", "8000", "--r", "0.15", "--pairs", "400"],
+    ["--experiment", "constrained-lower", "--surface", "sphere", "--mode", "uniform-random",
+     "--n", "4000", "8000", "--r", "0.25", "--pairs", "50"],
+]
+EXTRA_RUNS = [
+    ["--experiment", "unconstrained-upper", "--surface", "sphere", "--mode", "grid",
+     "--n", "1000", "--pairs", "50", "--perturb-weights", "0.5", "--seed", "5"],
+    ["--experiment", "constrained-upper", "--surface", "sphere", "--mode", "uniform-random",
+     "--n", "800", "--r", "0.35", "--alpha", "0.25", "--kappa", "1", "--pairs", "12",
+     "--seed", "5"],
+]
+RUNS = [[*argv, "--seed", str(seed)] for seed in (11, 12) for argv in CERTIFY_RUNS] + EXTRA_RUNS
+
+COUNT_KEYS = ("searched_sources", "re_searched_sources")
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def digests(argv: list, workdir: Path) -> dict:
+    """Exit code, report digests and search counts of one verify run."""
+    csv_path, json_path = workdir / "report.csv", workdir / "report.json"
+    for path in (csv_path, json_path):
+        path.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", *argv, "--out-csv", str(csv_path), "--out-json", str(json_path)])
+    if not json_path.exists():
+        return {"exit": code}
+    summary = json.loads(json_path.read_text(encoding="utf-8"))
+    counts = []
+    for rep in summary["reports"]:
+        rep["summary"].pop("runtime_s")
+        sizes = rep["summary"].get("sizes", {})
+        counts.append({
+            "evaluations": rep["summary"].pop("evaluations", None),
+            **{key: sizes.pop(key, None) for key in COUNT_KEYS},
+        })
+    canonical = json.dumps(summary, sort_keys=True).encode("utf-8")
+    return {
+        "exit": code,
+        "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "summary_sha256": hashlib.sha256(canonical).hexdigest(),
+        "counts": counts,
+    }
+
+
+def _pinned() -> dict:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[" ".join(argv) for argv in RUNS])
+def test_report_matches_its_pinned_digests(argv, tmp_path):
+    corpus = _pinned()
+    want = {run["argv"]: run for run in corpus["runs"]}[" ".join(argv)]
+    got = digests(argv, tmp_path)
+    assert got == {k: want[k] for k in want if k != "argv"}, (
+        f"report digests moved; pinned under {corpus['versions']}, "
+        f"running under {versions()}"
+    )
+
+
+def test_corpus_pins_every_run():
+    assert [run["argv"] for run in _pinned()["runs"]] == [" ".join(argv) for argv in RUNS]
+
+
+def write_corpus(workdir: Path):
+    runs = [{"argv": " ".join(argv), **digests(argv, workdir)} for argv in RUNS]
+    CORPUS.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1) + "\n",
+                      encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(Path(tmp))

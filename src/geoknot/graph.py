@@ -15,6 +15,7 @@ all-pairs builder is retained for small inputs as the testing oracle.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,10 @@ BRUTE_FORCE_LIMIT = 2000
 # _kdtree_edges measures candidate pairs in blocks of this many, so its
 # scratch differences stay small next to the edge list it returns.
 EDGE_BLOCK = 1 << 16
+
+# NeighborhoodGraph.chord_ratio measures the slots in blocks of this
+# many, so its scratch stays small next to the layout.
+RATIO_BLOCK = 1 << 14
 
 # One edge-list row of a graph file.
 EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
@@ -93,6 +98,37 @@ class NeighborhoodGraph:
         return csr_matrix(
             (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
         )
+
+    @functools.cached_property
+    def chord_ratio(self) -> float:
+        """rho, a lower bound on every slot's weight over its Euclidean
+        length, or 0 when there is none to trust; the chord lens of
+        ``paths.shortest_distances`` reads it.
+
+        Each slot is measured by :func:`_lengths`, the arithmetic that
+        weighs a built graph.  The least float quotient, stepped down one
+        ulp, is at most every exact quotient; when no weight is below its
+        length, 1 is at most every quotient too, and the larger of the
+        two is kept.  So a built graph has rho = 1 exactly, and a
+        perturbed one about 1/(1 + p).  A slot whose length overflows
+        gives a quotient of 0; a slot shorter than 2**-400, whose squares
+        may have underflowed, or a graph with no slot gives 0 as well.
+
+        It is computed once per graph object (a perturbed graph is a new
+        one), RATIO_BLOCK slots at a time, so no slot-long array is made.
+        """
+        least, shortest, short = math.inf, math.inf, False
+        for s, e, rows in _slot_blocks(self.indptr, self.indices, RATIO_BLOCK):
+            lengths = _lengths(self.points, rows, self.indices[s:e])
+            weights = self.weights[s:e]
+            with np.errstate(over="ignore", under="ignore"):
+                least = min(least, float((weights / lengths).min()))
+            shortest = min(shortest, float(lengths.min()))
+            short = short or bool((weights < lengths).any())
+        if not (shortest >= 2.0**-400 and 0.0 < least < math.inf):
+            return 0.0
+        rho = math.nextafter(least, 0.0)
+        return rho if short else max(rho, 1.0)
 
 
 def _points_of(sample) -> np.ndarray:
@@ -292,15 +328,21 @@ def _slot_lengths(pts, indptr, indices) -> np.ndarray:
     """The Euclidean length of every slot of a CSR layout, a block of
     slots at a time, so no edge-long row array is made."""
     out = np.empty(len(indices))
-    for s in range(0, len(indices), EDGE_BLOCK):
-        e = min(s + EDGE_BLOCK, len(indices))
+    for s, e, rows in _slot_blocks(indptr, indices, EDGE_BLOCK):
+        out[s:e] = _lengths(pts, rows, indices[s:e])
+    return out
+
+
+def _slot_blocks(indptr, indices, block: int):
+    """(s, e, rows) for each run of at most ``block`` slots of a CSR
+    layout: slots s..e-1 and the row that owns each of them."""
+    for s in range(0, len(indices), block):
+        e = min(s + block, len(indices))
         # The rows a..b-1 own slots s..e-1; clipping their bounds to the
         # block counts each row's slots in it.
         a = int(np.searchsorted(indptr, s, "right")) - 1
         b = int(np.searchsorted(indptr, e, "left"))
-        rows = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(indptr[a:b + 1].clip(s, e)))
-        out[s:e] = _lengths(pts, rows, indices[s:e])
-    return out
+        yield s, e, np.repeat(np.arange(a, b, dtype=np.int32), np.diff(indptr[a:b + 1].clip(s, e)))
 
 
 def build_graph(

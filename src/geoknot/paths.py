@@ -34,6 +34,13 @@ search settles every node on it with the same value.  Nodes beyond
 the limit read ``inf``; a caller that needs them searches again
 without one.
 
+:func:`shortest_distances` also takes the targets a caller reads from
+each bounded row and then searches only the source's chord lens: the
+rows of the nodes that a walk no longer than the limit to a target can
+visit, since a walk is never shorter than its chord
+(:func:`_chord_lens`).  The row stays exact at the targets and on every
+such walk, so the turns read from it are the same too.
+
 The single-pair queries :func:`query_shortest` and
 :func:`query_constrained` answer one source and target from the
 compiled searches and return the :class:`PathResult` of the references
@@ -323,7 +330,7 @@ def brute_force_constrained(
 # millions of edges; these wrap the compiled searches while the pure
 # implementations above stay as the tested reference.
 
-def shortest_distances(g: NeighborhoodGraph, sources) -> np.ndarray:
+def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarray:
     """Unconstrained distances from many sources at once, one row per
     source.
 
@@ -332,14 +339,118 @@ def shortest_distances(g: NeighborhoodGraph, sources) -> np.ndarray:
     symmetrisation.  A list of sources is searched in one batched call.
     A mapping {source: limit} runs one search per source, stopped at
     its limit (see the module docstring).
+
+    ``targets`` {source: [target, ...]} names the nodes a caller reads
+    from each row of such a mapping.  A source with a finite limit and
+    targets is then searched on its chord lens alone (:func:`_chord_lens`):
+    the nodes outside keep their label but are never expanded.  Its row
+    is exact at every target and at every node of a walk to a target
+    that is no longer than the limit; a target beyond the limit reads
+    ``inf``, as without the lens.  Elsewhere the row reads ``inf`` or a
+    value at least the distance.  A source without targets, or with an
+    infinite limit, is searched on the whole graph.
     """
     mat = g.to_csr()
     if not isinstance(sources, Mapping):
         return _csgraph_dijkstra(mat, directed=True, indices=list(sources))
+    targets = targets or {}
     out = np.empty((len(sources), g.n))
-    for k, (_, dist) in enumerate(_searches(mat, sources)):
-        out[k] = dist
+    for k, (s, limit) in enumerate(sources.items()):
+        lens = _chord_lens(g, int(s), limit, targets.get(s))
+        out[k] = _csgraph_dijkstra(mat if lens is None else lens, directed=True,
+                                   indices=int(s), limit=limit)
     return out
+
+
+def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr_matrix | None:
+    """g's CSR with the rows of the nodes outside the chord lens of
+    ``source`` emptied, or None when the search takes no lens: no
+    targets, an infinite limit, or no chord ratio rho to trust
+    (:attr:`NeighborhoodGraph.chord_ratio` is 0).
+
+    **The lens.**  A walk is never shorter than the chord between its
+    ends (Bernstein, de Silva, Langford and Tenenbaum 2000), so a walk of
+    length at most L from source s to a target t visits only nodes x
+    with rho * (|s - x| + |x - t|) <= L.  With key(x) = |s - x| + the
+    least |x - t| over the targets, measured as :func:`graph._lengths`
+    measures a slot, the lens holds the nodes where ``rho * key <= L *
+    tol`` is not false, for ``tol = 1 + (m + D + 8) * 2**-51``, m the
+    graph's slots and D its coordinates.  A chord or key that overflows
+    bounds nothing, so it is set to NaN, which the test keeps inside.
+
+    **Why tol suffices** (u = 2**-53).  Take a walk whose float length,
+    the search's sum, is C <= L, and a node x on it.
+
+    - The least float sum to a node is reached on a simple path, and a
+      node on a tight walk to t (as :func:`shortest_path_turns` reads
+      them) joins a simple path from s with one to t: the walk has
+      h <= m edges, as a component of k nodes has at least 2 (k - 1)
+      slots.
+    - The float sum C of h nonnegative weights is at least (1 - u)**h
+      times their exact sum S.
+    - A computed length, of a slot or a key's chord, lies within a
+      factor (1 +- u)**a of the exact Euclidean length, a = D / 2 + 2
+      (the differences, the squares, D - 1 additions and the root).
+      rho is at most every slot's weight over its computed length, so
+      rho times the exact chords, which the triangle inequality bounds
+      by the slots' exact lengths, is at most (1 - u)**-a * S.
+    - The key adds two chords and one rounding.  So ``rho * key`` is at
+      most (1 + u)**(a + 1) * (1 - u)**-(a + m) * L, below
+      ``(1 + 1.01 (m + D + 5) u) * L`` and so below ``L * tol``, and
+      rounding is monotone, so the float test keeps x.  tol itself is
+      exact: (m + D + 8) * 2**-51 is a multiple of 2**-52 below 1.
+    - Underflow stays far inside the slack.  Every slot that rho reads
+      is at least 2**-400 long, so its squares move it by a factor
+      below 1 + D * 2**-275.  A key's squares move it by at most
+      2 sqrt(D) * 2**-537, while rho * key is held against L, which is
+      at least the lightest weight, so at least rho * 2**-400 (a walk
+      with no edge has key 0).
+
+    **The slice.**  The lens rows are sliced from g's CSR with g's node
+    numbering and columns; every other row is empty.  Emptying rows
+    keeps the search exact on the lens: the walks above expand only
+    nodes inside it.
+    """
+    if not targets or not math.isfinite(limit):
+        return None
+    rho = g.chord_ratio
+    if not 0.0 < rho < math.inf:
+        return None
+    targets = np.unique(np.asarray(targets, dtype=np.int64))
+    if targets[0] < 0 or targets[-1] >= g.n:
+        raise ValueError("target out of range")
+    cols = np.ascontiguousarray(g.points.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = _chords(cols, targets[0])
+        for t in targets[1:]:
+            np.minimum(near, _chords(cols, t), out=near)
+        key = _chords(cols, source)
+        key += near
+        key[np.isinf(key)] = np.nan
+        tol = 1.0 + (len(g.indices) + len(cols) + 8) * 2.0**-51
+        inside = ~(rho * key > limit * tol)
+    rows = np.flatnonzero(inside)
+    counts = np.diff(g.indptr)[rows]
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    indptr[rows + 1] = counts
+    np.cumsum(indptr, out=indptr)
+    # Lens row k's slots of g: its offset in g minus its offset in the
+    # slice, plus the running position.
+    slots = np.arange(indptr[-1]) + np.repeat(g.indptr[rows] - indptr[rows], counts)
+    return csr_matrix((g.weights[slots], g.indices[slots], indptr), shape=(g.n, g.n))
+
+
+def _chords(cols, i: int) -> np.ndarray:
+    """The Euclidean distance from point i to every point, from the
+    coordinate columns ``cols``: the operations of
+    :func:`graph._lengths` (differences, squares, their sum, the root),
+    a column at a time."""
+    sq = None
+    for col in cols:
+        d = col - col[i]
+        d *= d
+        sq = d if sq is None else np.add(sq, d, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def _searches(mat, sources, offset: int = 0):

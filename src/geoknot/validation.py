@@ -296,6 +296,15 @@ def _graph_distance(row, j: int) -> float:
     return float(row[j])
 
 
+def _pair_targets(pair_list: list) -> dict:
+    """{i: [j, ...]}: the targets of each source of (i, j, oracle)
+    pairs, which :func:`shortest_distances` searches its chord lens for."""
+    targets = {}
+    for i, j, _ in pair_list:
+        targets.setdefault(i, []).append(j)
+    return targets
+
+
 def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) -> list:
     """``read(row, j)`` for each (i, j, oracle) pair, in pair order, from
     a distance row of i exact up to j; by default the graph distance.
@@ -348,8 +357,8 @@ def verify_unconstrained_upper(
     if eps > r / 4.0:
         raise GateError(f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}")
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
-    searches = Counter()
-    graph = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
+    searches, targets = Counter(), _pair_targets(pair_list)
+    graph = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
     report = BoundReport(
         experiment="unconstrained-upper",
@@ -397,8 +406,8 @@ def verify_unconstrained_lower(
     _check_graph_run(surface, r, pairs, perturb_weights)
     sample = sample_surface(surface, mode, n, seed)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
-    searches = Counter()
-    graph = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches)
+    searches, targets = Counter(), _pair_targets(pair_list)
+    graph = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
     report = BoundReport(
         experiment="unconstrained-lower",
@@ -564,7 +573,8 @@ def verify_constrained_lower(
             curves = [path_max_curvature(sample.points[list(t)]) for t in turns]
             return float(row[j]), max(curves, default=0.0)
 
-        found = _graph_rows(lambda s: shortest_distances(g, s), pair_list, searches, read)
+        targets = _pair_targets(pair_list)
+        found = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches, read)
         certified = eps <= alpha * kappa * r**2 / C_GATE
         report = BoundReport(
             experiment="constrained-lower",

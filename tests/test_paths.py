@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geoknot import (
     EdgeStateEngine,
@@ -16,6 +16,7 @@ from geoknot import (
     discrete_curvature,
     graph_from_edges,
     path_from_predecessors,
+    perturb_graph_weights,
     path_max_curvature,
     query_constrained,
     query_shortest,
@@ -495,6 +496,119 @@ def all_shortest_turns(g, source, target):
 
     walk([source], 0.0)
     return turns
+
+
+def scaled(g, scale):
+    """g with its points and weights multiplied by ``scale``."""
+    ii, jj, ww = g.edge_list()
+    return graph_from_edges(g.points * scale, g.kind, g.r * scale, g.alpha,
+                            lambda *_: (ii, jj, ww * scale))
+
+
+def line_graph(xs, edges):
+    """A graph over points (x, 0) with the weighted edges (i, j, w)."""
+    pts = np.array([[x, 0.0] for x in xs])
+    ii, jj, ww = (np.array(col) for col in zip(*edges))
+    return graph_from_edges(pts, "ball", 100.0, None, lambda *_: (ii, jj, ww))
+
+
+def perturbed_samples(n, seed, p):
+    g = build_graph(sample_surface(sphere(1.0), "uniform-random", n, seed), kind="ball", r=0.6)
+    return perturb_graph_weights(g, p)
+
+
+# The graphs of the lens twin: arbitrary weights (rho far below 1 or far
+# above), Euclidean ones, built ones perturbed, and points near 2**510,
+# where slot lengths stay finite but far chords overflow, or near 1e200,
+# where every length overflows and rho is 0.
+lens_graphs = st.builds(
+    scaled,
+    st.booleans().flatmap(lambda euclidean: split_graphs(euclidean=euclidean)),
+    st.sampled_from([1.0, 1.0, 2.0**510, 1e200]),
+) | st.builds(perturbed_samples, st.integers(20, 80), st.integers(0, 10**6),
+              st.sampled_from([0.0, 0.5, -0.5]))
+
+
+class TestChordLens:
+    """``shortest_distances`` with ``targets`` searches each source on
+    its chord lens; its slow twin is the unbounded row of the whole
+    graph."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(g=lens_graphs, picks=st.lists(st.integers(0, 10**6), min_size=2, max_size=4),
+           limit=st.sampled_from(["zero", "exact", "reach", "inside", "short"]))
+    # Chords from the source overflow at 2**510 and must stay inside.
+    @example(g=line_graph([-2 * 2.0**510, 0.0, 2 * 2.0**510],
+                          [(0, 1, 2 * 2.0**510), (1, 2, 2 * 2.0**510)]),
+             picks=[0, 2], limit="exact")
+    # A cheap detour far from the chord: rho is 0.02.
+    @example(g=line_graph([0.0, 5.0, 0.2], [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 10.0)]),
+             picks=[0, 2], limit="reach")
+    def test_rows_match_the_whole_graph(self, g, picks, limit):
+        s = picks[0] % g.n
+        whole = shortest_distances(g, [s])[0]
+        near = np.flatnonzero(np.isfinite(whole))
+        # Even picks name a node the source reaches, odd ones any node.
+        targets = [int(near[p % len(near)]) if p % 2 == 0 else p % g.n for p in picks[1:]]
+        d = whole[targets[0]] if math.isfinite(whole[targets[0]]) else 1.0
+        L = {"zero": 0.0, "exact": d, "reach": 1.25 * d, "inside": 3.0 * d,
+             "short": d / 3.0}[limit]
+        row = shortest_distances(g, {s: L}, {s: targets})[0]
+        for t in targets:
+            if whole[t] <= L:
+                assert row[t] == whole[t]
+                assert shortest_path_turns(g, row, t) == shortest_path_turns(g, whole, t)
+            else:
+                assert row[t] == math.inf
+        assert ((row >= whole) | (row == math.inf)).all()
+
+    def test_ratio_of_built_and_perturbed_graphs(self):
+        g = build_graph(sample_surface(sphere(1.0), "grid", 300), kind="ball", r=0.4)
+        assert g.chord_ratio == 1.0
+        for p in (0.5, -0.5):
+            rho = perturb_graph_weights(g, p).chord_ratio
+            assert 0.0 < 1.0 / (1.0 + p) - rho < 1e-15
+
+    @settings(derandomize=True, max_examples=30)
+    @given(split_graphs())
+    def test_ratio_bounds_every_exact_quotient(self, g):
+        from fractions import Fraction
+
+        from geoknot.graph import _lengths
+
+        rows = np.repeat(np.arange(g.n), g.degrees())
+        lengths = _lengths(g.points, rows, g.indices)
+        rho = Fraction(g.chord_ratio)
+        assert all(rho * Fraction(x) <= Fraction(w)
+                   for w, x in zip(g.weights.tolist(), lengths.tolist()))
+        assert g.chord_ratio > 0.0 or len(g.indices) == 0
+
+    def test_no_ratio_to_trust(self):
+        g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])
+        assert scaled(g, 1e200).chord_ratio == 0.0  # every length overflows
+        assert scaled(g, 2.0**-450).chord_ratio == 0.0  # squares underflow
+        no_edges = graph_from_edges(np.eye(2), "ball", 0.5, None, lambda *_: ([], []))
+        assert no_edges.chord_ratio == 0.0
+
+    def test_target_out_of_range(self):
+        g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="target out of range"):
+                shortest_distances(g, {0: 2.0}, {0: [bad]})
+
+    def test_whole_graph_without_targets_or_limit(self, monkeypatch):
+        g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])
+        lenses = []
+
+        def spy(*args, lens=paths._chord_lens):
+            lenses.append(lens(*args))
+            return lenses[-1]
+
+        monkeypatch.setattr(paths, "_chord_lens", spy)
+        shortest_distances(g, {0: 2.0, 1: math.inf, 2: 2.0}, {1: [2], 2: [1]})
+        assert [lens is None for lens in lenses] == [True, True, False]
+        # Node 0 lies off the lens of source 2 and target 1.
+        assert np.diff(lenses[2].indptr).tolist() == [0, 2, 1]
 
 
 class TestShortestPathTurns:

@@ -480,9 +480,9 @@ class TestSearchPerSource:
         and re-searched alike: one call per search they count."""
         calls = []
 
-        def spy(g, sources, search=validation.shortest_distances):
+        def spy(g, sources, targets=None, search=validation.shortest_distances):
             calls.append(len(sources))
-            return search(g, sources)
+            return search(g, sources, targets)
 
         monkeypatch.setattr(validation, "shortest_distances", spy)
         rep = verify_unconstrained_upper(sphere(1.0), 1000, pairs=150, seed=2,

@@ -432,11 +432,11 @@ def read_graph_csv(path: str, points) -> NeighborhoodGraph:
     the line loop, which returns the same graph or raises the message.
     """
     points = _points_of(points)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    g = _graph_twin(path, data, points)
+    g = _graph_twin(path, points)
     if g is not None:
         return g
+    with open(path, "rb") as fh:
+        data = fh.read()
     text = _csv_text(path, data)
     del data  # the text holds it now
     head, _, body = text.partition("\n")
@@ -454,10 +454,9 @@ def read_graph_csv(path: str, points) -> NeighborhoodGraph:
     return _graph_by_line(path, text, points)
 
 
-def _graph_twin(path, data, points) -> NeighborhoodGraph | None:
+def _graph_twin(path, points) -> NeighborhoodGraph | None:
     """The graph that ``path``'s twin holds, or None if there is no twin
-    that :func:`read_graph_csv` may use for the file bytes ``data`` and
-    ``points``.
+    that :func:`read_graph_csv` may use for the file and ``points``.
 
     The twin holds a layout that :func:`graph_from_edges` made, bound to
     the file's bytes and the points, so its edges passed every rule;
@@ -467,13 +466,14 @@ def _graph_twin(path, data, points) -> NeighborhoodGraph | None:
     in [0, n) and every weight finite and positive.  A twin that fails
     is ignored, so a forged one cannot make a search read out of bounds.
     """
-    arrays = read_twin(path, data, GRAPH_TWIN, GRAPH_DTYPES, points)
-    if arrays is None:
+    found = read_twin(path, GRAPH_TWIN, GRAPH_DTYPES, points)
+    if found is None:
         return None
-    weights, indptr, indices = arrays
+    head, (weights, indptr, indices) = found
     try:
-        # index() finds the header's end without copying the rows.
-        kind, r, alpha = _header(path, data[:data.index(b"\n")].decode("utf-8").strip())
+        if not head.endswith(b"\n"):
+            raise ValueError("no header line")
+        kind, r, alpha = _header(path, head.decode("utf-8").strip())
         check_graph_params(kind, r, alpha)
     except ValueError:
         return None

@@ -555,11 +555,11 @@ def read_points_csv(path: str) -> np.ndarray:
     numpy pass, and any other file goes through the line loop, which
     returns the same array or raises the message.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    pts = _points_twin(path, data)
+    pts = _points_twin(path)
     if pts is not None:
         return pts
+    with open(path, "rb") as fh:
+        data = fh.read()
     text = _csv_text(path, data)
     del data  # the text holds it now
     if "#" not in text:
@@ -570,13 +570,13 @@ def read_points_csv(path: str) -> np.ndarray:
     return _frozen(pts)
 
 
-def _points_twin(path: str, data: bytes):
+def _points_twin(path: str):
     """The points of ``path``'s twin, or None if there is no twin that
-    :func:`read_points_csv` may use for the file bytes ``data``."""
-    arrays = read_twin(path, data, POINTS_TWIN, POINTS_DTYPES)
-    if arrays is None:
+    :func:`read_points_csv` may use for the file."""
+    found = read_twin(path, POINTS_TWIN, POINTS_DTYPES)
+    if found is None:
         return None
-    shape, flat = arrays
+    shape, flat = found[1]
     if len(shape) != 2 or min(shape) < 1 or int(shape[0]) * int(shape[1]) != len(flat):
         return None
     if not np.isfinite(flat).all():

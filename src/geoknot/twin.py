@@ -15,10 +15,10 @@ is one raw blob, read in one ``read()``:
                         multiple of 8 bytes
 
 A reader takes a twin only if it is whole and its key is the key of the
-CSV bytes it just read, and then checks what the arrays must satisfy;
-anything else (no twin, an older CSV, other points, a torn or corrupt
-file) sends it to the CSV.  Nothing here parses or checks the arrays'
-meaning: that is the reader's.
+CSV file's bytes, hashed a block at a time as they are read, and then
+checks what the arrays must satisfy; anything else (no twin, an older
+CSV, other points, a torn or corrupt file) sends it to the CSV.  Nothing
+here parses or checks the arrays' meaning: that is the reader's.
 """
 
 import contextlib
@@ -32,6 +32,9 @@ MAGIC = b"GKTWIN1\n"
 
 # Lines of text joined per write while a CSV file is written.
 LINE_BLOCK = 4096
+
+# Bytes of a CSV file read per step while its key is computed.
+HASH_BLOCK = 1 << 16
 
 
 def twin_path(csv_path: str) -> str:
@@ -86,12 +89,17 @@ def write_twin(csv_path: str, key: bytes, arrays, dtypes):
             os.remove(tmp)
 
 
-def read_twin(csv_path: str, data: bytes, tag: bytes, dtypes, points=None):
-    """The arrays of ``csv_path``'s twin, one 1-D array per dtype, or
-    None unless the twin is whole, holds exactly that many arrays and is
-    bound to ``data``, the CSV file's bytes, under the format ``tag``
-    and the ``points`` (:func:`csv_key`).  The arrays share one writable
-    buffer."""
+def read_twin(csv_path: str, tag: bytes, dtypes, points=None):
+    """(head, arrays) of ``csv_path``'s twin: the CSV file's first line
+    (up to HASH_BLOCK bytes, its line end included) and one 1-D array per
+    dtype, sharing one writable buffer.  None unless the twin is whole,
+    holds exactly that many arrays and is bound to the CSV file's bytes
+    under the format ``tag`` and the ``points`` (:func:`csv_key`).
+
+    The CSV file is only hashed, HASH_BLOCK bytes at a time, so a read
+    from the twin never holds the file's bytes; the head is read as the
+    first of those blocks, so it comes from the bytes the key binds.
+    """
     try:
         with open(twin_path(csv_path), "rb") as fh:
             blob = bytearray(os.fstat(fh.fileno()).st_size)
@@ -103,7 +111,14 @@ def read_twin(csv_path: str, data: bytes, tag: bytes, dtypes, points=None):
     if not whole or len(blob) < start or blob[:len(MAGIC)] != MAGIC:
         return None
     key = csv_key(tag, points)
-    key.update(data)
+    try:
+        with open(csv_path, "rb") as fh:
+            head = fh.readline(HASH_BLOCK)
+            key.update(head)
+            while block := fh.read(HASH_BLOCK):
+                key.update(block)
+    except OSError:
+        return None
     if blob[len(MAGIC):len(MAGIC) + 32] != key.digest():
         return None
     counts = [int(c) for c in np.frombuffer(blob, "<i8", len(dtypes), counts_at)]
@@ -116,4 +131,4 @@ def read_twin(csv_path: str, data: bytes, tag: bytes, dtypes, points=None):
     for count, dtype, size in zip(counts, dtypes, sizes):
         arrays.append(np.frombuffer(blob, dtype, count, at))
         at += size + -size % 8
-    return arrays
+    return head, arrays

@@ -13,6 +13,7 @@ ignored.
 
 import contextlib
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import split_graphs
 from test_paths import tied_graphs
 from geoknot import graph, surfaces, twin
-from geoknot.graph import graph_from_edges, read_graph_csv, write_graph_csv
-from geoknot.surfaces import SampleSet, read_points_csv, sphere, write_points_csv
+from geoknot.graph import build_graph, graph_from_edges, read_graph_csv, write_graph_csv
+from geoknot.surfaces import (
+    SampleSet, read_points_csv, sample_surface, sphere, write_points_csv,
+)
 from geoknot.validation import perturb_graph_weights
 
 # Odd spellings of a number that Python's int/float and numpy both read,
@@ -281,6 +284,24 @@ class TestTwins:
             with_twins = loaded(pts, path)
         assert with_twins == without_twins(pts, path)
         assert with_twins[0] != "error"
+
+    def test_twin_read_holds_no_csv(self, tmp_path):
+        """The CSV is only hashed, a block at a time, when its twin is
+        taken: reading a graph file of over 1 MB from its twin peaks
+        below the file's size."""
+        sample = sample_surface(sphere(1.0), "uniform-random", 3000, 3)
+        g = build_graph(sample, kind="ball", r=0.3)
+        _, path = write_files(tmp_path, g)
+        size = os.path.getsize(path)
+        assert size >= 2**20
+        tracemalloc.start()
+        try:
+            read = read_graph_csv(path, g.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read.weights, g.weights)
+        assert peak < size
 
     @staticmethod
     def flip_byte(path, at):

@@ -1043,5 +1043,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "chord-bound" in proc.stdout
 
+    def test_package_invocation(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "geoknot", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "verify" in proc.stdout
+
     def test_console_script_installed(self):
         assert shutil.which("geoknot") is not None

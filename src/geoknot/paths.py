@@ -435,8 +435,10 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
     indptr[rows + 1] = counts
     np.cumsum(indptr, out=indptr)
     # Lens row k's slots of g: its offset in g minus its offset in the
-    # slice, plus the running position.
-    slots = np.arange(indptr[-1]) + np.repeat(g.indptr[rows] - indptr[rows], counts)
+    # slice, plus the running position (int32, like g's own slot ids,
+    # and added in place, to keep a large lens's scratch small).
+    slots = np.repeat(g.indptr[rows] - indptr[rows], counts)
+    slots += np.arange(indptr[-1], dtype=np.int32)
     return csr_matrix((g.weights[slots], g.indices[slots], indptr), shape=(g.n, g.n))
 
 

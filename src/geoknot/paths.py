@@ -420,7 +420,7 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
     if targets[0] < 0 or targets[-1] >= g.n:
         raise ValueError("target out of range")
     cols = np.ascontiguousarray(g.points.T)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         near = _chords(cols, targets[0])
         for t in targets[1:]:
             np.minimum(near, _chords(cols, t), out=near)

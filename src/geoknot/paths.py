@@ -350,14 +350,13 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
     value at least the distance.  A source without targets, or with an
     infinite limit, is searched on the whole graph.
     """
-    mat = g.to_csr()
     if not isinstance(sources, Mapping):
-        return _csgraph_dijkstra(mat, directed=True, indices=list(sources))
+        return _csgraph_dijkstra(g.to_csr(), directed=True, indices=list(sources))
     targets = targets or {}
     out = np.empty((len(sources), g.n))
     for k, (s, limit) in enumerate(sources.items()):
         lens = _chord_lens(g, int(s), limit, targets.get(s))
-        out[k] = _csgraph_dijkstra(mat if lens is None else lens, directed=True,
+        out[k] = _csgraph_dijkstra(g.to_csr() if lens is None else lens, directed=True,
                                    indices=int(s), limit=limit)
     return out
 

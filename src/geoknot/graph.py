@@ -29,13 +29,10 @@ from .twin import csv_key, read_twin, write_csv, write_twin
 
 BRUTE_FORCE_LIMIT = 2000
 
-# _kdtree_edges measures candidate pairs in blocks of this many, so its
-# scratch differences stay small next to the edge list it returns.
+# The builder measures candidate pairs, and the layout and
+# NeighborhoodGraph.chord_ratio measure slots, in blocks of this many, so
+# their scratch stays small next to the edge list or layout.
 EDGE_BLOCK = 1 << 16
-
-# NeighborhoodGraph.chord_ratio measures the slots in blocks of this
-# many, so its scratch stays small next to the layout.
-RATIO_BLOCK = 1 << 14
 
 # One edge-list row of a graph file.
 EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
@@ -115,10 +112,10 @@ class NeighborhoodGraph:
         may have underflowed, or a graph with no slot gives 0 as well.
 
         It is computed once per graph object (a perturbed graph is a new
-        one), RATIO_BLOCK slots at a time, so no slot-long array is made.
+        one), EDGE_BLOCK slots at a time, so no slot-long array is made.
         """
         least, shortest, short = math.inf, math.inf, False
-        for s, e, rows in _slot_blocks(self.indptr, self.indices, RATIO_BLOCK):
+        for s, e, rows in _slot_blocks(self.indptr, self.indices):
             lengths = _lengths(self.points, rows, self.indices[s:e])
             weights = self.weights[s:e]
             with np.errstate(over="ignore", under="ignore"):
@@ -328,16 +325,16 @@ def _slot_lengths(pts, indptr, indices) -> np.ndarray:
     """The Euclidean length of every slot of a CSR layout, a block of
     slots at a time, so no edge-long row array is made."""
     out = np.empty(len(indices))
-    for s, e, rows in _slot_blocks(indptr, indices, EDGE_BLOCK):
+    for s, e, rows in _slot_blocks(indptr, indices):
         out[s:e] = _lengths(pts, rows, indices[s:e])
     return out
 
 
-def _slot_blocks(indptr, indices, block: int):
-    """(s, e, rows) for each run of at most ``block`` slots of a CSR
+def _slot_blocks(indptr, indices):
+    """(s, e, rows) for each run of at most EDGE_BLOCK slots of a CSR
     layout: slots s..e-1 and the row that owns each of them."""
-    for s in range(0, len(indices), block):
-        e = min(s + block, len(indices))
+    for s in range(0, len(indices), EDGE_BLOCK):
+        e = min(s + EDGE_BLOCK, len(indices))
         # The rows a..b-1 own slots s..e-1; clipping their bounds to the
         # block counts each row's slots in it.
         a = int(np.searchsorted(indptr, s, "right")) - 1

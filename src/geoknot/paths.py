@@ -454,15 +454,6 @@ def _chords(cols, i: int) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _searches(mat, sources, offset: int = 0):
-    """(source, row) of one compiled search per source, from node
-    ``offset + source`` of ``mat``: up to its limit for a mapping
-    {source: limit}, unbounded for a list of sources."""
-    items = sources.items() if isinstance(sources, Mapping) else [(s, math.inf) for s in sources]
-    for s, limit in items:
-        yield int(s), _csgraph_dijkstra(mat, directed=True, indices=offset + int(s), limit=limit)
-
-
 class EdgeStateEngine:
     """Curvature-constrained distances in bulk over one fixed graph.
 
@@ -568,15 +559,18 @@ class EdgeStateEngine:
 
     def _state_rows(self, kappa: float, sources):
         """(source, row) of one search per source at the finite cap
-        kappa, the row holding the distance of every state, as
-        :meth:`distances` takes its sources."""
+        kappa, from the source's start row, the row holding the distance
+        of every state: up to its limit for a mapping {source: limit},
+        unbounded for a list of sources."""
         if kappa != self._cap:
             self._cap = self._mat = None  # never two caps' layouts at once
             self._mat = self._state_csr(kappa)
             self._cap = kappa
         m = self.states
-        for s, dist in _searches(self._mat, sources, offset=m):
-            yield s, dist[:m]
+        items = sources.items() if isinstance(sources, Mapping) else [(s, math.inf) for s in sources]
+        for s, limit in items:
+            dist = _csgraph_dijkstra(self._mat, directed=True, indices=m + int(s), limit=limit)
+            yield int(s), dist[:m]
 
     def _geometry(self) -> tuple:
         """The per-slot geometry of one turn pass: (rank, cols, off, sq,

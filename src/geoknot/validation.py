@@ -296,41 +296,37 @@ def _graph_distance(row, j: int) -> float:
     return float(row[j])
 
 
-def _pair_targets(pair_list: list) -> dict:
-    """{i: [j, ...]}: the targets of each source of (i, j, oracle)
-    pairs, which :func:`shortest_distances` searches its chord lens for."""
-    targets = {}
-    for i, j, _ in pair_list:
-        targets.setdefault(i, []).append(j)
-    return targets
-
-
 def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) -> list:
     """``read(row, j)`` for each (i, j, oracle) pair, in pair order, from
     a distance row of i exact up to j; by default the graph distance.
 
-    ``search`` takes a one-source mapping {source: limit} and returns
-    that source's (1, n) distance matrix.  The sources are searched one
-    at a time, in sorted order, up to SEARCH_REACH times their farthest
-    pair's oracle; a source with a pair beyond that is searched again
-    without a limit, and all its pairs read from that row.  Each row is
-    read before the next source is searched, so one distance row is
-    alive at a time.  ``counts`` accumulates both search counts.
+    ``search(sources, targets)`` takes a one-source mapping {source:
+    limit} and that source's own targets {source: [j, ...]}, and returns
+    the source's (1, n) distance matrix, with the row contract of
+    :func:`shortest_distances`: exact at each target within the limit
+    and on every walk to it no longer than the limit, ``inf`` at a
+    target beyond it.  A search may ignore the targets.  The sources are searched one at a time, in sorted
+    order, up to SEARCH_REACH times their farthest pair's oracle; a
+    source with a pair beyond that is searched again without a limit,
+    and all its pairs read from that row.  Each row is read before the
+    next source is searched, so one distance row is alive at a time.
+    ``counts`` accumulates both search counts.
     """
     reach, targets = {}, {}
-    for k, (i, j, oracle) in enumerate(pair_list):
+    for i, j, oracle in pair_list:
         reach[i] = max(reach.get(i, 0.0), oracle)
-        targets.setdefault(i, []).append((k, j))
-    out = [None] * len(pair_list)
+        targets.setdefault(i, []).append(j)
+    found = {}
     counts.update(searched_sources=len(reach), re_searched_sources=0)
     for s in sorted(reach):
-        row = search({s: SEARCH_REACH * reach[s]})[0]
-        if any(math.isinf(row[j]) for _, j in targets[s]):
+        own = {s: targets[s]}
+        row = search({s: SEARCH_REACH * reach[s]}, own)[0]
+        if any(math.isinf(row[j]) for j in targets[s]):
             counts["re_searched_sources"] += 1
-            row = search({s: math.inf})[0]
-        for k, j in targets[s]:
-            out[k] = read(row, j)
-    return out
+            row = search({s: math.inf}, own)[0]
+        found[s] = iter([read(row, j) for j in targets[s]])
+    # A source's targets are listed in pair order, so are its reads.
+    return [next(found[i]) for i, _, _ in pair_list]
 
 
 def verify_unconstrained_upper(
@@ -357,8 +353,8 @@ def verify_unconstrained_upper(
     if eps > r / 4.0:
         raise GateError(f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}")
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
-    searches, targets = Counter(), _pair_targets(pair_list)
-    graph = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches)
+    searches = Counter()
+    graph = _graph_rows(lambda s, t: shortest_distances(g, s, t), pair_list, searches)
     factor = 1.0 + 4.0 * eps / r
     report = BoundReport(
         experiment="unconstrained-upper",
@@ -406,8 +402,8 @@ def verify_unconstrained_lower(
     _check_graph_run(surface, r, pairs, perturb_weights)
     sample = sample_surface(surface, mode, n, seed)
     g, pair_list = _graph_and_pairs(sample, r, pairs, seed, perturb_weights)
-    searches, targets = Counter(), _pair_targets(pair_list)
-    graph = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches)
+    searches = Counter()
+    graph = _graph_rows(lambda s, t: shortest_distances(g, s, t), pair_list, searches)
     factor = 1.0 + COMPARISON_CONSTANT * (kappa_s * r) ** 2
     report = BoundReport(
         experiment="unconstrained-lower",
@@ -475,9 +471,7 @@ def verify_constrained_upper(
     def graph_at(cap: float) -> list:
         nonlocal evaluations
         evaluations += 1
-        return _graph_rows(
-            lambda s: engine.distances(cap, s), pair_list, searches
-        )
+        return _graph_rows(lambda s, _: engine.distances(cap, s), pair_list, searches)
 
     def all_pass(graph: list) -> bool:
         return all(row.passed for row in _upper_rows(pair_list, graph, factor))
@@ -573,8 +567,7 @@ def verify_constrained_lower(
             curves = [path_max_curvature(sample.points[list(t)]) for t in turns]
             return float(row[j]), max(curves, default=0.0)
 
-        targets = _pair_targets(pair_list)
-        found = _graph_rows(lambda s: shortest_distances(g, s, targets), pair_list, searches, read)
+        found = _graph_rows(lambda s, t: shortest_distances(g, s, t), pair_list, searches, read)
         certified = eps <= alpha * kappa * r**2 / C_GATE
         report = BoundReport(
             experiment="constrained-lower",

@@ -501,12 +501,12 @@ class TestGraphRowsTwin:
            data=st.data())
     def test_reads_the_unbounded_rows(self, g, cap, data):
         if cap is None:
-            def search(sources):
-                return shortest_distances(g, sources)
+            def search(sources, targets=None):
+                return shortest_distances(g, sources, targets)
         else:
             engine = EdgeStateEngine(g)
 
-            def search(sources):
+            def search(sources, targets=None):
                 return engine.distances(cap, sources)
         whole = search(list(range(g.n)))
         pair_list = []

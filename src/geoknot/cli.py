@@ -209,6 +209,8 @@ def _or(value, default):
 
 
 def cmd_sample(args) -> int:
+    if args.seed is not None and args.mode != "uniform-random":
+        raise ValueError("--seed needs --mode uniform-random")
     _check_writable(args.out)
     spec = surface_from_json(_surface_args(args))
     sample = sample_surface(spec, args.mode, args.n, args.seed)

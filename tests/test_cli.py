@@ -116,6 +116,17 @@ class TestSample:
         ]
 
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "grid"]])
+    def test_seed_needs_uniform_random(self, tmp_path, capsys, mode):
+        # A grid sample reads no seed, so a seed given to one is refused,
+        # not silently ignored.
+        out = tmp_path / "x.csv"
+        assert run(["sample", "--surface", "sphere", *mode, "--n", 50, "--seed", 3,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seed needs --mode uniform-random"]
+        assert not out.exists()
+
     def test_directory_output_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before the output path was checked")

@@ -118,7 +118,7 @@ class NeighborhoodGraph:
         for s, e, rows in _slot_blocks(self.indptr, self.indices):
             lengths = _lengths(self.points, rows, self.indices[s:e])
             weights = self.weights[s:e]
-            with np.errstate(over="ignore", under="ignore"):
+            with np.errstate(over="ignore", under="ignore", divide="ignore"):
                 least = min(least, float((weights / lengths).min()))
             shortest = min(shortest, float(lengths.min()))
             short = short or bool((weights < lengths).any())

@@ -410,7 +410,7 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
     keeps the search exact on the lens: the walks above expand only
     nodes inside it.
     """
-    if not targets or not math.isfinite(limit):
+    if targets is None or len(targets) == 0 or not math.isfinite(limit):
         return None
     rho = g.chord_ratio
     if not 0.0 < rho < math.inf:
@@ -509,12 +509,10 @@ class EdgeStateEngine:
         return len(self.g.indices)
 
     @property
-    def transitions(self) -> int:
+    def transitions(self) -> int | None:
         """Finite-curvature transitions, counted by the first pass over
-        them (one is made here if no search has made it)."""
-        if self._transitions is None:
-            for _ in self._turns():
-                pass
+        them, or None before any pass: a search at kappa = inf makes
+        none."""
         return self._transitions
 
     def distinct_curvatures(self) -> np.ndarray:

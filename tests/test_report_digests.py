@@ -8,13 +8,15 @@ per report of the run.  A change that only moves the work a runner does
 changes the counts alone, and the diff of this file shows it.
 
 The runs are certify's five (``perfbench/spec.json``) at two seeds, an
-unconstrained-upper run with perturbed weights, and a constrained-upper
-run on a uniform-random sample (certify's bisecting run is a grid).  A
-change that alters a pinned value on purpose writes the file again::
+unconstrained-upper run with perturbed weights, a constrained-upper run
+on a uniform-random sample (certify's bisecting run is a grid) and one
+at kappa' = inf.  A change that alters a pinned value on purpose writes
+the file again::
 
     PYTHONPATH=src python tests/test_report_digests.py
 
-and names each changed key, and why, in CHANGES.md.
+which prints each run whose pinned values moved, with the keys that
+moved, and names each changed key, and why, in CHANGES.md.
 """
 
 import contextlib
@@ -50,10 +52,16 @@ EXTRA_RUNS = [
     ["--experiment", "constrained-upper", "--surface", "sphere", "--mode", "uniform-random",
      "--n", "800", "--r", "0.35", "--alpha", "0.25", "--kappa", "1", "--pairs", "12",
      "--seed", "5"],
+    ["--experiment", "constrained-upper", "--surface", "sphere", "--mode", "grid",
+     "--n", "4000", "--r", "0.2", "--alpha", "0.25", "--kappa", "1", "--kappa-prime", "inf",
+     "--pairs", "30", "--seed", "11"],
 ]
 RUNS = [[*argv, "--seed", str(seed)] for seed in (11, 12) for argv in CERTIFY_RUNS] + EXTRA_RUNS
 
 COUNT_KEYS = ("searched_sources", "re_searched_sources")
+
+# The values pinned per run, besides its argv.
+PINNED_KEYS = ("exit", "csv_sha256", "summary_sha256", "counts")
 
 
 def versions() -> dict:
@@ -106,10 +114,49 @@ def test_corpus_pins_every_run():
     assert [run["argv"] for run in _pinned()["runs"]] == [" ".join(argv) for argv in RUNS]
 
 
+def moved(pinned: list, fresh: list) -> list:
+    """(argv, keys) for each run of ``fresh`` whose pinned values differ
+    from those of the same argv in ``pinned``: the keys of PINNED_KEYS
+    that moved, in that order.  A run that ``pinned`` lacks moves every
+    key it has."""
+    old = {run["argv"]: run for run in pinned}
+    out = []
+    for run in fresh:
+        before = old.get(run["argv"], {})
+        keys = [key for key in PINNED_KEYS if before.get(key) != run.get(key)]
+        if keys:
+            out.append((run["argv"], keys))
+    return out
+
+
 def write_corpus(workdir: Path):
+    pinned = _pinned()["runs"] if CORPUS.exists() else []
     runs = [{"argv": " ".join(argv), **digests(argv, workdir)} for argv in RUNS]
     CORPUS.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1) + "\n",
                       encoding="utf-8")
+    for argv, keys in moved(pinned, runs):
+        print(f"{argv}: {', '.join(keys)} moved")
+
+
+def test_moved_names_each_changed_key():
+    pinned = [
+        {"argv": "a", "exit": 0, "csv_sha256": "c", "summary_sha256": "s", "counts": [1]},
+        {"argv": "b", "exit": 2},
+        {"argv": "gone", "exit": 0},
+    ]
+    fresh = [
+        {"argv": "a", "exit": 0, "csv_sha256": "c", "summary_sha256": "t", "counts": [2]},
+        {"argv": "b", "exit": 2},
+        {"argv": "new", "exit": 1, "csv_sha256": "c", "summary_sha256": "s", "counts": []},
+    ]
+    assert moved(pinned, fresh) == [
+        ("a", ["summary_sha256", "counts"]),
+        ("new", ["exit", "csv_sha256", "summary_sha256", "counts"]),
+    ]
+    assert moved(fresh, fresh) == []
+    # A run that stops writing its report moves its digests too.
+    assert moved(pinned[:1], [{"argv": "a", "exit": 2}]) == [
+        ("a", ["exit", "csv_sha256", "summary_sha256", "counts"])]
 
 
 if __name__ == "__main__":

@@ -199,6 +199,28 @@ class TestConstrainedUpper:
         assert rep.summary["evaluations"] == 1
         assert rep.summary["fitted_constants"]["kappa_prime_min"] is None
 
+    def test_infinite_cap_makes_no_turn_pass(self, monkeypatch):
+        # kappa' = inf is answered by plain Dijkstra, so no turn is ever
+        # computed, and the report counts none: transitions is null.
+        calls = []
+        geometry = EdgeStateEngine._geometry
+
+        def spy(engine):
+            calls.append(engine)
+            return geometry(engine)
+
+        monkeypatch.setattr(EdgeStateEngine, "_geometry", spy)
+        rep = verify_constrained_upper(
+            sphere(1.0), 200, r=0.4, alpha=0.25, kappa=2.0,
+            kappa_prime=math.inf, pairs=8,
+        )
+        assert calls == []
+        sizes = summary_payload(rep)["reports"][0]["summary"]["sizes"]
+        assert sizes["transitions"] is None
+        assert sizes["states"] == len(build_graph(
+            sample_surface(sphere(1.0), "grid", 200), kind="annulus", r=0.4, alpha=0.25
+        ).indices)
+
     def test_gates(self):
         with pytest.raises(GateError, match="alpha"):
             verify_constrained_upper(sphere(1.0), 100, r=0.4, alpha=0.3)

@@ -17,17 +17,29 @@ from hypothesis import settings, strategies as st
 from scipy.spatial import Voronoi, cKDTree
 
 from geoknot import (
+    COMPARISON_CONSTANT,
+    BoundReport,
+    GateError,
+    HardFailure,
+    PairCheck,
     PathResult,
+    build_graph,
     constrained_shortest,
     covering_radius,
+    curvature_bound,
     dijkstra,
     graph_from_edges,
     path_from_predecessors,
     path_max_curvature,
+    perturb_graph_weights,
     sample_surface,
+    select_pairs,
+    surface_label,
     surfaces,
 )
 from geoknot.geometry import _curvature_columns, _dot, turn_curvature
+from geoknot.paths import shortest_path_turns
+from geoknot.validation import C_GATE, _finish, _holds, _ratio
 
 settings.register_profile("geoknot", deadline=None, max_examples=60)
 settings.load_profile("geoknot")
@@ -173,18 +185,24 @@ def turn_curvatures(points, rank, u, v, w) -> np.ndarray:
     return _curvature_columns(a, b, c, _dot(a, a), np.sqrt(_dot(b, b)), _dot(a, b))
 
 
-def finite_turn_curvatures(g):
-    """Sorted distinct finite curvatures over every non-backtracking
-    triple u - v - w of the graph, one ``turn_curvature`` call each."""
+def finite_turns(g) -> list:
+    """The finite curvature of every non-backtracking triple u - v - w of
+    the graph, one ``turn_curvature`` call each, repeats kept."""
     coords = g.points.tolist()
-    found = set()
+    found = []
     for v in range(g.n):
         nbrs = g.neighbors(v)[0].tolist()
         for u in nbrs:
             for w in nbrs:
                 if u != w:
-                    found.add(turn_curvature(coords[u], coords[v], coords[w]))
-    return sorted(c for c in found if math.isfinite(c))
+                    found.append(turn_curvature(coords[u], coords[v], coords[w]))
+    return [c for c in found if math.isfinite(c)]
+
+
+def finite_turn_curvatures(g):
+    """Sorted distinct finite curvatures over every non-backtracking
+    triple u - v - w of the graph."""
+    return sorted(set(finite_turns(g)))
 
 
 @st.composite
@@ -274,3 +292,138 @@ def graph_edge_set(g):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def slow_report(runner: str, surface, n, r, pairs, seed, mode, perturb_weights,
+                alpha=None, kappa=None, kappa_prime=None) -> list:
+    """The slow twin of a graph runner: the reports that the runner named
+    ``runner`` returns for these arguments (constrained-lower takes a
+    list ``n``), built from the oracles alone.
+
+    It takes the runner's sample, its exact covering radius eps (none
+    for unconstrained-lower), ``select_pairs`` and
+    ``perturb_graph_weights``, builds the graph with ``build_graph(...,
+    method="brute")``, and reads graph distances from the hand-written
+    ``dijkstra``, one source at a time.  constrained-upper reads
+    ``constrained_shortest`` per pair and cap: kappa' is the largest of
+    the pairs' critical caps among kappa and the finite turn curvatures
+    above it, as ``TestExactCap`` finds them, or the top cap if a pair
+    fails there too.  constrained-lower reads ``shortest_path_turns``
+    from ``dijkstra`` rows.  No search is bounded, so the twin reports no
+    search counts and no ``evaluations``.
+    """
+    if runner == "constrained-lower":
+        return [_slow_lower(surface, m, r, pairs, seed, mode, perturb_weights, alpha, kappa)
+                for m in n]
+    sample = sample_surface(surface, mode, n, seed)
+    eps = None if runner == "unconstrained-lower" else covering_radius(sample).radius
+    r = 4.0 * eps if r is None else r
+    if runner == "unconstrained-upper" and eps > r / 4.0:
+        raise GateError(f"gate eps <= r/4 failed: eps = {eps:.6g}, r/4 = {r / 4.0:.6g}")
+    g, pair_list = _slow_graph(sample, r, pairs, seed, perturb_weights, alpha)
+    report = BoundReport(runner, surface_label(surface), sample.n, r=r, epsilon=eps)
+    if runner == "constrained-upper":
+        return [_slow_upper(report, g, pair_list, alpha, kappa, kappa_prime)]
+    rows = {}
+    graph = []
+    for i, j, _ in pair_list:
+        if i not in rows:
+            rows[i] = dijkstra(g, i).dist
+        graph.append(float(rows[i][j]))
+    if runner == "unconstrained-upper":
+        factor = 1.0 + 4.0 * eps / r
+        report.rows = _slow_upper_rows(pair_list, graph, factor)
+        return [_finish(report, 0.0, sizes={}, fitted_constants={"bound_factor": factor})]
+    factor = 1.0 + COMPARISON_CONSTANT * (curvature_bound(surface) * r) ** 2
+    report.rows = [
+        PairCheck(i, j, oracle, d, _ratio(d, oracle), factor,
+                  None if math.isinf(d) else _holds(oracle, factor * d))
+        for (i, j, oracle), d in zip(pair_list, graph)
+    ]
+    return [_finish(report, 0.0, factor_form="1 + C*(kappa_S*r)^2 with C = pi^2/50",
+                    comparison_constant=COMPARISON_CONSTANT, sizes={},
+                    fitted_constants={"bound_factor": factor})]
+
+
+def _slow_graph(sample, r, pairs, seed, perturb_weights, alpha) -> tuple:
+    kind = "ball" if alpha is None else "annulus"
+    g = build_graph(sample, kind=kind, r=r, alpha=alpha, method="brute")
+    pair_list = select_pairs(sample, r, pairs, np.random.default_rng(seed))
+    return perturb_graph_weights(g, perturb_weights), pair_list
+
+
+def _slow_upper_rows(pair_list, graph, factor) -> list:
+    return [PairCheck(i, j, oracle, d, _ratio(d, oracle), factor, _holds(d, factor * oracle))
+            for (i, j, oracle), d in zip(pair_list, graph)]
+
+
+def _slow_upper(report, g, pair_list, alpha, kappa, kappa_prime) -> BoundReport:
+    eps, r = report.epsilon, report.r
+    factor = 1.0 + 6.0 * eps / r
+    turns = finite_turns(g)
+
+    def passes(cap, pair) -> bool:
+        i, j, oracle = pair
+        return _holds(constrained_shortest(g, cap, i, j).length, factor * oracle)
+
+    cap, found = kappa_prime, None
+    if kappa_prime is None:
+        caps = [kappa, *sorted(c for c in set(turns) if c > kappa)]
+        found = all(passes(caps[-1], pair) for pair in pair_list)
+        k = len(caps) - 1
+        if found:
+            # The largest critical cap, each pair's by bisection: a pair
+            # that passes at a cap passes at every larger one.
+            k = 0
+            for pair in pair_list:
+                lo, hi = k - 1, len(caps) - 1
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if passes(caps[mid], pair) else (mid, hi)
+                k = hi
+        cap = caps[k]
+    graph = [constrained_shortest(g, cap, i, j).length for i, j, _ in pair_list]
+    report.alpha, report.kappa, report.kappa_prime = alpha, kappa, cap
+    report.rows = _slow_upper_rows(pair_list, graph, factor)
+    base_slack = kappa**2 * r + eps / r**2
+    fitted = None
+    if found is not False and math.isfinite(cap) and base_slack > 0.0:
+        fitted = (cap - kappa) / base_slack
+    return _finish(
+        report, 0.0,
+        # kappa' = inf is answered without a turn pass, which counts them.
+        sizes={"states": len(g.indices),
+               "transitions": None if kappa_prime == math.inf else len(turns)},
+        fitted_constants={"bound_factor": factor,
+                          "kappa_prime_min": cap if found else None, "C_emp": fitted},
+    )
+
+
+def _slow_lower(surface, n, r, pairs, seed, mode, perturb_weights, alpha, kappa) -> BoundReport:
+    sample = sample_surface(surface, mode, n, seed)
+    eps = covering_radius(sample).radius
+    g, pair_list = _slow_graph(sample, r, pairs, seed, perturb_weights, alpha)
+    certified = eps <= alpha * kappa * r**2 / C_GATE
+    report = BoundReport("constrained-lower", surface_label(surface), sample.n, r=r,
+                         alpha=alpha, kappa=kappa, epsilon=eps)
+    worst = 0.0
+    for i, j, oracle in pair_list:
+        dist = dijkstra(g, i).dist
+        turns = shortest_path_turns(g, dist, j)
+        if turns is None:
+            report.rows.append(PairCheck(i, j, oracle, float(dist[j]), math.inf, math.inf, None))
+            continue
+        curv = max((path_max_curvature(g.points[list(t)]) for t in turns), default=0.0)
+        if math.isinf(curv) and certified:
+            raise HardFailure(f"acute interior angle on a shortest path at N={sample.n} "
+                              f"inside the certified regime (eps = {eps:.6g})")
+        worst = max(worst, curv)
+        d = float(dist[j])
+        report.rows.append(PairCheck(i, j, oracle, d, _ratio(d, oracle), math.inf,
+                                     math.isfinite(curv)))
+    q_hat = worst / kappa - 1.0
+    return _finish(
+        report, 0.0, certified_regime=certified, max_path_curvature=worst, sizes={},
+        fitted_constants={"q_hat": q_hat,
+                          "C_emp": q_hat * alpha * kappa**2 * r**3 / eps if eps > 0.0 else None},
+    )

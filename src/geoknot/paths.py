@@ -371,8 +371,8 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
     ends (Bernstein, de Silva, Langford and Tenenbaum 2000), so a walk of
     length at most L from source s to a target t visits only nodes x
     with rho * (|s - x| + |x - t|) <= L.  With key(x) = |s - x| + the
-    least |x - t| over the targets, measured as :func:`graph._lengths`
-    measures a slot, the lens holds the nodes where ``rho * key <= L *
+    least |x - t| over the targets, each chord computed by
+    :func:`_chords`, the lens holds the nodes where ``rho * key <= L *
     tol`` is not false, for ``tol = 1 + (m + D + 8) * 2**-51``, m the
     graph's slots and D its coordinates.  A chord or key that overflows
     bounds nothing, so it is set to NaN, which the test keeps inside.
@@ -443,9 +443,11 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
 
 def _chords(cols, i: int) -> np.ndarray:
     """The Euclidean distance from point i to every point, from the
-    coordinate columns ``cols``: the operations of
-    :func:`graph._lengths` (differences, squares, their sum, the root),
-    a column at a time."""
+    coordinate columns ``cols``: differences, squares, their sum and the
+    root, a column at a time.  These are the operations of
+    :func:`graph._lengths`, but not its results bit for bit (its einsum
+    sums the squares in another order); the lens needs only their error
+    bound."""
     sq = None
     for col in cols:
         d = col - col[i]

@@ -389,7 +389,10 @@ def _plane_candidates(sites, crossings) -> np.ndarray:
     are cocircular, the triangulation splits their facet: each piece
     has the facet's circumcentre (a flat piece has none, and drops out
     as not finite), and the diagonals add crossings of a ridge of
-    length zero, extra points on the boundary that do no harm.
+    length zero, extra points on the boundary that do no harm.  The
+    repeats stay: they leave eps unchanged, only planar grids have
+    them (no workload samples one), and dropping them would need a sort
+    of the candidates.
     """
     tri = Delaunay(sites).simplices
     a = sites[tri[:, 0]]

@@ -39,11 +39,13 @@ RUNNERS = {
 }
 # Each surface with radii that its pair window admits (3r at most half
 # its diameter); the lower runners take those with kappa_S * r <= 1/3.
+# The denser choices come first in each list, since Hypothesis draws
+# the first ones most.
 SURFACES = {
-    "sphere": (sphere(1.0), [0.25, 0.33, 0.5]),
-    "disk": (disk(1.0), [0.15, 0.2, 0.25]),
-    "cylinder": (cylinder(1.0, 1.5), [0.25, 0.33, 0.5]),
-    "circle": (circle(1.0), [0.1, 0.2, 0.33]),
+    "sphere": (sphere(1.0), [0.5, 0.33, 0.25]),
+    "disk": (disk(1.0), [0.25, 0.2, 0.15]),
+    "cylinder": (cylinder(1.0, 1.5), [0.5, 0.33, 0.25]),
+    "circle": (circle(1.0), [0.33, 0.2, 0.1]),
 }
 COUNTS = ("evaluations", "searched_sources", "re_searched_sources")
 
@@ -80,7 +82,7 @@ def runs(draw):
         radii = [r for r in radii if surface.radius * r <= 1.0 / 3.0]
     kw = dict(
         surface=surface,
-        n=draw(st.integers(40, 150)),
+        n=draw(st.sampled_from([150, 120, 90, 60])),
         r=draw(st.sampled_from(radii)),
         pairs=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 10**4)),

@@ -305,12 +305,13 @@ def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) 
     the source's (1, n) distance matrix, with the row contract of
     :func:`shortest_distances`: exact at each target within the limit
     and on every walk to it no longer than the limit, ``inf`` at a
-    target beyond it.  A search may ignore the targets.  The sources are searched one at a time, in sorted
-    order, up to SEARCH_REACH times their farthest pair's oracle; a
-    source with a pair beyond that is searched again without a limit,
-    and all its pairs read from that row.  Each row is read before the
-    next source is searched, so one distance row is alive at a time.
-    ``counts`` accumulates both search counts.
+    target beyond it.  A search may ignore the targets.  The sources
+    are searched one at a time, in sorted order, up to SEARCH_REACH
+    times their farthest pair's oracle; a source with a pair beyond
+    that is searched again without a limit, and all its pairs read from
+    that row.  Each row is read before the next source is searched, so
+    one distance row is alive at a time.  ``counts`` accumulates both
+    search counts.
     """
     reach, targets = {}, {}
     for i, j, oracle in pair_list:

@@ -3,12 +3,15 @@
 Each test prints one PASS line after its assertions so a verbose run
 doubles as the acceptance report.  Thresholds are the contract values,
 not tuned numbers; nothing here may be loosened to make a run green.
+Criteria 1, 2, 7 and 8 also check their reports, bit for bit, against
+the digests pinned in ``report_digests.json`` (``pin``).
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from geoknot import (
     COMPARISON_CONSTANT,
@@ -27,16 +30,26 @@ from geoknot import (
 )
 from geoknot.surfaces import sample_surface
 from conftest import graph_edge_set
+from test_report_digests import assert_pinned
 
 
 def report(num, text):
     print(f"PASS criterion {num:2d}: {text}")
 
 
-def test_criterion_01_unconstrained_upper():
+@pytest.fixture
+def pin(tmp_path):
+    """pin(criterion, reports): the criterion's reports match the digests
+    pinned for it.  ``test_report_digests.py``, run as a script, calls
+    these tests with a ``pin`` that writes the digests instead."""
+    return lambda criterion, reports: assert_pinned(criterion, reports, tmp_path)
+
+
+def test_criterion_01_unconstrained_upper(pin):
     t0 = time.perf_counter()
     rep = verify_unconstrained_upper(sphere(1.0), 2000, pairs=200, seed=0)
     elapsed = time.perf_counter() - t0
+    pin("criterion 1", [rep])
     assert rep.violations == 0
     assert rep.summary["fitted_constants"]["bound_factor"] == 2.0
     assert elapsed < 30.0
@@ -48,9 +61,10 @@ def test_criterion_01_unconstrained_upper():
     )
 
 
-def test_criterion_02_unconstrained_lower():
+def test_criterion_02_unconstrained_lower(pin):
     rep = verify_unconstrained_lower(sphere(1.0), 2000, r=0.3, pairs=200,
                                      seed=0)
+    pin("criterion 2", [rep])
     factor = rep.summary["fitted_constants"]["bound_factor"]
     assert factor == 1.0 + COMPARISON_CONSTANT * 0.09
     assert rep.violations == 0
@@ -158,13 +172,15 @@ def test_criterion_06_distance_ordering():
     )
 
 
-def test_criterion_07_constrained_upper():
+def test_criterion_07_constrained_upper(pin):
     caps = []
     lines = []
+    reports = []
     for n in (1000, 4000):
         rep = verify_constrained_upper(
             sphere(1.0), n, r=0.2, alpha=0.25, kappa=1.0, pairs=30, seed=0
         )
+        reports.append(rep)
         assert math.isfinite(rep.kappa_prime)
         assert rep.violations == 0
         assert rep.summary["fitted_constants"]["C_emp"] is not None
@@ -174,14 +190,16 @@ def test_criterion_07_constrained_upper():
     # Nonincreasing within 0.01 kappa; each cap is an exact minimum over
     # the engine's stored curvatures.
     assert caps[1] <= caps[0] + 2 * 0.005 * 1.0
+    pin("criterion 7", reports)
     report(7, "constrained upper: " + "; ".join(lines) + "; violations=0")
 
 
-def test_criterion_08_constrained_lower():
+def test_criterion_08_constrained_lower(pin):
     reports = verify_constrained_lower(
         sphere(1.0), [1000, 4000, 16000], r=0.25, alpha=0.25, kappa=1.0,
         pairs=50, seed=0,
     )
+    pin("criterion 8", reports)
     q_hats = []
     for rep in reports:
         assert rep.violations == 0

@@ -10,13 +10,18 @@ changes the counts alone, and the diff of this file shows it.
 The runs are certify's five (``perfbench/spec.json``) at two seeds, an
 unconstrained-upper run with perturbed weights, a constrained-upper run
 on a uniform-random sample (certify's bisecting run is a grid) and one
-at kappa' = inf.  A change that alters a pinned value on purpose writes
-the file again::
+at kappa' = inf.  Under ``criteria`` the file also pins the reports of
+acceptance criteria 1, 2, 7 and 8, hashed where ``test_acceptance``
+computes them (:func:`assert_pinned`), so they cost no run of their own;
+criterion 7's N = 4098 run is the one pinned kappa' search over a table
+of millions of turns.  A change that alters a pinned value on purpose
+writes the file again::
 
     PYTHONPATH=src python tests/test_report_digests.py
 
-which prints each run whose pinned values moved, with the keys that
-moved, and names each changed key, and why, in CHANGES.md.
+which runs those criteria's tests too, prints each run or criterion
+whose pinned values moved, with the keys that moved, and names each
+changed key, and why, in CHANGES.md.
 """
 
 import contextlib
@@ -30,6 +35,7 @@ import pytest
 import scipy
 
 from geoknot.cli import main
+from geoknot.validation import write_report_csv, write_summary_json
 
 CORPUS = Path(__file__).with_name("report_digests.json")
 
@@ -60,6 +66,10 @@ RUNS = [[*argv, "--seed", str(seed)] for seed in (11, 12) for argv in CERTIFY_RU
 
 COUNT_KEYS = ("searched_sources", "re_searched_sources")
 
+# The acceptance criteria whose reports are pinned, by the name each
+# test gives them.
+CRITERIA = ("criterion 1", "criterion 2", "criterion 7", "criterion 8")
+
 # The values pinned per run, besides its argv.
 PINNED_KEYS = ("exit", "csv_sha256", "summary_sha256", "counts")
 
@@ -77,6 +87,20 @@ def digests(argv: list, workdir: Path) -> dict:
         code = main(["verify", *argv, "--out-csv", str(csv_path), "--out-json", str(json_path)])
     if not json_path.exists():
         return {"exit": code}
+    return {"exit": code, **file_digests(csv_path, json_path)}
+
+
+def report_digests(reports: list, workdir: Path) -> dict:
+    """Report digests and search counts of reports made in process,
+    written as ``geoknot verify`` writes them."""
+    csv_path, json_path = workdir / "report.csv", workdir / "report.json"
+    write_report_csv(str(csv_path), reports)
+    write_summary_json(str(json_path), reports)
+    return file_digests(csv_path, json_path)
+
+
+def file_digests(csv_path: Path, json_path: Path) -> dict:
+    """The digests and search counts of a written CSV and summary JSON."""
     summary = json.loads(json_path.read_text(encoding="utf-8"))
     counts = []
     for rep in summary["reports"]:
@@ -88,7 +112,6 @@ def digests(argv: list, workdir: Path) -> dict:
         })
     canonical = json.dumps(summary, sort_keys=True).encode("utf-8")
     return {
-        "exit": code,
         "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
         "summary_sha256": hashlib.sha256(canonical).hexdigest(),
         "counts": counts,
@@ -110,32 +133,54 @@ def test_report_matches_its_pinned_digests(argv, tmp_path):
     )
 
 
+def assert_pinned(criterion: str, reports: list, workdir: Path):
+    """The reports of an acceptance criterion match their pinned digests."""
+    corpus = _pinned()
+    want = {pin["criterion"]: pin for pin in corpus["criteria"]}[criterion]
+    assert report_digests(reports, workdir) == {k: want[k] for k in want if k != "criterion"}, (
+        f"{criterion}: report digests moved; pinned under {corpus['versions']}, "
+        f"running under {versions()}"
+    )
+
+
 def test_corpus_pins_every_run():
-    assert [run["argv"] for run in _pinned()["runs"]] == [" ".join(argv) for argv in RUNS]
+    corpus = _pinned()
+    assert [run["argv"] for run in corpus["runs"]] == [" ".join(argv) for argv in RUNS]
+    assert [pin["criterion"] for pin in corpus["criteria"]] == list(CRITERIA)
 
 
-def moved(pinned: list, fresh: list) -> list:
-    """(argv, keys) for each run of ``fresh`` whose pinned values differ
-    from those of the same argv in ``pinned``: the keys of PINNED_KEYS
-    that moved, in that order.  A run that ``pinned`` lacks moves every
-    key it has."""
-    old = {run["argv"]: run for run in pinned}
+def moved(pinned: list, fresh: list, name: str = "argv") -> list:
+    """(name, keys) for each run of ``fresh`` whose pinned values differ
+    from those of the run of the same ``name`` in ``pinned``: the keys of
+    PINNED_KEYS that moved, in that order.  A run that ``pinned`` lacks
+    moves every key it has."""
+    old = {run[name]: run for run in pinned}
     out = []
     for run in fresh:
-        before = old.get(run["argv"], {})
+        before = old.get(run[name], {})
         keys = [key for key in PINNED_KEYS if before.get(key) != run.get(key)]
         if keys:
-            out.append((run["argv"], keys))
+            out.append((run[name], keys))
     return out
 
 
 def write_corpus(workdir: Path):
-    pinned = _pinned()["runs"] if CORPUS.exists() else []
+    import test_acceptance
+
+    pinned = _pinned() if CORPUS.exists() else {"runs": [], "criteria": []}
     runs = [{"argv": " ".join(argv), **digests(argv, workdir)} for argv in RUNS]
-    CORPUS.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1) + "\n",
-                      encoding="utf-8")
-    for argv, keys in moved(pinned, runs):
-        print(f"{argv}: {', '.join(keys)} moved")
+    criteria = []
+    for test in (test_acceptance.test_criterion_01_unconstrained_upper,
+                 test_acceptance.test_criterion_02_unconstrained_lower,
+                 test_acceptance.test_criterion_07_constrained_upper,
+                 test_acceptance.test_criterion_08_constrained_lower):
+        test(lambda criterion, reports: criteria.append(
+            {"criterion": criterion, **report_digests(reports, workdir)}))
+    CORPUS.write_text(json.dumps({"versions": versions(), "runs": runs, "criteria": criteria},
+                                 indent=1) + "\n", encoding="utf-8")
+    for name, keys in (moved(pinned["runs"], runs)
+                       + moved(pinned.get("criteria", []), criteria, "criterion")):
+        print(f"{name}: {', '.join(keys)} moved")
 
 
 def test_moved_names_each_changed_key():
@@ -157,6 +202,9 @@ def test_moved_names_each_changed_key():
     # A run that stops writing its report moves its digests too.
     assert moved(pinned[:1], [{"argv": "a", "exit": 2}]) == [
         ("a", ["exit", "csv_sha256", "summary_sha256", "counts"])]
+    # Criteria are named by their criterion.
+    assert moved([{"criterion": "c", "counts": [1]}], [{"criterion": "c", "counts": [2]}],
+                 "criterion") == [("c", ["counts"])]
 
 
 if __name__ == "__main__":

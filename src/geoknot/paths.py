@@ -483,11 +483,12 @@ class EdgeStateEngine:
     once; it is dropped before another cap is laid out.
 
     :meth:`distinct_curvatures` is the one method that keeps every
-    finite turn: it builds the turn table (``_indptr`` over states,
-    ``_to`` the target state as int32, ``_curv`` the curvature) and the
-    pass reads that table from then on, so a search over many caps
-    computes each curvature once, and the geometry is never laid out
-    again.  The table holds 12 bytes per turn and 8 per state.
+    finite turn: it keeps the blocks of its pass as the turn table, and
+    every later pass replays them, so a search over many caps computes
+    each curvature once, and the geometry is never laid out again.  A
+    block (s0, s1, ptr, to, curv) holds the turns of states s0..s1-1:
+    ``ptr`` their row pointers, ``to`` the target states as int32 and
+    ``curv`` the curvatures, 12 bytes per turn and 8 per state.
 
     The distance to node t is the smallest distance of a state that
     ends at t, so a search stopped at a limit still answers every node
@@ -501,7 +502,7 @@ class EdgeStateEngine:
         # The state of out-edge slot e = (v, w) is the slot of (w, v): in
         # a symmetric CSR, a stable sort by column lists exactly those.
         self._out_state = np.argsort(g.indices, kind="stable").astype(np.int32)
-        self._indptr = self._to = self._curv = None
+        self._table = None  # the kept blocks of the turn pass
         self._transitions = None
         self._cap = self._mat = None
 
@@ -521,14 +522,15 @@ class EdgeStateEngine:
         """Sorted distinct finite turn curvatures, the finite caps at
         which distances can change.
 
-        The first call builds the turn table and keeps it for every
-        later search; the sorted values are computed per call, never
-        kept.
+        The first call keeps the turn table for every later search; the
+        sorted values are computed per call, never kept.
         """
-        if self._curv is None:
-            self._build_table()
-        # np.unique, without its extra copies: one sorted copy and a mask.
-        curv = np.sort(self._curv)
+        if self._table is None:
+            self._table = list(self._turns())
+        # np.unique, without its extra copies: one joined copy, sorted in
+        # place, and a mask.  The empty seed answers a graph with no turn.
+        curv = np.concatenate([np.zeros(0), *(block[4] for block in self._table)])
+        curv.sort()
         first = np.ones(len(curv), dtype=bool)
         np.not_equal(curv[1:], curv[:-1], out=first[1:])
         return curv[first]
@@ -619,13 +621,13 @@ class EdgeStateEngine:
         curv): the turns of states s0..s1-1, with ``ptr`` their row
         pointers into ``to`` (target states) and ``curv`` (curvatures).
 
-        Read from the turn table once there is one, in one block;
-        computed otherwise from the geometry, which lives for this pass
-        alone: it is laid out when the pass starts and freed with the
-        generator when the pass ends.
+        Replayed from the turn table once there is one; computed
+        otherwise from the geometry, which lives for this pass alone: it
+        is laid out when the pass starts and freed with the generator
+        when the pass ends.
         """
-        if self._curv is not None:
-            yield 0, self.states, self._indptr, self._to, self._curv
+        if self._table is not None:
+            yield from self._table
             return
         tails = self.g.indices
         rank, cols, off, sq, norm, blocks = self._geometry()
@@ -656,20 +658,6 @@ class EdgeStateEngine:
             count += int(ptr[-1])
             yield s0, s1, ptr, self._out_state[slot[finite]], curv[finite]
         self._transitions = count
-
-    def _build_table(self):
-        """Keep every finite turn as ``_indptr``, ``_to`` and ``_curv``."""
-        indptr = np.zeros(self.states + 1, dtype=np.int64)
-        to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-        for s0, s1, ptr, block_to, block_curv in self._turns():
-            indptr[s0 + 1:s1 + 1] = indptr[s0] + ptr[1:]
-            to.append(block_to)
-            curv.append(block_curv)
-        # One array at a time, each one's blocks dropped before the next
-        # is joined: at most the table and one more copy of _curv.
-        self._indptr, self._to = indptr, np.concatenate(to)
-        del to
-        self._curv = np.concatenate(curv)
 
     def _state_csr(self, kappa: float) -> csr_matrix:
         """The state graph at cap kappa: the turns of curvature <= kappa

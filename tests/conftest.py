@@ -205,6 +205,21 @@ def finite_turn_curvatures(g):
     return sorted(set(finite_turns(g)))
 
 
+def turn_table(engine):
+    """The turn table an ``EdgeStateEngine`` keeps, its blocks joined:
+    (indptr over states, target states, curvatures); None before
+    ``distinct_curvatures`` keeps one."""
+    if engine._table is None:
+        return None
+    indptr = np.zeros(engine.states + 1, dtype=np.int64)
+    to, curv = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    for s0, s1, ptr, block_to, block_curv in engine._table:
+        indptr[s0 + 1:s1 + 1] = indptr[s0] + ptr[1:]
+        to.append(block_to)
+        curv.append(block_curv)
+    return indptr, np.concatenate(to), np.concatenate(curv)
+
+
 @st.composite
 def split_graphs(draw, max_n=30, euclidean=False):
     """Random weighted graph with at least two components: the last node

@@ -40,6 +40,7 @@ from conftest import (
     relaid_induced,
     split_graphs,
     turn_curvatures,
+    turn_table,
 )
 
 
@@ -437,7 +438,7 @@ class TestBulkEngines:
         for _ in range(10):
             g = random_graph(rng, n_max=12)
             engine = EdgeStateEngine(g)
-            engine.distinct_curvatures()  # builds the table
+            engine.distinct_curvatures()  # keeps the table
             finite = 0
             for v in range(g.n):
                 nbrs = g.neighbors(v)[0].tolist()
@@ -447,9 +448,10 @@ class TestBulkEngines:
                             discrete_curvature(g.points[u], g.points[v], g.points[w])
                         ):
                             finite += 1
-            assert engine.transitions == len(engine._curv) == finite
-            assert np.isfinite(engine._curv).all()
-            assert engine._to.dtype == np.int32
+            _, to, curv = turn_table(engine)
+            assert engine.transitions == len(curv) == finite
+            assert np.isfinite(curv).all()
+            assert to.dtype == np.int32
             assert engine.states == len(g.indices)
             assert not hasattr(engine, "_from")
 
@@ -689,10 +691,8 @@ class TestEngineArrays:
 
     def check(self, g):
         engine = EdgeStateEngine(g)
-        engine.distinct_curvatures()  # builds the table
-        for got, want in zip(
-            (engine._indptr, engine._to, engine._curv), frozen_block_builder(g)
-        ):
+        engine.distinct_curvatures()  # keeps the table
+        for got, want in zip(turn_table(engine), frozen_block_builder(g)):
             assert_same_array(got, want)
         return engine
 
@@ -748,11 +748,11 @@ class TestTurnSources:
             limits = draw_limits(data, full)
             bounded = fresh.distances(cap, limits)
             assert bounded.tobytes() == table.distances(cap, limits).tobytes()
-        assert fresh._curv is None
+        assert turn_table(fresh) is None
         # Only a finite cap makes a turn pass, which counts the turns.
         searched = any(math.isfinite(cap) for cap in caps)
         assert fresh.transitions == (table.transitions if searched else None)
-        assert table.transitions == len(table._curv)
+        assert table.transitions == len(turn_table(table)[2])
 
     @given(split_graphs(max_n=12), st.data())
     def test_split_graphs(self, g, data):
@@ -819,8 +819,8 @@ class TestEngineMemory:
         geometry = 44 * engine.states + 32 * grid_annulus.n
         full = EdgeStateEngine(grid_annulus)
         full.distinct_curvatures()
-        table = full._indptr.nbytes + full._to.nbytes + full._curv.nbytes
-        assert engine._curv is None
+        table = sum(a.nbytes for a in turn_table(full))
+        assert turn_table(engine) is None
         assert peak <= 1.25 * (layout + geometry)
         # Cap 3 keeps 53% of the turns here, so the layout alone is over
         # half the table; what the query holds besides it is not.
@@ -829,7 +829,7 @@ class TestEngineMemory:
     def test_no_geometry_between_passes(self, grid_annulus):
         """After a search at one cap the engine holds the reverse slots
         and that cap's layout, no per-slot geometry; after the table is
-        built, the table besides."""
+        kept, the table besides."""
         tracemalloc.start()
         try:
             engine = EdgeStateEngine(grid_annulus)
@@ -845,14 +845,14 @@ class TestEngineMemory:
         geometry = 40 * engine.states + 32 * grid_annulus.n
         assert held - layout - engine._out_state.nbytes < 0.05 * geometry
         engine.distinct_curvatures()
-        assert arrays_held(engine) == {"_out_state", "_indptr", "_to", "_curv"}
+        assert arrays_held(engine) == {"_out_state", "_table"}
 
     def test_build_and_query_transients(self, grid_annulus):
         """Neither the build nor a query holds its output twice."""
         tracemalloc.start()
         try:
             engine = EdgeStateEngine(grid_annulus)
-            engine.distinct_curvatures()  # builds the table
+            engine.distinct_curvatures()  # keeps the table
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -860,9 +860,7 @@ class TestEngineMemory:
             query = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        stored = sum(a.nbytes for a in (
-            engine._indptr, engine._to, engine._curv, engine._out_state
-        ))
+        stored = sum(a.nbytes for a in (*turn_table(engine), engine._out_state))
         assert build_peak <= 1.8 * stored
         assert query <= 1.0 * stored
 

@@ -349,23 +349,52 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
     ``inf``, as without the lens.  Elsewhere the row reads ``inf`` or a
     value at least the distance.  A source without targets, or with an
     infinite limit, is searched on the whole graph.
+
+    Sources and limits are checked as :func:`_checked_sources` says,
+    and every target, at any limit, must lie in [0, n).
     """
+    items = _checked_sources(g, sources)
     if not isinstance(sources, Mapping):
-        return _csgraph_dijkstra(g.to_csr(), directed=True, indices=list(sources))
+        return _csgraph_dijkstra(g.to_csr(), directed=True, indices=[s for s, _ in items])
     targets = targets or {}
-    out = np.empty((len(sources), g.n))
-    for k, (s, limit) in enumerate(sources.items()):
-        lens = _chord_lens(g, int(s), limit, targets.get(s))
+    out = np.empty((len(items), g.n))
+    for k, (s, limit) in enumerate(items):
+        mine = np.unique(np.asarray(targets.get(s, ()), dtype=np.int64))
+        if len(mine) and (mine[0] < 0 or mine[-1] >= g.n):
+            raise ValueError("target out of range")
+        lens = _chord_lens(g, s, limit, mine)
         out[k] = _csgraph_dijkstra(g.to_csr() if lens is None else lens, directed=True,
-                                   indices=int(s), limit=limit)
+                                   indices=s, limit=limit)
     return out
+
+
+def _checked_sources(g: NeighborhoodGraph, sources) -> list:
+    """(source, limit) of each search that ``sources`` asks for: a list
+    of nodes, searched without a limit, or a mapping {source: limit}.
+
+    A source must be an integer in [0, n), as for :func:`dijkstra`, and
+    a limit a number >= 0; anything else raises ValueError.  Unchecked,
+    scipy would read a negative source from the end of the graph, a
+    float one as its floor and a nan limit as a search that reaches
+    nothing, and the engine would start from another node's state.
+    """
+    items = sources.items() if isinstance(sources, Mapping) else ((s, math.inf) for s in sources)
+    checked = []
+    for s, limit in items:
+        if not (isinstance(s, (int, np.integer)) and 0 <= s < g.n):
+            raise ValueError("source out of range")
+        if not limit >= 0.0:
+            raise ValueError("limit must be >= 0")
+        checked.append((int(s), limit))
+    return checked
 
 
 def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr_matrix | None:
     """g's CSR with the rows of the nodes outside the chord lens of
-    ``source`` emptied, or None when the search takes no lens: no
-    targets, an infinite limit, or no chord ratio rho to trust
-    (:attr:`NeighborhoodGraph.chord_ratio` is 0).
+    ``source`` and ``targets`` (distinct, sorted, checked) emptied, or
+    None when the search takes no lens: no targets, an infinite limit,
+    or no chord ratio rho to trust (:attr:`NeighborhoodGraph.chord_ratio`
+    is 0).
 
     **The lens.**  A walk is never shorter than the chord between its
     ends (Bernstein, de Silva, Langford and Tenenbaum 2000), so a walk of
@@ -410,14 +439,11 @@ def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr
     keeps the search exact on the lens: the walks above expand only
     nodes inside it.
     """
-    if targets is None or len(targets) == 0 or not math.isfinite(limit):
+    if len(targets) == 0 or not math.isfinite(limit):
         return None
     rho = g.chord_ratio
     if not 0.0 < rho < math.inf:
         return None
-    targets = np.unique(np.asarray(targets, dtype=np.int64))
-    if targets[0] < 0 or targets[-1] >= g.n:
-        raise ValueError("target out of range")
     cols = np.ascontiguousarray(g.points.T)
     with np.errstate(over="ignore"):
         near = _chords(cols, targets[0])
@@ -564,15 +590,15 @@ class EdgeStateEngine:
         kappa, from the source's start row, the row holding the distance
         of every state: up to its limit for a mapping {source: limit},
         unbounded for a list of sources."""
+        items = _checked_sources(self.g, sources)
         if kappa != self._cap:
             self._cap = self._mat = None  # never two caps' layouts at once
             self._mat = self._state_csr(kappa)
             self._cap = kappa
         m = self.states
-        items = sources.items() if isinstance(sources, Mapping) else [(s, math.inf) for s in sources]
         for s, limit in items:
-            dist = _csgraph_dijkstra(self._mat, directed=True, indices=m + int(s), limit=limit)
-            yield int(s), dist[:m]
+            dist = _csgraph_dijkstra(self._mat, directed=True, indices=m + s, limit=limit)
+            yield s, dist[:m]
 
     def _geometry(self) -> tuple:
         """The per-slot geometry of one turn pass: (rank, cols, off, sq,

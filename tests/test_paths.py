@@ -456,6 +456,53 @@ class TestBulkEngines:
             assert not hasattr(engine, "_from")
 
 
+# The bulk searches, each as f(g, sources, targets): plain, and the
+# engine at a finite and an infinite cap (the engine takes no targets).
+BULK_SEARCHES = {
+    "shortest_distances": shortest_distances,
+    "engine at 2": lambda g, sources, _: EdgeStateEngine(g).distances(2.0, sources),
+    "engine at inf": lambda g, sources, _: EdgeStateEngine(g).distances(math.inf, sources),
+}
+
+
+class TestSearchArguments:
+    """The bulk searches check their sources as :func:`dijkstra` does,
+    in list and mapping form, and their limits and targets too."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return build_graph(sample_surface(sphere(1.0), "grid", 66), kind="annulus",
+                           r=0.6, alpha=0.25)
+
+    @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
+    @pytest.mark.parametrize("sources", [
+        [-1], [66], [1.5], [np.float64(2.0)], [0, -66],
+        {-1: 1.0}, {66: math.inf}, {1.5: 1.0}, {0: 1.0, -1: math.inf},
+    ], ids=str)
+    def test_source_out_of_range(self, g, search, sources):
+        with pytest.raises(ValueError, match="source out of range"):
+            search(g, sources, None)
+
+    @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
+    @pytest.mark.parametrize("limit", [math.nan, -1.0])
+    def test_limit_not_a_reach(self, g, search, limit):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            search(g, {0: 1.0, 1: limit}, None)
+
+    @pytest.mark.parametrize("limit", [math.inf, 1.0, 0.0])
+    @pytest.mark.parametrize("target", [-1, 66])
+    def test_target_out_of_range_at_any_limit(self, g, limit, target):
+        with pytest.raises(ValueError, match="target out of range"):
+            shortest_distances(g, {0: limit}, {0: [3, target]})
+
+    @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
+    def test_integer_sources_of_any_type(self, g, search):
+        want = search(g, [0, 65], None)
+        for sources in ([np.int32(0), np.int64(65)], np.array([0, 65]), {0: math.inf, 65: math.inf}):
+            assert search(g, sources, None).tobytes() == want.tobytes()
+        assert want[1].tobytes() != want[0].tobytes()
+
+
 @st.composite
 def tied_graphs(draw, max_n=10):
     """Small graph on distinct lattice points with edge weights 1 or 2,

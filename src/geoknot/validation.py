@@ -119,6 +119,14 @@ def _ratio(graph_delta: float, oracle_delta: float) -> float:
     return math.inf
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where it overflows: a float ``**`` raises there."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _holds(lhs: float, rhs: float) -> bool:
     """lhs <= rhs up to the float slack."""
     if math.isinf(rhs):
@@ -447,7 +455,8 @@ def verify_constrained_upper(
     cap fails, and the report keeps its rows at that cap with
     kappa_prime_min and C_emp None.  Else a bisection on the candidate
     index ends at a cap that passes while the next lower candidate
-    fails, reported with C_emp = (kappa' - kappa)/(kappa^2 r + eps/r^2).
+    fails, reported with C_emp = (kappa' - kappa)/(kappa^2 r + eps/r^2),
+    or None where kappa^2 r overflows.
     """
     t0 = time.perf_counter()
     _gate_alpha(alpha)
@@ -477,7 +486,7 @@ def verify_constrained_upper(
     def all_pass(graph: list) -> bool:
         return all(row.passed for row in _upper_rows(pair_list, graph, factor))
 
-    base_slack = kappa**2 * r + eps / r**2
+    base_slack = _square(kappa) * r + eps / r**2
     found = None  # whether a searched cap passed
     if kappa_prime is not None:
         final_cap, final = kappa_prime, graph_at(kappa_prime)
@@ -507,7 +516,7 @@ def verify_constrained_upper(
         rows=_upper_rows(pair_list, final, factor),
     )
     fitted = None
-    if found is not False and math.isfinite(final_cap) and base_slack > 0.0:
+    if found is not False and math.isfinite(final_cap) and 0.0 < base_slack < math.inf:
         fitted = (final_cap - kappa) / base_slack
     return _finish(
         report,
@@ -543,10 +552,10 @@ def verify_constrained_lower(
     curvature of a turn on any shortest annulus-graph path; the per-N
     excess q_hat = max(path curvature)/kappa - 1 should fall as the
     sample densifies, with q_hat * alpha*kappa^2*r^3 / eps reported
-    as the fitted constant.  An infinite triple curvature
-    (an acute interior angle) inside the certified density regime
-    eps <= alpha*kappa*r^2/C_GATE is a hard failure.  Returns one
-    report per N.
+    as the fitted constant (None where kappa^2 overflows).  An
+    infinite triple curvature (an acute interior angle) inside the
+    certified density regime eps <= alpha*kappa*r^2/C_GATE is a hard
+    failure.  Returns one report per N.
     """
     _gate_alpha(alpha)
     _gate_curvature_radius(curvature_bound(surface), r)
@@ -597,7 +606,8 @@ def verify_constrained_lower(
                           math.inf, math.isfinite(curv))
             )
         q_hat = worst / kappa - 1.0
-        fitted = q_hat * alpha * kappa**2 * r**3 / eps if eps > 0.0 else None
+        square = _square(kappa)
+        fitted = q_hat * alpha * square * r**3 / eps if eps > 0.0 and square < math.inf else None
         reports.append(
             _finish(
                 report,
@@ -617,14 +627,24 @@ def verify_chord_bound(
 ) -> BoundReport:
     """Chord of a bounded-curvature curve vs the (2/k) sin(ks/2) bound.
 
-    On the circle of radius 1/kappa the bound is an equality; checked
-    to 1e-12 absolute.  On sphere geodesic arcs the chord must sit at
-    or above the bound (they are unit-circle arcs, so equality again).
-    Row group 0 holds the circle equalities, group 1 the sphere arcs;
-    oracle = measured chord, graph = bound value.
+    On the circle of radius R = 1/kappa the bound is an equality,
+    checked to 1e-12 R.  Each circle row measures its chord on the unit
+    circle, between the angles 0 and theta = s/R, and scales it by R.
+    The chord and the bound, 2R sin(theta/2), are each a few roundings
+    of numbers in [0, 2] (theta, the cosine and sine, the norm), times
+    R: a chord's rounding error is proportional to R, so the tolerance
+    is too, and at kappa = 1 it is the 1e-12 of a unit circle.  (The
+    norm of the chord measured at radius R squares R, and overflows for
+    R beyond 1e154.)  A kappa whose arcs, up to pi/kappa, overflow is a
+    GateError.  On sphere geodesic arcs the chord must sit at or above
+    the bound (they are unit-circle arcs, so equality again).  Row group
+    0 holds the circle equalities, group 1 the sphere arcs; oracle =
+    measured chord, graph = bound value.
     """
     t0 = time.perf_counter()
     _gate_finite_kappa(kappa)
+    if math.isinf(math.pi / kappa * ARC_COUNT):
+        raise GateError(f"kappa {kappa:.6g} is too small: arcs up to pi/kappa overflow")
     R = 1.0 / kappa
     report = BoundReport(
         experiment="chord-bound",
@@ -634,13 +654,13 @@ def verify_chord_bound(
     )
     for k in range(ARC_COUNT):
         s = math.pi / kappa * (k + 1) / ARC_COUNT
-        p = np.array([R, 0.0])
-        q = np.array([R * math.cos(s / R), R * math.sin(s / R)])
-        chord = float(np.linalg.norm(q - p))
+        p = np.array([1.0, 0.0])
+        q = np.array([math.cos(s / R), math.sin(s / R)])
+        chord = R * float(np.linalg.norm(q - p))
         bound = chord_lower_bound(kappa, min(s, math.pi / kappa))
         report.rows.append(
             PairCheck(k, 0, chord, bound, _ratio(bound, chord), 1.0,
-                      abs(chord - bound) <= 1e-12)
+                      abs(chord - bound) <= 1e-12 * R)
         )
     rng = np.random.default_rng(seed)
     unit = sphere(1.0)

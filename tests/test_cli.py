@@ -304,6 +304,26 @@ class TestVerify:
         data = json.loads(out_json.read_text())
         assert data["reports"][0]["experiment"] == "chord-bound"
 
+    def test_chord_bound_refuses_overflowing_arcs(self, capsys):
+        assert run(["verify", "--experiment", "chord-bound", "--kappa", "1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("gate error: kappa")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("experiment, r", [("constrained-upper", "0.5"),
+                                               ("constrained-lower", "0.3")])
+    def test_kappa_whose_square_overflows(self, tmp_path, capsys, experiment, r):
+        # kappa**2 overflows: the run reports C_emp as null, not an error.
+        out_json = tmp_path / "rep.json"
+        rc = run(["verify", "--experiment", experiment, "--surface", "sphere",
+                  "--n", "200", "--r", r, "--kappa", "1e200", "--pairs", "3",
+                  "--out-json", out_json])
+        assert rc == 0
+        assert "violations=0" in capsys.readouterr().out
+        [rep] = json.loads(out_json.read_text())["reports"]
+        assert rep["kappa"] == 1e200
+        assert rep["summary"]["fitted_constants"]["C_emp"] is None
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

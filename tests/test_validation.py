@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -568,8 +569,21 @@ class TestChordBound:
             assert row.oracle_delta >= row.graph_delta - 1e-12
         assert set(rep.summary["row_groups"]) == {"0", "1"}
 
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-9, 1e-200, 1e-306, 1e300, 1.7e308])
+    def test_circle_rows_hold_at_any_radius(self, kappa):
+        # The rows are measured on the unit circle and scaled by R, with
+        # no overflow on the way, and checked to 1e-12 R.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_chord_bound(kappa=kappa)
+        assert rep.violations == 0
+        R = 1.0 / kappa
+        for row in rep.rows[:validation.ARC_COUNT]:
+            assert row.pair_j == 0
+            assert abs(row.oracle_delta - row.graph_delta) <= 1e-12 * R
+
     def test_kappa_gate(self):
-        for kappa in (math.inf, 0.0, -1.0):
+        for kappa in (math.inf, 0.0, -1.0, 1e-320, 1e-307):
             with pytest.raises(GateError, match="kappa"):
                 verify_chord_bound(kappa=kappa)
 

@@ -1066,10 +1066,11 @@ class TestNoThreadsOption:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "geoknot.cli", "verify",
              "--experiment", "chord-bound"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "chord-bound" in proc.stdout

@@ -467,7 +467,8 @@ BULK_SEARCHES = {
 
 class TestSearchArguments:
     """The bulk searches check their sources as :func:`dijkstra` does,
-    in list and mapping form, and their limits and targets too."""
+    in list and mapping form, and their limits too (the targets:
+    ``TestChordLens::test_target_out_of_range``)."""
 
     @pytest.fixture(scope="class")
     def g(self):
@@ -488,12 +489,6 @@ class TestSearchArguments:
     def test_limit_not_a_reach(self, g, search, limit):
         with pytest.raises(ValueError, match="limit must be >= 0"):
             search(g, {0: 1.0, 1: limit}, None)
-
-    @pytest.mark.parametrize("limit", [math.inf, 1.0, 0.0])
-    @pytest.mark.parametrize("target", [-1, 66])
-    def test_target_out_of_range_at_any_limit(self, g, limit, target):
-        with pytest.raises(ValueError, match="target out of range"):
-            shortest_distances(g, {0: limit}, {0: [3, target]})
 
     @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
     def test_integer_sources_of_any_type(self, g, search):
@@ -643,11 +638,13 @@ class TestChordLens:
         no_edges = graph_from_edges(np.eye(2), "ball", 0.5, None, lambda *_: ([], []))
         assert no_edges.chord_ratio == 0.0
 
-    def test_target_out_of_range(self):
+    @pytest.mark.parametrize("limit", [2.0, 0.0, math.inf])
+    def test_target_out_of_range(self, limit):
+        # At any limit, with a lens to take or none.
         g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])
         for bad in (-1, 3):
             with pytest.raises(ValueError, match="target out of range"):
-                shortest_distances(g, {0: 2.0}, {0: [bad]})
+                shortest_distances(g, {0: limit}, {0: [1, bad]})
 
     def test_whole_graph_without_targets_or_limit(self, monkeypatch):
         g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])

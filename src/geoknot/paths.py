@@ -348,10 +348,9 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
     that is no longer than the limit; a target beyond the limit reads
     ``inf``, as without the lens.  Elsewhere the row reads ``inf`` or a
     value at least the distance.  A source without targets, or with an
-    infinite limit, is searched on the whole graph.
-
-    Sources and limits are checked as :func:`_checked_sources` says,
-    and every target, at any limit, must lie in [0, n).
+    infinite limit, is searched on the whole graph.  Every target, at
+    any limit, must lie in [0, n), and the sources as
+    :func:`_checked_sources` says.
     """
     items = _checked_sources(g, sources)
     if not isinstance(sources, Mapping):
@@ -369,14 +368,11 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
 
 
 def _checked_sources(g: NeighborhoodGraph, sources) -> list:
-    """(source, limit) of each search that ``sources`` asks for: a list
-    of nodes, searched without a limit, or a mapping {source: limit}.
-
-    A source must be an integer in [0, n), as for :func:`dijkstra`, and
-    a limit a number >= 0; anything else raises ValueError.  Unchecked,
-    scipy would read a negative source from the end of the graph, a
-    float one as its floor and a nan limit as a search that reaches
-    nothing, and the engine would start from another node's state.
+    """(source, limit) of each search that a list of sources (no limit)
+    or a mapping {source: limit} asks for.  A source must be an integer
+    in [0, n), as for :func:`dijkstra`, and a limit >= 0, or ValueError:
+    scipy reads -1 as node n - 1, 1.5 as node 1 and a nan limit as a
+    search that reaches nothing, and the engine would start elsewhere.
     """
     items = sources.items() if isinstance(sources, Mapping) else ((s, math.inf) for s in sources)
     checked = []

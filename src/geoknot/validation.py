@@ -628,18 +628,15 @@ def verify_chord_bound(
     """Chord of a bounded-curvature curve vs the (2/k) sin(ks/2) bound.
 
     On the circle of radius R = 1/kappa the bound is an equality,
-    checked to 1e-12 R.  Each circle row measures its chord on the unit
-    circle, between the angles 0 and theta = s/R, and scales it by R.
-    The chord and the bound, 2R sin(theta/2), are each a few roundings
-    of numbers in [0, 2] (theta, the cosine and sine, the norm), times
-    R: a chord's rounding error is proportional to R, so the tolerance
-    is too, and at kappa = 1 it is the 1e-12 of a unit circle.  (The
-    norm of the chord measured at radius R squares R, and overflows for
-    R beyond 1e154.)  A kappa whose arcs, up to pi/kappa, overflow is a
-    GateError.  On sphere geodesic arcs the chord must sit at or above
-    the bound (they are unit-circle arcs, so equality again).  Row group
-    0 holds the circle equalities, group 1 the sphere arcs; oracle =
-    measured chord, graph = bound value.
+    checked to 1e-12 R: each circle row measures its chord on the unit
+    circle, at angle theta = s/R, times R, and the chord and the bound
+    2R sin(theta/2) are each a few roundings of numbers in [0, 2], times
+    R, so a chord's rounding error is proportional to R (at radius R,
+    the norm would square R, which overflows past 1e154).  A kappa whose
+    arcs, up to pi/kappa, overflow is a GateError.  On sphere geodesic
+    arcs the chord must sit at or above the bound (they are unit-circle
+    arcs, so equality again).  Row group 0 holds the circle equalities,
+    group 1 the sphere arcs; oracle = measured chord, graph = bound.
     """
     t0 = time.perf_counter()
     _gate_finite_kappa(kappa)

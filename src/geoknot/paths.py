@@ -66,15 +66,19 @@ from .surfaces import _jsonable
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# A search that serves given pairs stops at SEARCH_REACH times a
-# distance it expects: a runner at its farthest pair's oracle, a
-# constrained query at the pair's unconstrained distance.  Graph and
-# constrained distances stay within a few percent of those on the
-# benchmark inputs (certificate ratios lie in [0.998, 1.048]), so the
-# limit almost never cuts a pair off, while it spares the search most
-# of the graph.  A pair it does cut off is searched again farther: the
-# constant trades speed only, never the answer.
-SEARCH_REACH = 1.25
+# A search that serves given pairs stops at a rung of SEARCH_REACH times
+# a distance it expects: a runner at its farthest pair's oracle, a
+# constrained query at the pair's unconstrained distance.  Graph
+# distances stay within a few percent of the oracle on the benchmark
+# inputs (on certify's runs at a fixed cap or none, graph/oracle ratios
+# have medians of 0.999-1.013 and reach 1.077 and 1.081 on the cylinder;
+# only the bisecting run's low caps go far beyond), so the first rung
+# seldom cuts a pair off, while it spares the search most of the graph.  A
+# runner's source that misses a target is searched again at the next
+# rung, and after the last one without a limit; a constrained query
+# widens from the last rung.  The rungs trade speed only, never the
+# answer.
+SEARCH_REACH = (1.05, 1.25)
 
 # EdgeStateEngine computes its transitions in blocks of about this many
 # (in-edge, out-edge) candidates, so the scratch arrays of the build stay
@@ -776,7 +780,7 @@ def query_constrained(
     the predecessor state of least tail whose turn is within kappa and
     whose cost is tight, the parent its tie rule keeps.
 
-    **Widening.**  L starts at SEARCH_REACH times d_s[target].  A walk
+    **Widening.**  L starts at SEARCH_REACH[-1] times d_s[target].  A walk
     of length C <= L is the whole graph's answer: the answer, and every
     walk through a tight predecessor state (its costs strictly increase,
     so it repeats no state), costs at most C, lies in the lens and keeps
@@ -805,7 +809,7 @@ def query_constrained(
     key = d_s + d_t
     full = key[np.isfinite(key)].max()
     tol = 1.0 + (len(g.indices) + 1) * 2.0**-51
-    reach = SEARCH_REACH * d_s[target]
+    reach = SEARCH_REACH[-1] * d_s[target]
     while True:
         inside = key <= reach * tol
         last = reach * tol >= full

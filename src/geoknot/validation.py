@@ -314,12 +314,14 @@ def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) 
     :func:`shortest_distances`: exact at each target within the limit
     and on every walk to it no longer than the limit, ``inf`` at a
     target beyond it.  A search may ignore the targets.  The sources
-    are searched one at a time, in sorted order, up to SEARCH_REACH
-    times their farthest pair's oracle; a source with a pair beyond
-    that is searched again without a limit, and all its pairs read from
-    that row.  Each row is read before the next source is searched, so
-    one distance row is alive at a time.  ``counts`` accumulates both
-    search counts.
+    are searched one at a time, in sorted order, up a ladder of limits:
+    each rung of SEARCH_REACH times their farthest pair's oracle, then
+    no limit.  A source climbs to the next rung while a target reads
+    ``inf``, and all its pairs read from the first row that finds every
+    target (or from the unbounded one).  Each row is read before the
+    next source is searched, so one distance row is alive at a time.
+    ``counts`` accumulates the sources (``searched_sources``) and every
+    search of a source after its first (``re_searched_sources``).
     """
     reach, targets = {}, {}
     for i, j, oracle in pair_list:
@@ -329,10 +331,11 @@ def _graph_rows(search, pair_list: list, counts: Counter, read=_graph_distance) 
     counts.update(searched_sources=len(reach), re_searched_sources=0)
     for s in sorted(reach):
         own = {s: targets[s]}
-        row = search({s: SEARCH_REACH * reach[s]}, own)[0]
-        if any(math.isinf(row[j]) for j in targets[s]):
-            counts["re_searched_sources"] += 1
-            row = search({s: math.inf}, own)[0]
+        for rung, limit in enumerate([f * reach[s] for f in SEARCH_REACH] + [math.inf]):
+            row = search({s: limit}, own)[0]
+            if not any(math.isinf(row[j]) for j in targets[s]):
+                break
+        counts["re_searched_sources"] += rung
         found[s] = iter([read(row, j) for j in targets[s]])
     # A source's targets are listed in pair order, so are its reads.
     return [next(found[i]) for i, _, _ in pair_list]

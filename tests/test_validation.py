@@ -46,6 +46,23 @@ from geoknot.paths import SEARCH_REACH, shortest_path_turns
 from conftest import finite_turn_curvatures, relaid_perturbation, split_graphs
 
 
+def ladder_re_searches(pair_list: list, distance) -> int:
+    """The ``re_searched_sources`` that ``_graph_rows`` counts for the
+    (i, j, oracle) pairs of ``pair_list``, given each pair's unbounded
+    graph distance ``distance(i, j)``: per source, one search for each
+    rung of SEARCH_REACH times its farthest pair's oracle that its
+    farthest target lies beyond (all of them for a disconnected one)."""
+    reach, far = {}, {}
+    for i, j, oracle in pair_list:
+        reach[i] = max(reach.get(i, 0.0), oracle)
+        far[i] = max(far.get(i, 0.0), distance(i, j))
+    return sum(far[i] > f * reach[i] for i in reach for f in SEARCH_REACH)
+
+
+def row_pairs(rows: list) -> list:
+    return [(row.pair_i, row.pair_j, row.oracle_delta) for row in rows]
+
+
 class TestUnconstrainedUpper:
     def test_disk_default_radius(self):
         # r defaults to 4x the density estimate, which makes the bound
@@ -151,20 +168,15 @@ class TestConstrainedUpper:
         g = build_graph(sample_surface(sphere(1.0), "grid", 200),
                         kind="annulus", r=0.4, alpha=0.25)
         engine = EdgeStateEngine(g)
-        # A source is re-searched at a cap when one of its targets lies
-        # beyond SEARCH_REACH times its farthest pair's oracle.
-        reach = {}
-        for row in rep.rows:
-            reach[row.pair_i] = max(reach.get(row.pair_i, 0.0), row.oracle_delta)
-        sources = sorted(reach)
+        # At each cap a source is searched again once for each rung of
+        # SEARCH_REACH times its farthest pair's oracle that one of its
+        # targets lies beyond.
+        sources = sorted({row.pair_i for row in rep.rows})
         missed = 0
         for cap in caps:
             dist = engine.distances(cap, sources)
-            missed += len({
-                row.pair_i for row in rep.rows
-                if dist[sources.index(row.pair_i), row.pair_j]
-                > validation.SEARCH_REACH * reach[row.pair_i]
-            })
+            missed += ladder_re_searches(
+                row_pairs(rep.rows), lambda i, j: dist[sources.index(i), j])
         assert len(caps) == rep.summary["evaluations"]
         assert missed > 0
         assert rep.summary["sizes"] == {
@@ -437,9 +449,11 @@ class TestConstrainedLower:
 
 
 class TestBoundedSearches:
-    """The runners search each source only up to SEARCH_REACH times its
-    farthest pair's oracle, then re-search the sources that missed a
-    target.  Reports must equal unbounded searches bit for bit."""
+    """The runners search each source only up to the first rung of
+    SEARCH_REACH times its farthest pair's oracle, then search the
+    sources that missed a target again at the next rung, and after the
+    last without a limit.  Reports must equal unbounded searches bit for
+    bit."""
 
     def test_no_re_search_on_criterion_one_input(self):
         rep = verify_unconstrained_upper(sphere(1.0), 2000, pairs=200, seed=0)
@@ -467,9 +481,12 @@ class TestBoundedSearches:
             assert row.graph_delta == dist[sources.index(row.pair_i), row.pair_j]
         sizes = rep.summary["sizes"]
         assert sizes["searched_sources"] == len(sources)
-        # Doubled weights put every target beyond 1.25x its oracle.
-        missed = len(sources) if perturb else 0
+        # Doubled weights put every target beyond 1.25x its oracle, so
+        # every source climbs every rung.
+        missed = len(SEARCH_REACH) * len(sources) if perturb else 0
         assert sizes["re_searched_sources"] == missed
+        assert missed == ladder_re_searches(
+            row_pairs(rep.rows), lambda i, j: dist[sources.index(i), j])
 
     @pytest.mark.parametrize("perturb", [0.0, -0.5])
     @pytest.mark.parametrize("kappa_prime", [None, math.inf])
@@ -491,9 +508,11 @@ class TestBoundedSearches:
         searched = rep.summary["evaluations"] * len(sources)
         assert sizes["searched_sources"] == searched
         if perturb:
-            assert sizes["re_searched_sources"] == searched
+            assert sizes["re_searched_sources"] == len(SEARCH_REACH) * searched
         elif kappa_prime == math.inf:
-            assert sizes["re_searched_sources"] == 0
+            # One evaluation, at the cap of dist.
+            assert sizes["re_searched_sources"] == ladder_re_searches(
+                row_pairs(rep.rows), lambda i, j: dist[sources.index(i), j])
 
 
 class TestSearchPerSource:
@@ -543,17 +562,39 @@ class TestGraphRowsTwin:
             d = whole[i, j]
             if math.isinf(d):
                 oracle = data.draw(st.floats(0.01, 10.0))
-            else:  # exact, on the reach's boundary, far inside it, beyond it
-                oracle = data.draw(st.sampled_from([d, d / SEARCH_REACH, 2.0 * d, d / 3.0]))
+            else:  # exact, on each rung's boundary, far inside them, beyond them
+                oracle = data.draw(st.sampled_from(
+                    [d, *(d / f for f in SEARCH_REACH), 2.0 * d, d / 3.0]))
             pair_list.append((i, j, oracle))
         counts = Counter()
         got = validation._graph_rows(search, pair_list, counts)
         assert got == [float(whole[i, j]) for i, j, _ in pair_list]
-        reach = {}
-        for i, _, oracle in pair_list:
-            reach[i] = max(reach.get(i, 0.0), oracle)
-        missed = {i for i, j, _ in pair_list if whole[i, j] > SEARCH_REACH * reach[i]}
-        assert counts == {"searched_sources": len(reach), "re_searched_sources": len(missed)}
+        assert counts == {
+            "searched_sources": len({i for i, _, _ in pair_list}),
+            "re_searched_sources": ladder_re_searches(pair_list, lambda i, j: whole[i, j]),
+        }
+
+    @pytest.mark.parametrize("far, searches", [
+        (2.0, 1), (2.1, 1), (2.2, 2), (2.5, 2), (2.6, 3), (math.inf, 3),
+    ])
+    def test_climbs_the_ladder_until_every_target_is_found(self, far, searches):
+        # Source 0's farthest pair has oracle R = 2, its target 2 lies
+        # at ``far`` and its target 1 at 0.5.  The fake search reads a
+        # node within the limit, inf beyond it, as the searches do.
+        dist = np.array([0.0, 0.5, far])
+        calls = []
+
+        def search(sources, targets):
+            [(s, limit)] = sources.items()
+            calls.append((s, limit, targets))
+            return np.where(dist <= limit, dist, math.inf)[None, :]
+
+        counts = Counter()
+        got = validation._graph_rows(search, [(0, 2, 2.0), (0, 1, 0.5)], counts)
+        ladder = [1.05 * 2.0, 1.25 * 2.0, math.inf]
+        assert calls == [(0, limit, {0: [2, 1]}) for limit in ladder[:searches]]
+        assert got == [far, 0.5]
+        assert counts == {"searched_sources": 1, "re_searched_sources": searches - 1}
 
 
 class TestChordBound:

@@ -459,7 +459,7 @@ def verify_constrained_upper(
     kappa_prime_min and C_emp None.  Else a bisection on the candidate
     index ends at a cap that passes while the next lower candidate
     fails, reported with C_emp = (kappa' - kappa)/(kappa^2 r + eps/r^2),
-    or None where kappa^2 r overflows.
+    or None where kappa^2 r overflows or r^2 underflows.
     """
     t0 = time.perf_counter()
     _gate_alpha(alpha)
@@ -489,7 +489,10 @@ def verify_constrained_upper(
     def all_pass(graph: list) -> bool:
         return all(row.passed for row in _upper_rows(pair_list, graph, factor))
 
-    base_slack = _square(kappa) * r + eps / r**2
+    # eps / r**2 is inf where r**2 underflows to 0 (a float ``/`` raises
+    # there), as kappa**2 is where it overflows: C_emp is then None.
+    r_square = r**2
+    base_slack = _square(kappa) * r + (eps / r_square if r_square > 0.0 else math.inf)
     found = None  # whether a searched cap passed
     if kappa_prime is not None:
         final_cap, final = kappa_prime, graph_at(kappa_prime)

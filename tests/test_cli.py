@@ -324,6 +324,22 @@ class TestVerify:
         assert rep["kappa"] == 1e200
         assert rep["summary"]["fitted_constants"]["C_emp"] is None
 
+    def test_r_whose_square_underflows(self, tmp_path, capsys):
+        # r**2 underflows to 0: eps / r**2 is inf and C_emp null, so the
+        # run writes its report instead of dividing by zero.  No graph
+        # edge is that short, so every pair fails.
+        out_csv, out_json = tmp_path / "rep.csv", tmp_path / "rep.json"
+        rc = run(["verify", "--experiment", "constrained-upper", "--surface", "sphere",
+                  "--n", "50", "--r", "1e-170", "--kappa", "1", "--pairs", "3",
+                  "--out-csv", out_csv, "--out-json", out_json])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "violations=3" in captured.out and captured.err == ""
+        assert len(out_csv.read_text().splitlines()) == 4
+        [rep] = json.loads(out_json.read_text())["reports"]
+        assert rep["r"] == 1e-170
+        assert rep["summary"]["fitted_constants"]["C_emp"] is None
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -73,8 +73,8 @@ BRUTE_FORCE_MAX_NODES = 12
 # inputs (on certify's runs at a fixed cap or none, graph/oracle ratios
 # have medians of 0.999-1.013 and reach 1.077 and 1.081 on the cylinder;
 # only the bisecting run's low caps go far beyond), so the first rung
-# seldom cuts a pair off, while it spares the search most of the graph.  A
-# runner's source that misses a target is searched again at the next
+# seldom cuts a pair off, while it spares the search most of the graph.
+# A runner's source that misses a target is searched again at the next
 # rung, and after the last one without a limit; a constrained query
 # widens from the last rung.  The rungs trade speed only, never the
 # answer.
@@ -505,8 +505,8 @@ class EdgeStateEngine:
     cap from the pass, keeping the turns of curvature <= kappa, plus one
     virtual start row per graph node (leading to the node's outgoing
     states), and runs the compiled Dijkstra.  The CSR of the last cap is
-    kept, so a bounded search and its re-search at one cap lay it out
-    once; it is dropped before another cap is laid out.
+    kept, so the searches of a source up the reach ladder at one cap lay
+    it out once; it is dropped before another cap is laid out.
 
     :meth:`distinct_curvatures` is the one method that keeps every
     finite turn: it keeps the blocks of its pass as the turn table, and

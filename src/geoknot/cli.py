@@ -24,6 +24,7 @@ from .paths import constrained_shortest, dijkstra, path_max_curvature  # noqa: F
 from .surfaces import (
     MODES,
     SURFACE_KINDS,
+    _csv_text,
     _is_a,
     read_points_csv,
     sample_surface,
@@ -108,8 +109,12 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     """Config file merged with flags; a set flag wins over the file."""
     data = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = _csv_text(path, fh.read())
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
     known = {f.name: f for f in fields(ExperimentConfig)}
@@ -237,8 +242,6 @@ def cmd_graph(args) -> int:
 def cmd_dist(args) -> int:
     pts = read_points_csv(args.points)
     g = read_graph_csv(args.graph, points=pts)
-    if not (0 <= args.src < g.n and 0 <= args.dst < g.n):
-        raise ValueError(f"src/dst must lie in [0, {g.n})")
     kappa = args.kappa
     if kappa is None or kappa == math.inf:
         # Vacuous constraint: the unconstrained path, so that --kappa inf

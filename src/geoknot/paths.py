@@ -62,7 +62,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import _curvature_columns, _dot, lexicographic_rank, turn_curvature
 from .graph import NeighborhoodGraph
-from .surfaces import _jsonable
+from .surfaces import _is_a, _jsonable
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -110,8 +110,7 @@ def dijkstra(g: NeighborhoodGraph, source: int) -> DistanceField:
     Equal-length alternatives resolve toward the smaller predecessor
     index, so the predecessor tree is reproducible.
     """
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+    source = _node(g, source)
     dist = np.full(g.n, math.inf)
     pred = np.full(g.n, -1, dtype=np.int64)
     done = np.zeros(g.n, dtype=bool)
@@ -218,10 +217,8 @@ def constrained_shortest(
     kappa = inf the constraint is vacuous and the result length matches
     plain Dijkstra.
     """
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be positive (or math.inf)")
-    if not (0 <= source < g.n and 0 <= target < g.n):
-        raise ValueError("endpoint out of range")
+    _check_cap(kappa)
+    source, target = _node(g, source), _node(g, target)
     if source == target:
         return PathResult([source], 0.0, 0.0, True)
     coords = g.points.tolist()
@@ -293,8 +290,8 @@ def brute_force_constrained(
     """
     if g.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_NODES}")
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be positive (or math.inf)")
+    _check_cap(kappa)
+    source, target = _node(g, source), _node(g, target)
     if source == target:
         return 0.0
     coords = g.points.tolist()
@@ -352,9 +349,9 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
     that is no longer than the limit; a target beyond the limit reads
     ``inf``, as without the lens.  Elsewhere the row reads ``inf`` or a
     value at least the distance.  A source without targets, or with an
-    infinite limit, is searched on the whole graph.  Every target, at
-    any limit, must lie in [0, n), and the sources as
-    :func:`_checked_sources` says.
+    infinite limit, is searched on the whole graph.  The sources are
+    checked as :func:`_checked_sources` says, and every target, at any
+    limit, is a node as :func:`_node` says.
     """
     items = _checked_sources(g, sources)
     if not isinstance(sources, Mapping):
@@ -362,9 +359,7 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
     targets = targets or {}
     out = np.empty((len(items), g.n))
     for k, (s, limit) in enumerate(items):
-        mine = np.unique(np.asarray(targets.get(s, ()), dtype=np.int64))
-        if len(mine) and (mine[0] < 0 or mine[-1] >= g.n):
-            raise ValueError("target out of range")
+        mine = np.unique(np.fromiter((_node(g, t) for t in targets.get(s, ())), np.int64))
         lens = _chord_lens(g, s, limit, mine)
         out[k] = _csgraph_dijkstra(g.to_csr() if lens is None else lens, directed=True,
                                    indices=s, limit=limit)
@@ -373,20 +368,27 @@ def shortest_distances(g: NeighborhoodGraph, sources, targets=None) -> np.ndarra
 
 def _checked_sources(g: NeighborhoodGraph, sources) -> list:
     """(source, limit) of each search that a list of sources (no limit)
-    or a mapping {source: limit} asks for.  A source must be an integer
-    in [0, n), as for :func:`dijkstra`, and a limit >= 0, or ValueError:
-    scipy reads -1 as node n - 1, 1.5 as node 1 and a nan limit as a
-    search that reaches nothing, and the engine would start elsewhere.
-    """
+    or a mapping {source: limit} asks for.  Each source must be a node
+    (:func:`_node`) and each limit >= 0, or ValueError: scipy reads a nan
+    limit as a search that reaches nothing."""
     items = sources.items() if isinstance(sources, Mapping) else ((s, math.inf) for s in sources)
-    checked = []
-    for s, limit in items:
-        if not (isinstance(s, (int, np.integer)) and 0 <= s < g.n):
-            raise ValueError("source out of range")
-        if not limit >= 0.0:
-            raise ValueError("limit must be >= 0")
-        checked.append((int(s), limit))
+    checked = [(_node(g, s), limit) for s, limit in items]
+    if not all(limit >= 0.0 for _, limit in checked):
+        raise ValueError("limit must be >= 0")
     return checked
+
+
+def _node(g: NeighborhoodGraph, v) -> int:
+    """v as a node of g, the one check of every search's nodes: an integer
+    in [0, n) and no bool, or ValueError (scipy reads -1 as n - 1)."""
+    if _is_a(v, (int, np.integer)) and 0 <= v < g.n:
+        return int(v)
+    raise ValueError(f"no node {v!r}: a node is an integer in [0, {g.n})")
+
+
+def _check_cap(kappa: float):
+    if not kappa > 0.0:  # the one check of a search's cap; nan included
+        raise ValueError("kappa must be positive (or math.inf)")
 
 
 def _chord_lens(g: NeighborhoodGraph, source: int, limit: float, targets) -> csr_matrix | None:
@@ -568,8 +570,7 @@ class EdgeStateEngine:
         that stops each search at its limit, as in
         :func:`shortest_distances`.
         """
-        if not (kappa > 0.0):
-            raise ValueError("kappa must be positive (or math.inf)")
+        _check_cap(kappa)
         g = self.g
         if math.isinf(kappa):
             return shortest_distances(g, sources)
@@ -729,7 +730,7 @@ def query_shortest(g: NeighborhoodGraph, source: int, target: int) -> PathResult
     is answered by :func:`dijkstra` itself.  ``max_interior_curvature``
     comes from :func:`path_max_curvature`.
     """
-    _check_endpoints(g, source, target)
+    source, target = _node(g, source), _node(g, target)
     dist = shortest_distances(g, [source])[0]
     if math.isinf(dist[target]):
         return PathResult([], math.inf, 0.0, False)
@@ -793,15 +794,12 @@ def query_constrained(
     The tie rules need every increment to raise its sum: a graph where
     one can round away (see :func:`_sums_grow`), or whose weights
     could overflow a sum, is answered by :func:`constrained_shortest`,
-    and so is kappa = inf, where the engine drops the acute turns the
-    reference keeps.
+    and so are kappa = inf, where the engine drops the acute turns the
+    reference keeps, and a source that is its target.
     """
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be positive (or math.inf)")
-    _check_endpoints(g, source, target)
-    if source == target:
-        return PathResult([source], 0.0, 0.0, True)
-    if math.isinf(kappa) or not g.weights.sum() < 2.0**1000:
+    _check_cap(kappa)
+    source, target = _node(g, source), _node(g, target)
+    if source == target or math.isinf(kappa) or not g.weights.sum() < 2.0**1000:
         return constrained_shortest(g, kappa, source, target)
     d_s, d_t = shortest_distances(g, [source, target])
     if math.isinf(d_s[target]):
@@ -842,11 +840,6 @@ def query_constrained(
     return PathResult(
         [int(nodes[x]) for x in walk], length, _max_turn([coords[x] for x in walk]), True
     )
-
-
-def _check_endpoints(g: NeighborhoodGraph, source: int, target: int):
-    if not (0 <= source < g.n and 0 <= target < g.n):
-        raise ValueError("endpoint out of range")
 
 
 def _sums_grow(g: NeighborhoodGraph, length: float) -> bool:

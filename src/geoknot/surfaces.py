@@ -588,7 +588,7 @@ def _points_twin(path: str):
 
 
 def _csv_text(path: str, data: bytes) -> str:
-    """The UTF-8 text of a CSV file's bytes, its line ends read as
+    """The UTF-8 text of an input file's bytes, its line ends read as
     ``open()`` reads them (CRLF and CR as LF).  A byte that is not UTF-8
     text raises ValueError naming the file and its line."""
     try:

@@ -497,8 +497,9 @@ def verify_constrained_upper(
     if kappa_prime is not None:
         final_cap, final = kappa_prime, graph_at(kappa_prime)
     else:
-        curv = engine.distinct_curvatures()
-        caps = [kappa, *curv[curv > kappa].tolist()]
+        # One float64 array; kappa = inf, no cap, is the one candidate.
+        caps = engine.distinct_curvatures() if kappa < math.inf else np.zeros(0)
+        caps = np.concatenate([[kappa], caps[np.searchsorted(caps, kappa, "right"):]])
         lo, hi = -1, len(caps) - 1
         final = graph_at(caps[hi])
         found = all_pass(final)
@@ -509,7 +510,7 @@ def verify_constrained_upper(
                 hi, final = mid, trial
             else:
                 lo = mid
-        final_cap = caps[hi]
+        final_cap = float(caps[hi])
     report = BoundReport(
         experiment="constrained-upper",
         surface=surface_label(surface),
@@ -557,8 +558,9 @@ def verify_constrained_lower(
     For each density N the runner records, per pair, the largest
     curvature of a turn on any shortest annulus-graph path; the per-N
     excess q_hat = max(path curvature)/kappa - 1 should fall as the
-    sample densifies, with q_hat * alpha*kappa^2*r^3 / eps reported
-    as the fitted constant (None where kappa^2 overflows).  An
+    sample densifies, with q_hat * alpha*kappa^2*r^3 / eps reported as
+    the fitted constant, None where alpha*kappa^2*r^3 is 0 or overflows
+    (at alpha = 0 an acute turn's inf * 0 would be nan).  An
     infinite triple curvature (an acute interior angle) inside the
     certified density regime eps <= alpha*kappa*r^2/C_GATE is a hard
     failure.  Returns one report per N.
@@ -613,7 +615,8 @@ def verify_constrained_lower(
             )
         q_hat = worst / kappa - 1.0
         square = _square(kappa)
-        fitted = q_hat * alpha * square * r**3 / eps if eps > 0.0 and square < math.inf else None
+        fits = eps > 0.0 and 0.0 < alpha * square * r**3 < math.inf
+        fitted = q_hat * alpha * square * r**3 / eps if fits else None
         reports.append(
             _finish(
                 report,
@@ -831,5 +834,5 @@ def summary_payload(reports) -> dict:
 
 def write_summary_json(path: str, reports) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_payload(reports), fh, indent=2)
+        json.dump(summary_payload(reports), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -238,11 +238,13 @@ class TestDist:
              "--kappa", "inf"])
         assert capsys.readouterr().out == plain
 
-    def test_bad_node_index(self, files):
+    def test_bad_node_index(self, files, capsys):
         pts, g = files
+        capsys.readouterr()
         rc = run(["dist", "--graph", g, "--points", pts,
                   "--src", 0, "--dst", 9])
         assert rc == 2
+        assert capsys.readouterr() == ("", "error: no node 9: a node is an integer in [0, 3)\n")
 
     def test_minus_infinite_kappa_rejected_like_a_negative_one(self, files, capsys):
         pts, g = files
@@ -339,6 +341,32 @@ class TestVerify:
         [rep] = json.loads(out_json.read_text())["reports"]
         assert rep["r"] == 1e-170
         assert rep["summary"]["fitted_constants"]["C_emp"] is None
+
+    @pytest.mark.parametrize("n, r, rc, q_hat", [
+        (300, 0.3, 1, "inf"),  # an acute turn: inf * 0 was nan
+        (2000, 0.25, 0, 4.21815773583628),  # none: 0 fitted nothing
+    ])
+    def test_alpha_zero_fits_no_constant(self, tmp_path, capsys, n, r, rc, q_hat):
+        out_json = tmp_path / "rep.json"
+        assert run(["verify", "--experiment", "constrained-lower", "--surface", "sphere",
+                    "--mode", "uniform-random", "--n", n, "--r", r, "--alpha", 0,
+                    "--pairs", 20, "--seed", 1, "--out-json", out_json]) == rc
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        [rep] = json.loads(out_json.read_text(), parse_constant=strict)["reports"]
+        assert rep["summary"]["fitted_constants"] == {"q_hat": q_hat, "C_emp": None}
+
+    @pytest.mark.parametrize("content, error", [
+        (b'{"experiment":\n}\n', "cfg.json:2: Expecting value"),
+        (b'{"experiment": "chord-bound",\n "curve": "\xff"}\n', "cfg.json:2: not UTF-8 text"),
+    ], ids=["not JSON", "not UTF-8"])
+    def test_malformed_config_file_named(self, tmp_path, capsys, monkeypatch, content, error):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_bytes(content)
+        assert run(["verify", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -465,23 +466,81 @@ BULK_SEARCHES = {
 }
 
 
+# Every search as f(g, v), with v in one role: as its source, or as its
+# target where it takes one (shortest_distances takes targets per source
+# of a mapping).  The other end is a good node.
+AS_SOURCE = {
+    "dijkstra": lambda g, v: dijkstra(g, v),
+    "constrained_shortest": lambda g, v: constrained_shortest(g, 2.0, v, 1),
+    "brute_force_constrained": lambda g, v: brute_force_constrained(g, 2.0, v, 1),
+    "query_shortest": lambda g, v: query_shortest(g, v, 1),
+    "query_constrained": lambda g, v: query_constrained(g, 2.0, v, 1),
+    "shortest_distances": lambda g, v: shortest_distances(g, {v: 1.0}, {v: [1]}),
+    "engine.distances": lambda g, v: EdgeStateEngine(g).distances(2.0, {v: 1.0}),
+}
+AS_TARGET = {
+    "constrained_shortest": lambda g, v: constrained_shortest(g, 2.0, 1, v),
+    "brute_force_constrained": lambda g, v: brute_force_constrained(g, 2.0, 1, v),
+    "query_shortest": lambda g, v: query_shortest(g, 1, v),
+    "query_constrained": lambda g, v: query_constrained(g, 2.0, 1, v),
+    "shortest_distances": lambda g, v: shortest_distances(g, {1: 1.0}, {1: [0, v]}),
+}
+ROLES = [(name, "source", f) for name, f in AS_SOURCE.items()] + [
+    (name, "target", f) for name, f in AS_TARGET.items()]
+
+# The searches that take a curvature cap, as f(g, kappa).
+CAPPED = {
+    "constrained_shortest": lambda g, k: constrained_shortest(g, k, 0, 1),
+    "brute_force_constrained": lambda g, k: brute_force_constrained(g, k, 0, 1),
+    "query_constrained": lambda g, k: query_constrained(g, k, 0, 1),
+    "engine.distances": lambda g, k: EdgeStateEngine(g).distances(k, [0]),
+}
+
+
+def bad_node(v, n: int) -> str:
+    """The one message of a node that is not an integer in [0, n)."""
+    return rf"^no node {re.escape(repr(v))}: a node is an integer in \[0, {n}\)$"
+
+
 class TestSearchArguments:
-    """The bulk searches check their sources as :func:`dijkstra` does,
-    in list and mapping form, and their limits too (the targets:
-    ``TestChordLens::test_target_out_of_range``)."""
+    """Every search checks its nodes by one rule (``paths._node``): a
+    node is an integer in [0, n), and a bool is not a node.  The bulk
+    searches check their sources in list and mapping form, and their
+    limits too."""
 
     @pytest.fixture(scope="class")
     def g(self):
         return build_graph(sample_surface(sphere(1.0), "grid", 66), kind="annulus",
                            r=0.6, alpha=0.25)
 
+    @pytest.fixture(scope="class")
+    def small(self):
+        """A graph that the brute force takes."""
+        return line_graph([0.0, 1.0, 2.0, 3.0], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+
+    @pytest.mark.parametrize("name, role, search", ROLES,
+                             ids=[f"{name}-{role}" for name, role, _ in ROLES])
+    @pytest.mark.parametrize("bad", [-1, "n", 1.5, np.float64(2.0), True],
+                             ids=["-1", "n", "1.5", "float64(2.0)", "True"])
+    def test_bad_node(self, g, small, name, role, search, bad):
+        graph = small if name == "brute_force_constrained" else g
+        v = graph.n if isinstance(bad, str) else bad
+        with pytest.raises(ValueError, match=bad_node(v, graph.n)):
+            search(graph, v)
+
+    @pytest.mark.parametrize("name", CAPPED)
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, -math.inf, math.nan])
+    def test_cap_not_positive(self, small, name, kappa):
+        with pytest.raises(ValueError, match=r"^kappa must be positive \(or math.inf\)$"):
+            CAPPED[name](small, kappa)
+
     @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
     @pytest.mark.parametrize("sources", [
-        [-1], [66], [1.5], [np.float64(2.0)], [0, -66],
-        {-1: 1.0}, {66: math.inf}, {1.5: 1.0}, {0: 1.0, -1: math.inf},
+        [-1], [66], [1.5], [np.float64(2.0)], [True], [0, -66],
+        {-1: 1.0}, {66: math.inf}, {1.5: 1.0}, {True: 1.0}, {0: 1.0, -1: math.inf},
     ], ids=str)
     def test_source_out_of_range(self, g, search, sources):
-        with pytest.raises(ValueError, match="source out of range"):
+        with pytest.raises(ValueError, match=r"^no node .*: a node is an integer in \[0, 66\)$"):
             search(g, sources, None)
 
     @pytest.mark.parametrize("search", BULK_SEARCHES.values(), ids=BULK_SEARCHES.keys())
@@ -643,7 +702,7 @@ class TestChordLens:
         # At any limit, with a lens to take or none.
         g = line_graph([0.0, 1.0, 3.0], [(0, 1, 1.0), (1, 2, 2.0)])
         for bad in (-1, 3):
-            with pytest.raises(ValueError, match="target out of range"):
+            with pytest.raises(ValueError, match=bad_node(bad, 3)):
                 shortest_distances(g, {0: limit}, {0: [1, bad]})
 
     def test_whole_graph_without_targets_or_limit(self, monkeypatch):
@@ -1000,17 +1059,6 @@ class TestSinglePairQueries:
             assert ref.call_count == 1
             assert got == reference_path(g, kappa, 9, 6)
             assert got.nodes == [9, 5, 6] and got.length == 1.0
-
-    def test_endpoints_and_caps_checked(self):
-        g = lattice_graph([(0, 1)])
-        for bad in (-1, 16):
-            for query in (lambda: query_shortest(g, 0, bad),
-                          lambda: query_constrained(g, 2.0, bad, 0)):
-                with pytest.raises(ValueError, match="endpoint out of range"):
-                    query()
-        for kappa in (0.0, -1.0, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="kappa must be positive"):
-                query_constrained(g, kappa, 0, 1)
 
 
 class TestInduced:

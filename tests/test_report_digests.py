@@ -99,9 +99,14 @@ def report_digests(reports: list, workdir: Path) -> dict:
     return file_digests(csv_path, json_path)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"summary JSON holds {name}, which is not JSON")
+
+
 def file_digests(csv_path: Path, json_path: Path) -> dict:
-    """The digests and search counts of a written CSV and summary JSON."""
-    summary = json.loads(json_path.read_text(encoding="utf-8"))
+    """The digests and search counts of a written CSV and summary JSON,
+    which must be strict JSON: a NaN or Infinity in it fails the run."""
+    summary = json.loads(json_path.read_text(encoding="utf-8"), parse_constant=_no_constant)
     counts = []
     for rep in summary["reports"]:
         rep["summary"].pop("runtime_s")

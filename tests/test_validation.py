@@ -234,6 +234,24 @@ class TestConstrainedUpper:
             sample_surface(sphere(1.0), "grid", 200), kind="annulus", r=0.4, alpha=0.25
         ).indices)
 
+    def test_infinite_kappa_makes_no_turn_pass(self, monkeypatch):
+        # kappa = inf is the one candidate cap, so the search for kappa'
+        # computes no turn either, and counts none.
+        calls = []
+        geometry = EdgeStateEngine._geometry
+
+        def spy(engine):
+            calls.append(engine)
+            return geometry(engine)
+
+        monkeypatch.setattr(EdgeStateEngine, "_geometry", spy)
+        rep = verify_constrained_upper(sphere(1.0), 200, r=0.4, kappa=math.inf, pairs=8)
+        assert calls == []
+        assert rep.kappa_prime == math.inf and rep.summary["evaluations"] == 1
+        summary = summary_payload(rep)["reports"][0]["summary"]
+        assert summary["sizes"]["transitions"] is None
+        assert summary["fitted_constants"]["kappa_prime_min"] == "inf"
+
     def test_gates(self):
         with pytest.raises(GateError, match="alpha"):
             verify_constrained_upper(sphere(1.0), 100, r=0.4, alpha=0.3)
@@ -838,3 +856,10 @@ class TestSerialization:
         rep.kappa_prime = math.inf
         payload = summary_payload(rep)
         assert payload["reports"][0]["kappa_prime"] == "inf"
+
+    def test_summary_json_refuses_nan(self, tmp_path):
+        # A NaN is not JSON: the writer fails rather than spell it NaN.
+        rep = self.make_report()
+        rep.summary["fitted_constants"] = {"C_emp": math.nan}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_summary_json(str(tmp_path / "summary.json"), rep)
